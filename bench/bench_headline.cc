@@ -53,7 +53,7 @@ void BM_HeadlineEvalWithOutput(benchmark::State& state) {
 BENCHMARK(BM_HeadlineEvalWithOutput);
 
 // Machine-readable metrics: after the timed runs, replay the headline query
-// sweep once per engine with full stats + per-node profiling and write one
+// sweep once with full stats + per-node profiling and write one
 // JSON document ({"bench":"headline","queries":[<obs::QueryStats>...]}).
 // DUEL_BENCH_METRICS overrides the output path; an empty value disables it.
 void WriteMetricsJson() {
@@ -69,18 +69,16 @@ void WriteMetricsJson() {
   }
   out << "{\"bench\":\"headline\",\"queries\":[";
   bool first = true;
-  for (EngineKind kind : {EngineKind::kStateMachine, EngineKind::kCoroutine}) {
-    for (size_t n : {size_t{1000}, size_t{10000}, size_t{100000}}) {
-      SessionOptions opts = EngineOptions(kind);
-      opts.collect_stats = true;
-      opts.profile = true;
-      BenchFixture fx(opts);
-      scenarios::BuildRandomIntArray(fx.image(), "x", n, -100, 100, 42);
-      fx.Drive("x[.." + std::to_string(n) + "] >? 0");
-      if (fx.session().last_stats().has_value()) {
-        out << (first ? "\n" : ",\n") << fx.session().last_stats()->ToJson();
-        first = false;
-      }
+  for (size_t n : {size_t{1000}, size_t{10000}, size_t{100000}}) {
+    SessionOptions opts;
+    opts.collect_stats = true;
+    opts.profile = true;
+    BenchFixture fx(opts);
+    scenarios::BuildRandomIntArray(fx.image(), "x", n, -100, 100, 42);
+    fx.Drive("x[.." + std::to_string(n) + "] >? 0");
+    if (fx.session().last_stats().has_value()) {
+      out << (first ? "\n" : ",\n") << fx.session().last_stats()->ToJson();
+      first = false;
     }
   }
   out << "\n]}\n";

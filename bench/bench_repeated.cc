@@ -40,17 +40,16 @@ void Build(BenchFixture& fx) {
   scenarios::BuildList(fx.image(), "L", {5, 3, 8, 3, 9});
 }
 
-SessionOptions CacheOptions(EngineKind kind, bool plan_cache) {
+SessionOptions CacheOptions(bool plan_cache) {
   SessionOptions o;
-  o.engine = kind;
   o.plan_cache = plan_cache;
   return o;
 }
 
 void BM_RepeatedCold(benchmark::State& state) {
-  BenchFixture fx(CacheOptions(static_cast<EngineKind>(state.range(0)), false));
+  BenchFixture fx(CacheOptions(false));
   Build(fx);
-  const char* query = kRepeatedQueries[static_cast<size_t>(state.range(1))];
+  const char* query = kRepeatedQueries[static_cast<size_t>(state.range(0))];
   for (auto _ : state) {
     fx.Drive(query);
   }
@@ -58,12 +57,12 @@ void BM_RepeatedCold(benchmark::State& state) {
 }
 
 void BM_RepeatedWarm(benchmark::State& state) {
-  BenchFixture fx(CacheOptions(static_cast<EngineKind>(state.range(0)), true));
+  BenchFixture fx(CacheOptions(true));
   // The benchmark must measure the cached path even under the CI ablation
   // environment (DUEL_PLAN_CACHE=off flips the constructor default).
   fx.session().options().plan_cache = true;
   Build(fx);
-  const char* query = kRepeatedQueries[static_cast<size_t>(state.range(1))];
+  const char* query = kRepeatedQueries[static_cast<size_t>(state.range(0))];
   fx.Drive(query);  // populate the cache; every timed iteration is a hit
   for (auto _ : state) {
     fx.Drive(query);
@@ -74,14 +73,12 @@ void BM_RepeatedWarm(benchmark::State& state) {
 }
 
 void RegisterSweep(const char* name, void (*fn)(benchmark::State&)) {
-  for (int engine : {0, 1}) {
-    for (size_t q = 0; q < std::size(kRepeatedQueries); ++q) {
-      benchmark::RegisterBenchmark(name, fn)->Args({engine, static_cast<int64_t>(q)});
-    }
+  for (size_t q = 0; q < std::size(kRepeatedQueries); ++q) {
+    benchmark::RegisterBenchmark(name, fn)->Arg(static_cast<int64_t>(q));
   }
 }
 
-// Machine-readable metrics: for each engine and query, one cold run and one
+// Machine-readable metrics: for each query, one cold run and one
 // warm (cached) re-run with full stats, plus the session's plan-cache
 // counters — CI reads this to assert the warm speedup and export the hit
 // rate. DUEL_BENCH_METRICS overrides the path; an empty value disables it.
@@ -98,30 +95,25 @@ void WriteMetricsJson() {
   }
   out << "{\"bench\":\"repeated\",\"queries\":[";
   bool first = true;
-  uint64_t lookups = 0, hits = 0;
-  for (EngineKind kind : {EngineKind::kStateMachine, EngineKind::kCoroutine}) {
-    SessionOptions opts = CacheOptions(kind, true);
-    opts.collect_stats = true;
-    BenchFixture fx(opts);
-    fx.session().options().plan_cache = true;
-    Build(fx);
-    for (const char* query : kRepeatedQueries) {
-      for (const char* run : {"cold", "warm"}) {
-        // First pass misses and builds the plan; second pass hits it, so
-        // its stats record zero build-stage time and plan_hit=true.
-        fx.Drive(query);
-        if (fx.session().last_stats().has_value()) {
-          out << (first ? "\n" : ",\n") << "{\"engine\":\""
-              << (kind == EngineKind::kStateMachine ? "sm" : "coro")
-              << "\",\"run\":\"" << run
-              << "\",\"stats\":" << fx.session().last_stats()->ToJson() << "}";
-          first = false;
-        }
+  SessionOptions opts = CacheOptions(true);
+  opts.collect_stats = true;
+  BenchFixture mixed(opts);
+  mixed.session().options().plan_cache = true;
+  Build(mixed);
+  for (const char* query : kRepeatedQueries) {
+    for (const char* run : {"cold", "warm"}) {
+      // First pass misses and builds the plan; second pass hits it, so
+      // its stats record zero build-stage time and plan_hit=true.
+      mixed.Drive(query);
+      if (mixed.session().last_stats().has_value()) {
+        out << (first ? "\n" : ",\n") << "{\"run\":\"" << run
+            << "\",\"stats\":" << mixed.session().last_stats()->ToJson() << "}";
+        first = false;
       }
     }
-    lookups += fx.session().plan_cache().counters().lookups;
-    hits += fx.session().plan_cache().counters().hits;
   }
+  const uint64_t lookups = mixed.session().plan_cache().counters().lookups;
+  const uint64_t hits = mixed.session().plan_cache().counters().hits;
   out << "\n],\"plan_cache\":{\"lookups\":" << lookups << ",\"hits\":" << hits
       << ",\"hit_rate\":" << (lookups == 0 ? 0.0 : static_cast<double>(hits) / lookups)
       << "}";
@@ -141,10 +133,10 @@ void WriteMetricsJson() {
                                      .count()) /
              kIters;
     };
-    BenchFixture cold(CacheOptions(EngineKind::kStateMachine, false));
+    BenchFixture cold(CacheOptions(false));
     cold.session().options().plan_cache = false;
     Build(cold);
-    BenchFixture warm(CacheOptions(EngineKind::kStateMachine, true));
+    BenchFixture warm(CacheOptions(true));
     warm.session().options().plan_cache = true;
     Build(warm);
     warm.Drive(query);  // populate the cache

@@ -38,12 +38,6 @@ class BenchFixture {
   std::unique_ptr<Session> session_;
 };
 
-inline SessionOptions EngineOptions(EngineKind kind) {
-  SessionOptions o;
-  o.engine = kind;
-  return o;
-}
-
 }  // namespace duel::bench
 
 #endif  // DUEL_BENCH_BENCH_UTIL_H_

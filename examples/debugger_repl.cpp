@@ -7,7 +7,6 @@
 //   duel EXPR      evaluate a DUEL expression (the paper's new command)
 //   print EXPR     conventional single-value evaluation (the baseline)
 //   mi LINE        drive the gdb/MI-style machine interface directly
-//   engine NAME    switch evaluation engine: sm | coro
 //   symbolic on|off
 //   remote on|off  route DUEL through the RSP wire protocol
 //   info           image statistics and backend counters
@@ -107,7 +106,6 @@ void PrintHelp() {
       "  warn on|off|error  warning mode: report, discard, or reject the query\n"
       "  print EXPR      conventional debugger evaluation (no generators)\n"
       "  mi LINE         raw machine-interface command (-duel-evaluate \"...\")\n"
-      "  engine sm|coro  choose the evaluation engine\n"
       "  symbolic on|off toggle symbolic values\n"
       "  cache on|off    toggle the read-combining target-memory cache (default on)\n"
       "  plan            list cached compiled queries (MRU first) + cache counters;\n"
@@ -381,12 +379,6 @@ int main(int argc, char** argv) {
       }
     } else if (cmd == "mi") {
       std::cout << mi_session.Handle(rest);
-    } else if (cmd == "engine") {
-      EngineKind kind =
-          rest == "coro" ? EngineKind::kCoroutine : EngineKind::kStateMachine;
-      local_session.options().engine = kind;
-      remote_session.options().engine = kind;
-      std::cout << "engine: " << (rest == "coro" ? "coroutine" : "state-machine") << "\n";
     } else if (cmd == "symbolic") {
       auto mode = rest == "off"    ? EvalOptions::SymMode::kOff
                   : rest == "lazy" ? EvalOptions::SymMode::kLazy

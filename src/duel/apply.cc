@@ -632,8 +632,8 @@ Value ApplyIncDecImpl(EvalContext& ctx, Op op, const Value& v, SourceRange range
 // escaping the operator implementation (value conversion, loads, stores —
 // helpers that throw without knowing where in the query they were called
 // from). DuelError::set_range is first-writer-wins, so throw sites that
-// already carry a precise inner range keep it. Both engines funnel through
-// these same wrappers, which is what makes their error spans identical.
+// already carry a precise inner range keep it. Every apply step funnels
+// through these same wrappers, so a runtime error always carries a span.
 
 bool ApplyComparison(EvalContext& ctx, Op op, const Value& va, const Value& vb,
                      SourceRange range) {

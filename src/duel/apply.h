@@ -2,7 +2,7 @@
 // of the C operators" (paper, Implementation). These functions implement the
 // single-value C semantics — usual arithmetic conversions, pointer
 // arithmetic, array decay, assignment conversions — on Values. The
-// evaluation engines drive them once per combination of operand values.
+// evaluation engine drives them once per combination of operand values.
 
 #ifndef DUEL_DUEL_APPLY_H_
 #define DUEL_DUEL_APPLY_H_
@@ -15,7 +15,7 @@ namespace duel {
 
 // Arithmetic / bitwise / comparison binary operators (kMul..kNe and the
 // bit ops). Logical &&/|| and the ?-filters are generator-level and live in
-// the engines (filters use ApplyComparison).
+// the engine (filters use ApplyComparison).
 Value ApplyBinary(EvalContext& ctx, Op op, const Value& a, const Value& b, SourceRange range);
 
 // Evaluates the C comparison `op` (kLt..kNe) and returns its truth value —

@@ -134,7 +134,7 @@ class Checker {
   // right side of `&&`/`||`, a loop body, a filter predicate) the runtime may
   // never reach the offending operation, so a "definite" error is only
   // definite if that code runs. Demoting to a warning there keeps the
-  // soundness contract: never reject a query the engines would evaluate
+  // soundness contract: never reject a query the engine would evaluate
   // successfully.
   void Error(const Node& n, const char* rule, std::string message, std::string fixit = "") {
     out_->diags.push_back({conditional_ ? Severity::kWarning : Severity::kError,
@@ -676,7 +676,7 @@ class Checker {
         NoteName(callee.text, ctx_->aliases().Has(callee.text));
         auto fn = ctx_->backend().GetTargetFunction(callee.text);
         if (!fn.has_value()) {
-          // Both engines treat a zero-argument `frames()` with no target
+          // The engine treats a zero-argument `frames()` with no target
           // function of that name as the stack-frame generator builtin.
           if (callee.text == "frames" && n.kids.size() == 1) {
             r.many = true;

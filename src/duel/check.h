@@ -10,7 +10,7 @@
 // this stage uses it to reject doomed ones in microseconds instead of after
 // seconds of backend round trips.
 //
-// Soundness contract: the checker must never reject a query the engines
+// Soundness contract: the checker must never reject a query the engine
 // would evaluate successfully. Types propagate as "known or unknown" —
 // every dynamic feature (aliases rebound per value, opened with-scopes over
 // frames, query-local `:=` names) degrades to unknown, and unknown

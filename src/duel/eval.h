@@ -1,25 +1,23 @@
-// Evaluation engine interface.
+// The evaluation engine: the paper's explicit state machine.
 //
 // DUEL's evaluator produces one value per call ("Each call to eval produces
-// one of the values"). This repo implements the scheme twice:
-//
-//  * eval_sm.cc — Engine A, the paper's explicit state machine: per-node
-//    state/value slots, resumed by re-entering eval(). This is the faithful
-//    reproduction of the Semantics section.
-//  * eval_coro.cc — Engine B, C++20 coroutines (the "yield e" pseudo-code,
-//    made real). The paper notes "more efficient implementations of
-//    generators are possible [14]"; E5 benchmarks the two.
-//
-// Both run over the same EvalContext and are property-tested to produce
-// identical value sequences.
+// one of the values"). "To implement this version of eval, state information
+// is added to each node, and a distinguished value, NOVALUE, signals the end
+// of a sequence of values." EvalEngine is that scheme: per-node state/value
+// slots, resumed by re-entering Eval() (eval_sm.cc). The paper notes "more
+// efficient implementations of generators are possible [14]"; EXPERIMENTS.md
+// E5 measured one built on language-level generators and found it slower on
+// every shape, so this is the only engine.
 
 #ifndef DUEL_DUEL_EVAL_H_
 #define DUEL_DUEL_EVAL_H_
 
 #include <memory>
 #include <optional>
+#include <vector>
 
 #include "src/duel/ast.h"
+#include "src/duel/eval_util.h"
 #include "src/duel/evalctx.h"
 #include "src/duel/value.h"
 
@@ -27,23 +25,87 @@ namespace duel {
 
 class EvalEngine {
  public:
-  virtual ~EvalEngine() = default;
+  explicit EvalEngine(EvalContext& ctx) : ctx_(&ctx) {}
 
   // Prepares evaluation of `root` (which must outlive the run). `num_nodes`
   // is ParseResult::num_nodes, used to size per-node state tables.
-  virtual void Start(const Node& root, int num_nodes) = 0;
+  void Start(const Node& root, int num_nodes) {
+    root_ = &root;
+    states_.clear();
+    states_.resize(static_cast<size_t>(num_nodes));
+  }
 
   // Produces the next value of the root expression, or nullopt when the
   // sequence is exhausted. Throws DuelError on evaluation errors.
-  virtual std::optional<Value> Next() = 0;
+  std::optional<Value> Next() {
+    if (root_ == nullptr) {
+      return std::nullopt;
+    }
+    return Eval(*root_);
+  }
 
-  virtual const char* name() const = 0;
+ private:
+  // Heavyweight per-node state, allocated only for the ops that need it.
+  struct Extra {
+    // select
+    std::vector<Value> cache;
+    bool exhausted = false;
+    // dfs / bfs
+    ExpandState expand;
+    // call
+    std::vector<Value> args;
+  };
+
+  struct NodeState {
+    int phase = 0;
+    Value value;       // the paper's n->value: saved left-operand value
+    int64_t lo = 0;    // range iteration
+    int64_t hi = 0;
+    int64_t i = 0;
+    uint64_t counter = 0;
+    std::unique_ptr<Extra> extra;
+  };
+
+  std::optional<Value> Eval(const Node& n);
+
+  NodeState& StateOf(const Node& n) { return states_[static_cast<size_t>(n.id)]; }
+
+  void Reset(const Node& n) { StateOf(n) = NodeState(); }
+
+  void ResetSubtree(const Node& n) {
+    Reset(n);
+    for (const NodePtr& k : n.kids) {
+      ResetSubtree(*k);
+    }
+  }
+
+  // Drives a child to exhaustion, discarding values.
+  void Drain(const Node& n) {
+    while (Eval(n).has_value()) {
+    }
+  }
+
+  // Drives a condition child: returns false (and resets the child) as soon
+  // as a zero value appears; true if all values were non-zero.
+  bool CondHolds(const Node& n) {
+    while (auto u = Eval(n)) {
+      if (!ctx_->Truthy(*u)) {
+        ResetSubtree(n);
+        return false;
+      }
+    }
+    return true;
+  }
+
+  EvalContext* ctx_;
+  const Node* root_ = nullptr;
+  std::vector<NodeState> states_;
 };
 
-enum class EngineKind {
-  kStateMachine,  // Engine A (paper-faithful; the default)
-  kCoroutine,     // Engine B
-};
+// One-value enum and factory kept only because the benchmark harness
+// (perfbench/src/world.cc) still calls MakeEngine(options().engine, ctx);
+// delete both with the next benchmark change.
+enum class EngineKind { kStateMachine };
 
 std::unique_ptr<EvalEngine> MakeEngine(EngineKind kind, EvalContext& ctx);
 

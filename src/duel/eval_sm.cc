@@ -1,4 +1,4 @@
-// Engine A: the paper's explicit state-machine evaluator.
+// EvalEngine::Eval: the paper's explicit state-machine evaluator.
 //
 // "To implement this version of eval, state information is added to each
 // node, and a distinguished value, NOVALUE, signals the end of a sequence of
@@ -40,84 +40,9 @@ void Charge(EvalContext& ctx, const Node& n) {
   }
 }
 
-class SmEngine final : public EvalEngine {
- public:
-  explicit SmEngine(EvalContext& ctx) : ctx_(&ctx) {}
+}  // namespace
 
-  void Start(const Node& root, int num_nodes) override {
-    root_ = &root;
-    states_.clear();
-    states_.resize(static_cast<size_t>(num_nodes));
-  }
-
-  std::optional<Value> Next() override {
-    if (root_ == nullptr) {
-      return std::nullopt;
-    }
-    return Eval(*root_);
-  }
-
-  const char* name() const override { return "state-machine"; }
-
- private:
-  // Heavyweight per-node state, allocated only for the ops that need it.
-  struct Extra {
-    // select
-    std::vector<Value> cache;
-    bool exhausted = false;
-    // dfs / bfs
-    ExpandState expand;
-    // call
-    std::vector<Value> args;
-  };
-
-  struct NodeState {
-    int phase = 0;
-    Value value;       // the paper's n->value: saved left-operand value
-    int64_t lo = 0;    // range iteration
-    int64_t hi = 0;
-    int64_t i = 0;
-    uint64_t counter = 0;
-    std::unique_ptr<Extra> extra;
-  };
-
-  std::optional<Value> Eval(const Node& n);
-
-  NodeState& StateOf(const Node& n) { return states_[static_cast<size_t>(n.id)]; }
-
-  void Reset(const Node& n) { StateOf(n) = NodeState(); }
-
-  void ResetSubtree(const Node& n) {
-    Reset(n);
-    for (const NodePtr& k : n.kids) {
-      ResetSubtree(*k);
-    }
-  }
-
-  // Drives a child to exhaustion, discarding values.
-  void Drain(const Node& n) {
-    while (Eval(n).has_value()) {
-    }
-  }
-
-  // Drives a condition child: returns false (and resets the child) as soon
-  // as a zero value appears; true if all values were non-zero.
-  bool CondHolds(const Node& n) {
-    while (auto u = Eval(n)) {
-      if (!ctx_->Truthy(*u)) {
-        ResetSubtree(n);
-        return false;
-      }
-    }
-    return true;
-  }
-
-  EvalContext* ctx_;
-  const Node* root_ = nullptr;
-  std::vector<NodeState> states_;
-};
-
-std::optional<Value> SmEngine::Eval(const Node& n) {  // NOLINT(readability-function-size)
+std::optional<Value> EvalEngine::Eval(const Node& n) {  // NOLINT(readability-function-size)
   EvalContext& ctx = *ctx_;
   Charge(ctx, n);
   NodeState& st = StateOf(n);
@@ -133,9 +58,9 @@ std::optional<Value> SmEngine::Eval(const Node& n) {  // NOLINT(readability-func
     return std::nullopt;
   }
 
-  // Generic operator families share their child sequencing with the other
-  // engine through ClassifyOp (eval_util.h); only structured operators reach
-  // the op switch below.
+  // Generic operator families are sequenced by one block per family
+  // (ClassifyOp, eval_util.h); only structured operators reach the op switch
+  // below.
   switch (ClassifyOp(n.op)) {
     case OpClass::kMapUnary: {
       if (auto u = Eval(*n.kids[0])) {
@@ -802,26 +727,11 @@ std::optional<Value> SmEngine::Eval(const Node& n) {  // NOLINT(readability-func
     default:
       break;  // generic families were handled by the ClassifyOp dispatch
   }
-  throw DuelError(ErrorKind::kInternal,
-                  StrPrintf("state-machine engine: unhandled op %s", OpName(n.op)));
+  throw DuelError(ErrorKind::kInternal, StrPrintf("unhandled op %s", OpName(n.op)));
 }
 
-}  // namespace
-
-std::unique_ptr<EvalEngine> MakeStateMachineEngineImpl(EvalContext& ctx) {
-  return std::make_unique<SmEngine>(ctx);
-}
-
-std::unique_ptr<EvalEngine> MakeCoroutineEngineImpl(EvalContext& ctx);
-
-std::unique_ptr<EvalEngine> MakeEngine(EngineKind kind, EvalContext& ctx) {
-  switch (kind) {
-    case EngineKind::kStateMachine:
-      return MakeStateMachineEngineImpl(ctx);
-    case EngineKind::kCoroutine:
-      return MakeCoroutineEngineImpl(ctx);
-  }
-  throw DuelError(ErrorKind::kInternal, "unknown engine kind");
+std::unique_ptr<EvalEngine> MakeEngine(EngineKind /*kind*/, EvalContext& ctx) {
+  return std::make_unique<EvalEngine>(ctx);
 }
 
 }  // namespace duel

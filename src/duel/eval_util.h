@@ -1,5 +1,5 @@
-// Node-semantics helpers shared by both evaluation engines, so the engines
-// differ only in how they suspend/resume — not in what each operator means.
+// Node-semantics helpers for the evaluation engine: what each operator means,
+// kept apart from how the engine suspends and resumes (eval_sm.cc).
 
 #ifndef DUEL_DUEL_EVAL_UTIL_H_
 #define DUEL_DUEL_EVAL_UTIL_H_
@@ -39,16 +39,16 @@ TypeRef ResolvedTypeOf(EvalContext& ctx, const Node& n);
 // --- shared operator dispatch ------------------------------------------------
 //
 // Every operator whose child sequencing is generic is classified here, and
-// both engines pre-dispatch on the class with one generic block per family.
-// The engines' own switches keep only the structured operators, so adding an
-// operator to one of these families is a single edit in ClassifyOp plus its
-// apply case — the engines cannot drift apart on it.
+// the engine pre-dispatches on the class with one generic block per family.
+// Its own switch keeps only the structured operators, so adding an operator
+// to one of these families is a single edit in ClassifyOp plus its apply
+// case.
 
 enum class OpClass {
   kMapUnary,       // one operand; one output per input (ApplyUnaryClass)
   kBinaryProduct,  // nested product over two operands (ApplyBinaryClass)
   kFilter,         // product; yields the LEFT operand when the comparison holds
-  kStructured,     // engine-specific sequencing (generators, control, scopes)
+  kStructured,     // operator-specific sequencing (generators, control, scopes)
 };
 
 OpClass ClassifyOp(Op op);

@@ -15,7 +15,7 @@ void EvalContext::Step(int node_id) {
   if (governor_ != nullptr) {
     governor_->ChargeStep();
   }
-  if (++counters_.eval_steps > opts_.max_steps) {
+  if (++counters_.eval_steps - query_steps_base_ > opts_.max_steps) {
     throw DuelError(ErrorKind::kLimit,
                     StrPrintf("evaluation exceeded %llu steps (unbounded generator?)",
                               static_cast<unsigned long long>(opts_.max_steps)));

@@ -1,7 +1,7 @@
 // Shared evaluation context: backend access, aliases, the with-stack,
 // rvalue/lvalue plumbing, name resolution, type-spec resolution, and fuel.
-// Both evaluation engines (state machine and coroutine) run over the same
-// context, which is what makes their results comparable.
+// The evaluation engine (eval.h) runs over it; the session owns one per
+// debugging session, so aliases and counters persist across queries.
 
 #ifndef DUEL_DUEL_EVALCTX_H_
 #define DUEL_DUEL_EVALCTX_H_
@@ -31,8 +31,8 @@ struct EvalOptions {
   };
   SymMode sym_mode = SymMode::kOn;
 
-  // Fuel: generator resumptions before the evaluation is aborted. Protects
-  // against runaways like `1..` driven to completion.
+  // Fuel: generator resumptions per query before the evaluation is aborted.
+  // Protects against runaways like `1..` driven to completion.
   uint64_t max_steps = 50'000'000;
 
   // Extension: detect cycles during --> expansion (the original did not).
@@ -78,6 +78,7 @@ class EvalContext {
   void BeginQuery() {
     access_.set_enabled(opts_.data_cache);
     access_.BeginQuery();
+    query_steps_base_ = counters_.eval_steps;
   }
 
   // The data half of BeginQuery: re-syncs the cache toggle and drops cached
@@ -88,6 +89,7 @@ class EvalContext {
   void BeginQueryData() {
     access_.set_enabled(opts_.data_cache);
     access_.BeginQueryData();
+    query_steps_base_ = counters_.eval_steps;
   }
   const EvalOptions& opts() const { return opts_; }
   EvalOptions& opts() { return opts_; }
@@ -111,9 +113,11 @@ class EvalContext {
     return Sym::Plain(std::move(text), prec);
   }
 
-  // Fuel accounting; throws DuelError(kLimit) when exhausted.
-  // Burns one unit of evaluation fuel and, when a profiler is attached,
-  // attributes the step to `node_id` (the dense Node::id; -1 = unattributed).
+  // Fuel accounting. Burns one unit of evaluation fuel and, when a profiler
+  // is attached, attributes the step to `node_id` (the dense Node::id; -1 =
+  // unattributed). Throws DuelError(kLimit) once the steps taken since the
+  // last BeginQuery/BeginQueryData exceed max_steps; counters().eval_steps
+  // itself stays cumulative.
   void Step(int node_id = -1);
 
   // Per-node profiler hook (owned by the session; may be null).
@@ -191,6 +195,7 @@ class EvalContext {
   AliasTable aliases_;
   ScopeStack scopes_;
   EvalCounters counters_;
+  uint64_t query_steps_base_ = 0;  // counters_.eval_steps when the query began
   obs::NodeProfiler* profiler_ = nullptr;
   ExecGovernor* governor_ = nullptr;
   const Annotations* annotations_ = nullptr;

@@ -41,7 +41,7 @@ struct NodeInfo {
   target::TypeRef bound_type;
   uint64_t bound_addr = 0;
 
-  // Root of a maximal constant-folded subtree. Engines treat the node as a
+  // Root of a maximal constant-folded subtree. The engine treats the node as a
   // leaf: one eval call yields folded_value, the next exhausts it.
   bool folded = false;
   Value folded_value;
@@ -83,14 +83,14 @@ class Annotations {
 };
 
 // Runs the semantic pass. Name binding consults the backend/aliases through
-// `ctx`; folding runs the same ConstValue/Apply* helpers the engines use, so
+// `ctx`; folding runs the same ConstValue/Apply* helpers the engine uses, so
 // a folded node's value and symbolic text are byte-identical to unfolded
 // evaluation. Throws nothing: a subtree that would fault or divide by zero
 // is simply left unfolded, preserving lazy error semantics.
 Annotations Analyze(EvalContext& ctx, const Node& root, int num_nodes);
 
 // Annotation lookup for evaluation-time code. Null when the engine is driven
-// without a plan (unit harnesses construct engines directly): callers must
+// without a plan (unit harnesses construct an engine directly): callers must
 // fall back to dynamic resolution.
 inline const NodeInfo* NodeInfoFor(const EvalContext& ctx, const Node& n) {
   const Annotations* notes = ctx.annotations();

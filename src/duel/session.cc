@@ -331,15 +331,14 @@ uint64_t Session::DriveCore(const std::string& expr, QueryResult* result) {
   // lookups stay memoized into evaluation).
   ctx_.BeginQueryData();
 
-  // --- execute: both engines consume the annotated AST ---------------------
+  // --- execute: the engine consumes the annotated AST ----------------------
   // The governor covers exactly the execute stage: compile-time work is
   // bounded by the text, and a budget trip mid-run must not leave the
   // governor armed for the next query.
   ScopedGovernor scoped_governor(governor_, opts_.governor_limits, opts_.governor);
   const Node& root = *plan->parsed.root;
   ScopedAnnotations scoped_notes(ctx_, &plan->notes);
-  std::unique_ptr<EvalEngine> engine = MakeEngine(opts_.engine, ctx_);
-  stats.engine = engine->name();
+  EvalEngine engine(ctx_);
   if (opts_.profile) {
     profiler_.Begin(plan->parsed.num_nodes);
     ctx_.set_profiler(&profiler_);
@@ -349,8 +348,8 @@ uint64_t Session::DriveCore(const std::string& expr, QueryResult* result) {
   uint64_t count = 0;
   {
     obs::Span span(&tracer_, "eval");
-    engine->Start(root, plan->parsed.num_nodes);
-    while (auto v = engine->Next()) {
+    engine.Start(root, plan->parsed.num_nodes);
+    while (auto v = engine.Next()) {
       ++count;
       if (result != nullptr) {
         ctx_.counters().values_produced++;
@@ -454,11 +453,13 @@ QueryResult Session::Check(const std::string& expr) {
       DuelError e = plan->check.FirstError();
       result.error = FormatError(e);
       result.error_span = e.range();
+      result.error_kind = e.kind();
     }
   } catch (const DuelError& e) {  // lex / parse failures arrive as throws
     result.ok = false;
     result.error = FormatError(e);
     result.error_span = e.range();
+    result.error_kind = e.kind();
     result.diags.push_back({Severity::kError,
                             e.kind() == ErrorKind::kLex ? "lex" : "syntax",
                             e.range(), e.what(), ""});

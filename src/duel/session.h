@@ -3,7 +3,7 @@
 // "Duel's top-level evaluation command 'drives' its expression argument and
 // prints all of its values." A Session owns the evaluation context (so
 // aliases persist across queries, like the original), parses each query,
-// drives the chosen engine, and renders "sym = value" lines.
+// drives the evaluation engine, and renders "sym = value" lines.
 
 #ifndef DUEL_DUEL_SESSION_H_
 #define DUEL_DUEL_SESSION_H_
@@ -36,7 +36,7 @@ enum class WarnMode {
 };
 
 struct SessionOptions {
-  EngineKind engine = EngineKind::kStateMachine;
+  EngineKind engine = EngineKind::kStateMachine;  // unused; see EngineKind (eval.h)
   EvalOptions eval;
   size_t max_output_values = 100'000;  // guard against unbounded output
   size_t max_history = 100;            // query history depth (0 = off)

@@ -139,17 +139,6 @@ std::string MiSession::HandleCommand(const std::string& token, const std::string
     }
     return done(values);
   }
-  if (command == "-duel-set-engine") {
-    if (rest == "sm" || rest == "state-machine") {
-      session_.options().engine = EngineKind::kStateMachine;
-      return done();
-    }
-    if (rest == "coro" || rest == "coroutine") {
-      session_.options().engine = EngineKind::kCoroutine;
-      return done();
-    }
-    return error("unknown engine: " + rest);
-  }
   if (command == "-duel-set-symbolic") {
     if (rest == "on") {
       session_.options().eval.sym_mode = EvalOptions::SymMode::kOn;
@@ -353,7 +342,7 @@ std::string MiSession::HandleCommand(const std::string& token, const std::string
   }
   if (command == "-list-features") {
     return done(
-        ",features=[\"duel-evaluate\",\"duel-set-engine\",\"duel-set-symbolic\","
+        ",features=[\"duel-evaluate\",\"duel-set-symbolic\","
         "\"duel-set-cache\",\"duel-clear-aliases\",\"duel-stats\",\"duel-trace\","
         "\"duel-plan\",\"duel-set-plan-cache\",\"duel-check\",\"duel-set-warn\","
         "\"duel-serve-stats\"]");

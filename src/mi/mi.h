@@ -4,13 +4,20 @@
 // drive gdb through MI, so this module exposes the same single entry point
 // as MI commands, making DUEL scriptable by tools:
 //
-//   [token]-duel-evaluate "expr"     -> [token]^done,values=[{sym="..",value=".."},...]
-//                                       [token]^error,msg="..."
-//   [token]-duel-set-engine sm|coro  -> ^done
-//   [token]-duel-set-symbolic on|off -> ^done
-//   [token]-duel-clear-aliases       -> ^done
-//   [token]-list-features            -> ^done,features=[...]
-//   duel EXPR        (console form)  -> ~"line\n"... then ^done
+//   [token]-duel-evaluate "expr"             -> [token]^done,values=[{sym="..",value=".."},...]
+//                                               [token]^error,msg="..."
+//   [token]-duel-set-symbolic on|lazy|off    -> ^done
+//   [token]-duel-set-cache on|off            -> ^done
+//   [token]-duel-set-plan-cache on|off|clear -> ^done
+//   [token]-duel-set-warn on|off|error       -> ^done
+//   [token]-duel-clear-aliases               -> ^done
+//   [token]-duel-check "expr"                -> ^done,diags=[...]
+//   [token]-duel-plan                        -> ^done,plan-cache={...},plans=[...]
+//   [token]-duel-stats [on|off|profile]      -> ^done[,stats="{json}"]
+//   [token]-duel-trace on|off|clear|dump     -> ^done[,spans=..,dropped=..]
+//   [token]-duel-serve-stats                 -> ^done,... (needs an attached service)
+//   [token]-list-features                    -> ^done,features=[...]
+//   duel EXPR        (console form)          -> ~"line\n"... then ^done
 //
 // Every response line is followed by the MI turn terminator "(gdb)".
 

@@ -68,7 +68,7 @@ struct ServeOptions {
                                  /*max_steps=*/25'000'000,
                                  /*max_read_bytes=*/256ull << 20};
 
-  // Template for per-client sessions (engine, eval options, check mode...).
+  // Template for per-client sessions (eval options, check mode...).
   SessionOptions session;
 };
 

@@ -166,7 +166,7 @@ PlanCacheCounters CountersDelta(const PlanCacheCounters& before, const PlanCache
 
 std::vector<std::string> QueryStats::Render() const {
   std::vector<std::string> out;
-  out.push_back(StrPrintf("query: %s  [engine=%s]", query.c_str(), engine.c_str()));
+  out.push_back("query: " + query);
   out.push_back(StrPrintf("phases: lex=%s parse=%s sema=%s check=%s eval=%s total=%s  [plan %s]",
                           Ns(lex_ns).c_str(), Ns(parse_ns).c_str(), Ns(sema_ns).c_str(),
                           Ns(check_ns).c_str(), Ns(eval_ns).c_str(), Ns(total_ns).c_str(),
@@ -272,7 +272,6 @@ std::vector<std::string> QueryStats::RenderProfile() const {
 std::string QueryStats::ToJson() const {
   std::string out = "{";
   out += "\"query\":\"" + JsonEscape(query) + "\"";
-  out += ",\"engine\":\"" + JsonEscape(engine) + "\"";
   out += StrPrintf(
       ",\"lex_ns\":%llu,\"parse_ns\":%llu,\"sema_ns\":%llu,\"check_ns\":%llu,\"eval_ns\":%llu,"
       "\"total_ns\":%llu",

@@ -149,7 +149,6 @@ class CallTimer {
 // narrow-call metering, and (optionally) the per-node profile.
 struct QueryStats {
   std::string query;
-  std::string engine;
 
   // Per-stage timings of the staged pipeline (lex → parse → analyze →
   // execute). On a plan-cache hit the three build stages report 0 — they

@@ -1,13 +1,13 @@
 // Per-AST-node profiler.
 //
-// Both eval engines call EvalContext::Step(node_id) once per generator
+// The eval engine calls EvalContext::Step(node_id) once per generator
 // resumption; when a profiler is attached, each step is attributed to the
 // operator node being resumed, and the wall-clock time between consecutive
 // steps is attributed to the node of the step that initiated the interval.
 // The sum of per-node steps therefore equals the EvalCounters::eval_steps
 // delta for the query exactly; times are an approximation of self time.
 //
-// The profiler is engine-agnostic: it indexes by the dense `Node::id` and
+// The profiler is AST-agnostic: it indexes by the dense `Node::id` and
 // knows nothing about the AST. The session renders the heat view by pairing
 // these slots with the parsed tree.
 

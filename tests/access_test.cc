@@ -264,13 +264,14 @@ TEST_F(MemoryAccessTest, DisablingBypassesAndDropsBlocks) {
   EXPECT_GT(access.counters().misses, misses_before);
 }
 
-// --- the cache under real queries (both engines) ----------------------------
+// --- the cache under real queries -------------------------------------------
 
-class DataCacheTest : public ::testing::TestWithParam<EngineKind> {
+class DataCacheTest : public ::testing::TestWithParam<SessionConfig> {
  protected:
+  // The data cache is this suite's subject, so each case sets it; the
+  // reference configuration contributes its plan-cache setting.
   static SessionOptions Opts(bool cache_on) {
-    SessionOptions o;
-    o.engine = GetParam();
+    SessionOptions o = ConfigOptions(GetParam());
     o.eval.data_cache = cache_on;
     return o;
   }
@@ -406,12 +407,7 @@ TEST_P(DataCacheTest, StatsCarryCacheCounters) {
   EXPECT_TRUE(rendered_cache_line);
 }
 
-INSTANTIATE_TEST_SUITE_P(BothEngines, DataCacheTest,
-                         ::testing::Values(EngineKind::kStateMachine, EngineKind::kCoroutine),
-                         [](const ::testing::TestParamInfo<EngineKind>& pi) {
-                           return pi.param == EngineKind::kStateMachine ? "StateMachine"
-                                                                        : "Coroutine";
-                         });
+INSTANTIATE_TEST_SUITE_P(BothEngines, DataCacheTest, kSessionConfigs, SessionConfigName);
 
 // --- the qDuelReadV wire extension -----------------------------------------
 

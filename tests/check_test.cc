@@ -1,7 +1,7 @@
 // The static check stage (check.h): per-rule golden diagnostics (rule,
 // severity, span, fix-it), the reject-before-BeginQuery guarantee, verdict
 // caching in the plan cache, warning modes, and the soundness contract
-// (never reject a query the engines would evaluate successfully).
+// (never reject a query the engine would evaluate successfully).
 
 #include <gtest/gtest.h>
 
@@ -117,6 +117,7 @@ TEST_F(CheckTest, DivisionByLiteralZero) {
   EXPECT_EQ(d.severity, Severity::kError);
   EXPECT_EQ(d.rule, "div-by-zero");
   EXPECT_EQ(d.message, "division by zero");  // identical to the runtime text
+  EXPECT_EQ(fx_.session().Check("1/0").error_kind, ErrorKind::kType);
   // A zero that only a run can see stays a runtime error.
   EXPECT_TRUE(Diags("5 % (1..2)").empty());
 }
@@ -137,6 +138,8 @@ TEST_F(CheckTest, UnderscoreOutsideWith) {
 TEST_F(CheckTest, LexAndParseErrorsBecomeDiags) {
   EXPECT_EQ(One("1 +").rule, "syntax");
   EXPECT_EQ(One("`").rule, "lex");
+  EXPECT_EQ(fx_.session().Check("1 +").error_kind, ErrorKind::kParse);
+  EXPECT_EQ(fx_.session().Check("`").error_kind, ErrorKind::kLex);
 }
 
 // --- warnings: fix-its and spans -------------------------------------------
@@ -309,24 +312,25 @@ TEST_F(CheckTest, CheckOffStillReportsButDoesNotReject) {
   EXPECT_EQ(r.diags[0].rule, "deref-non-pointer");
 }
 
-// --- runtime spans: both engines attribute faults identically --------------
+// --- runtime spans: a cached plan attributes faults like a fresh one --------
 
 TEST_F(CheckTest, EnginesReportIdenticalErrorSpans) {
+  fx_.session().options().plan_cache = true;
   const char* faulting[] = {
       "arr[0] / (arr[1] + 1)",  // runtime division by zero
       "i / (i - 3)",            // ditto, via a variable
   };
   for (const char* expr : faulting) {
-    fx_.session().options().engine = EngineKind::kStateMachine;
-    QueryResult sm = fx_.session().Query(expr);
-    fx_.session().options().engine = EngineKind::kCoroutine;
-    QueryResult coro = fx_.session().Query(expr);
-    EXPECT_FALSE(sm.ok) << expr;
-    EXPECT_FALSE(coro.ok) << expr;
-    EXPECT_FALSE(sm.error_span.empty()) << expr;
-    EXPECT_EQ(sm.error_span.begin, coro.error_span.begin) << expr;
-    EXPECT_EQ(sm.error_span.end, coro.error_span.end) << expr;
-    EXPECT_EQ(sm.error, coro.error) << expr;
+    QueryResult cold = fx_.session().Query(expr);
+    const uint64_t hits = fx_.session().plan_cache().counters().hits;
+    QueryResult warm = fx_.session().Query(expr);
+    EXPECT_EQ(fx_.session().plan_cache().counters().hits, hits + 1) << expr;
+    EXPECT_FALSE(cold.ok) << expr;
+    EXPECT_FALSE(warm.ok) << expr;
+    EXPECT_FALSE(cold.error_span.empty()) << expr;
+    EXPECT_EQ(cold.error_span.begin, warm.error_span.begin) << expr;
+    EXPECT_EQ(cold.error_span.end, warm.error_span.end) << expr;
+    EXPECT_EQ(cold.error, warm.error) << expr;
   }
 }
 

@@ -126,18 +126,26 @@ TEST(DeepTypesTest, ArrayOfArrayOfStruct) {
   EXPECT_EQ(fx.One("{sizeof grid}"), "24");
 }
 
+// The lazy symbolic mode renders identically in both session configurations,
+// cold and on a warm re-run (a plan-cache hit in the default configuration).
 TEST(LazyEngineEquivalenceTest, LazyModeIdenticalAcrossEngines) {
-  for (EngineKind kind : {EngineKind::kStateMachine, EngineKind::kCoroutine}) {
-    SessionOptions opts;
-    opts.engine = kind;
+  for (SessionConfig config : {SessionConfig::kDefault, SessionConfig::kReference}) {
+    SessionOptions opts = ConfigOptions(config);
     opts.eval.sym_mode = EvalOptions::SymMode::kLazy;
     DuelFixture fx(opts);
+    const bool cached = config == SessionConfig::kDefault;
+    fx.session().options().plan_cache = cached;
     scenarios::BuildList(fx.image(), "L", {11, 22, 33, 44, 27, 55, 66, 77, 88, 27});
-    EXPECT_EQ(fx.Lines("L-->next->(value ==? next-->next->value)"),
-              (std::vector<std::string>{"L-->next[[4]]->value = 27"}));
-    EXPECT_EQ(fx.Lines("L-->next->value[[3,5]]"),
-              (std::vector<std::string>{"L-->next[[3]]->value = 44",
-                                        "L-->next[[5]]->value = 55"}));
+    for (const char* run : {"cold", "warm"}) {
+      EXPECT_EQ(fx.Lines("L-->next->(value ==? next-->next->value)"),
+                (std::vector<std::string>{"L-->next[[4]]->value = 27"}))
+          << run;
+      EXPECT_EQ(fx.Lines("L-->next->value[[3,5]]"),
+                (std::vector<std::string>{"L-->next[[3]]->value = 44",
+                                          "L-->next[[5]]->value = 55"}))
+          << run;
+    }
+    EXPECT_EQ(fx.session().plan_cache().counters().hits, cached ? 2u : 0u);
   }
 }
 

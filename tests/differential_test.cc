@@ -1,5 +1,5 @@
 // Differential testing: on the pure-C (single-valued) expression subset,
-// DUEL's generator engines and the conventional-debugger baseline must
+// DUEL's generator engine and the conventional-debugger baseline must
 // produce the same values — they share the apply layer but take entirely
 // different evaluation paths.
 
@@ -73,10 +73,9 @@ class CExprGen {
 class DifferentialTest : public ::testing::TestWithParam<uint32_t> {};
 
 TEST_P(DifferentialTest, BaselineMatchesBothEngines) {
-  DuelFixture sm_fx;
-  BuildImage(sm_fx.image());
-  DuelFixture coro_fx(CoroOptions());
-  BuildImage(coro_fx.image());
+  DuelFixture fx;
+  fx.session().options().plan_cache = true;
+  BuildImage(fx.image());
   DuelFixture base_fx;
   BuildImage(base_fx.image());
   EvalContext base_ctx(base_fx.backend(), EvalOptions());
@@ -91,24 +90,19 @@ TEST_P(DifferentialTest, BaselineMatchesBothEngines) {
     } catch (const DuelError&) {
       baseline_ok = false;
     }
-    QueryResult sm = sm_fx.session().Query(expr);
-    QueryResult coro = coro_fx.session().Query(expr);
-    ASSERT_EQ(sm.ok, baseline_ok) << expr << "\n" << sm.error;
-    ASSERT_EQ(coro.ok, baseline_ok) << expr << "\n" << coro.error;
+    QueryResult cold = fx.session().Query(expr);
+    ASSERT_EQ(cold.ok, baseline_ok) << expr << "\n" << cold.error;
+    // Warm re-run: replaying the cached CompiledQuery must give the same
+    // verdict and match the baseline byte for byte.
+    QueryResult warm = fx.session().Query(expr);
+    ASSERT_EQ(warm.ok, baseline_ok) << expr << " (warm)\n" << warm.error;
     if (!baseline_ok) {
       continue;
     }
-    ASSERT_EQ(sm.entries.size(), 1u) << expr;
-    EXPECT_EQ(sm.entries[0].value, baseline_value) << expr;
-    EXPECT_EQ(coro.entries[0].value, baseline_value) << expr;
-    // Cached re-run: replaying the CompiledQuery (plan cache is on by
-    // default) must still match the baseline byte for byte.
-    QueryResult sm_warm = sm_fx.session().Query(expr);
-    QueryResult coro_warm = coro_fx.session().Query(expr);
-    ASSERT_TRUE(sm_warm.ok && coro_warm.ok) << expr;
-    ASSERT_EQ(sm_warm.entries.size(), 1u) << expr;
-    EXPECT_EQ(sm_warm.entries[0].value, baseline_value) << expr << " (warm)";
-    EXPECT_EQ(coro_warm.entries[0].value, baseline_value) << expr << " (warm)";
+    ASSERT_EQ(cold.entries.size(), 1u) << expr;
+    EXPECT_EQ(cold.entries[0].value, baseline_value) << expr;
+    ASSERT_EQ(warm.entries.size(), 1u) << expr << " (warm)";
+    EXPECT_EQ(warm.entries[0].value, baseline_value) << expr << " (warm)";
   }
 }
 

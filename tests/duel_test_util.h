@@ -14,6 +14,31 @@
 
 namespace duel {
 
+// The session configurations that the parameterised suites run each case
+// under. Both evaluate with the one engine. kDefault is the default session;
+// kReference turns off the plan cache and the read-combining data cache, so
+// every query is analysed afresh and every read goes to the backend — the
+// results must not change. The instance names ("BothEngines/.../StateMachine"
+// and ".../Coroutine") are the suites' long-standing test ids, kept when the
+// second evaluation engine was deleted so results stay comparable by name.
+enum class SessionConfig { kDefault, kReference };
+
+inline SessionOptions ConfigOptions(SessionConfig config) {
+  SessionOptions o;
+  if (config == SessionConfig::kReference) {
+    o.plan_cache = false;
+    o.eval.data_cache = false;
+  }
+  return o;
+}
+
+inline const auto kSessionConfigs =
+    ::testing::Values(SessionConfig::kDefault, SessionConfig::kReference);
+
+inline std::string SessionConfigName(const ::testing::TestParamInfo<SessionConfig>& pi) {
+  return pi.param == SessionConfig::kDefault ? "StateMachine" : "Coroutine";
+}
+
 // A simulated debuggee plus a DUEL session attached to it.
 class DuelFixture {
  public:
@@ -53,12 +78,6 @@ class DuelFixture {
   std::unique_ptr<dbg::SimBackend> backend_;
   std::unique_ptr<Session> session_;
 };
-
-inline SessionOptions CoroOptions() {
-  SessionOptions o;
-  o.engine = EngineKind::kCoroutine;
-  return o;
-}
 
 }  // namespace duel
 

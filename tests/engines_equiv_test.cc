@@ -1,6 +1,11 @@
-// Property tests: Engine A (state machine) and Engine B (coroutines) must
-// produce identical output for every query — on a hand-picked corpus, on
-// seeded randomly-generated expressions, and under algebraic laws.
+// Property tests: the default session and a reference session with the plan
+// cache and the read-combining data cache both off (plan_cache=false,
+// eval.data_cache=false) reach the one evaluation engine through different
+// front-end and data paths. They must produce identical output and do
+// identical evaluation work for every query — on a hand-picked corpus and on
+// seeded randomly-generated expressions — and algebraic laws must hold.
+// Test ids such as EnginesAgree date from when these properties compared two
+// evaluation engines; they are kept so results stay comparable by name.
 
 #include <gtest/gtest.h>
 
@@ -18,95 +23,77 @@ void BuildRichImage(target::TargetImage& image) {
   scenarios::BuildArgv(image, {"prog", "-x"});
 }
 
-// One cold run per engine, plus a warm re-run of the same expression in the
-// same session — with the plan cache on (the default) the warm run replays
-// the cached CompiledQuery, so this doubles as a cache-transparency check.
+// One cold run per session, plus a warm re-run of the same expression in the
+// same session — in the default session the warm run replays the cached
+// CompiledQuery, in the reference session it rebuilds the plan.
 struct BothRuns {
-  QueryResult sm, coro;            // cold
-  QueryResult sm_warm, coro_warm;  // cached re-run
+  QueryResult dflt, ref;            // cold
+  QueryResult dflt_warm, ref_warm;  // re-run
 };
 
 BothRuns RunBoth(const std::string& expr) {
   BothRuns out;
-  {
+  for (bool reference : {false, true}) {
     SessionOptions opts;
     opts.collect_stats = true;
+    opts.eval.data_cache = !reference;
     DuelFixture fx(opts);
+    if (reference) {
+      fx.session().options().plan_cache = false;
+    }
     BuildRichImage(fx.image());
-    out.sm = fx.session().Query(expr);
-    out.sm_warm = fx.session().Query(expr);
-  }
-  {
-    SessionOptions opts = CoroOptions();
-    opts.collect_stats = true;
-    DuelFixture fx(opts);
-    BuildRichImage(fx.image());
-    out.coro = fx.session().Query(expr);
-    out.coro_warm = fx.session().Query(expr);
+    (reference ? out.ref : out.dflt) = fx.session().Query(expr);
+    (reference ? out.ref_warm : out.dflt_warm) = fx.session().Query(expr);
   }
   return out;
 }
 
-// Beyond identical output, the two engines must do identical observable work:
-// the same counter deltas on the eval side and the same narrow-interface
-// traffic on the backend side (stats are collected by RunBoth). The one
-// exception is eval_steps — fuel is engine-specific accounting (the state
-// machine burns a step per Eval() re-entry, the coroutine engine per pull),
-// so traversal operators skew it by a small constant; we bound it loosely
-// here and pin it exactly on the generator corpus below.
-void ExpectSameCounters(const QueryResult& sm, const QueryResult& coro,
-                        const std::string& expr) {
-  ASSERT_EQ(sm.stats.has_value(), coro.stats.has_value()) << expr;
-  if (!sm.stats.has_value()) {
+// Beyond identical output, both sessions must do identical evaluation work:
+// the same step count and eval-side counter deltas, and the same writes,
+// calls and allocations on the backend (the cache writes through). Backend
+// read counters legitimately differ — the data cache exists to change them.
+void ExpectSameWork(const QueryResult& dflt, const QueryResult& ref, const std::string& expr) {
+  ASSERT_EQ(dflt.stats.has_value(), ref.stats.has_value()) << expr;
+  if (!dflt.stats.has_value()) {
     return;  // query failed before stats were assembled
   }
-  const obs::QueryStats& a = *sm.stats;
-  const obs::QueryStats& b = *coro.stats;
-  EXPECT_GT(a.eval.eval_steps, 0u) << expr;
-  EXPECT_GT(b.eval.eval_steps, 0u) << expr;
-  EXPECT_LE(a.eval.eval_steps, 2 * b.eval.eval_steps) << expr;
-  EXPECT_LE(b.eval.eval_steps, 2 * a.eval.eval_steps) << expr;
-  EXPECT_EQ(a.eval.values_produced, b.eval.values_produced) << expr;
-  EXPECT_EQ(a.eval.applies, b.eval.applies) << expr;
-  EXPECT_EQ(a.eval.name_lookups, b.eval.name_lookups) << expr;
-  EXPECT_EQ(a.eval.symbolic_builds, b.eval.symbolic_builds) << expr;
-  EXPECT_EQ(a.backend.read_calls, b.backend.read_calls) << expr;
-  EXPECT_EQ(a.backend.bytes_read, b.backend.bytes_read) << expr;
-  EXPECT_EQ(a.backend.write_calls, b.backend.write_calls) << expr;
-  EXPECT_EQ(a.backend.bytes_written, b.backend.bytes_written) << expr;
-  EXPECT_EQ(a.backend.symbol_lookups, b.backend.symbol_lookups) << expr;
-  EXPECT_EQ(a.backend.type_lookups, b.backend.type_lookups) << expr;
-  EXPECT_EQ(a.backend.target_calls, b.backend.target_calls) << expr;
-  for (size_t i = 0; i < obs::kNumNarrowCalls; ++i) {
-    EXPECT_EQ(a.call_counts[i], b.call_counts[i])
-        << expr << " narrow call " << obs::NarrowCallName(static_cast<obs::NarrowCall>(i));
-  }
+  const EvalCounters& a = dflt.stats->eval;
+  const EvalCounters& b = ref.stats->eval;
+  EXPECT_EQ(a.eval_steps, b.eval_steps) << expr;
+  EXPECT_EQ(a.values_produced, b.values_produced) << expr;
+  EXPECT_EQ(a.applies, b.applies) << expr;
+  EXPECT_EQ(a.name_lookups, b.name_lookups) << expr;
+  EXPECT_EQ(a.symbolic_builds, b.symbolic_builds) << expr;
+  const BackendCounters& x = dflt.stats->backend;
+  const BackendCounters& y = ref.stats->backend;
+  EXPECT_EQ(x.write_calls, y.write_calls) << expr;
+  EXPECT_EQ(x.bytes_written, y.bytes_written) << expr;
+  EXPECT_EQ(x.target_calls, y.target_calls) << expr;
+  EXPECT_EQ(x.allocations, y.allocations) << expr;
 }
 
-void ExpectEnginesAgree(const std::string& expr) {
+void ExpectSameResult(const QueryResult& dflt, const QueryResult& ref, const std::string& expr) {
+  EXPECT_EQ(dflt.ok, ref.ok) << expr << "\ndefault: " << dflt.error << "\nreference: " << ref.error;
+  EXPECT_EQ(dflt.lines, ref.lines) << expr;
+  // Errors must match down to the failing subexpression's span.
+  EXPECT_EQ(dflt.error, ref.error) << expr;
+  EXPECT_EQ(dflt.error_span.begin, ref.error_span.begin) << expr;
+  EXPECT_EQ(dflt.error_span.end, ref.error_span.end) << expr;
+}
+
+void ExpectReferenceAgrees(const std::string& expr) {
   BothRuns r = RunBoth(expr);
-  const QueryResult& sm = r.sm;
-  const QueryResult& coro = r.coro;
-  EXPECT_EQ(sm.ok, coro.ok) << expr << "\nsm: " << sm.error << "\ncoro: " << coro.error;
-  EXPECT_EQ(sm.lines, coro.lines) << expr;
-  if (!sm.ok && !coro.ok) {
-    // Errors must match down to the failing subexpression's span: both
-    // engines attribute a fault through the same Apply* boundary.
-    EXPECT_EQ(sm.error, coro.error) << expr;
-    EXPECT_EQ(sm.error_span.begin, coro.error_span.begin) << expr;
-    EXPECT_EQ(sm.error_span.end, coro.error_span.end) << expr;
-  }
-  ExpectSameCounters(sm, coro, expr);
+  ExpectSameResult(r.dflt, r.ref, expr);
+  ExpectSameWork(r.dflt, r.ref, expr);
   // The warm pass may differ from the cold one for stateful queries
-  // (declarations, aliases), but the two engines must still agree line for
-  // line — whether the plan was replayed from cache or rebuilt.
-  EXPECT_EQ(r.sm_warm.ok, r.coro_warm.ok) << expr << " (warm)";
-  EXPECT_EQ(r.sm_warm.lines, r.coro_warm.lines) << expr << " (warm)";
+  // (declarations, aliases), but the two sessions must still agree — whether
+  // the plan was replayed from cache or rebuilt.
+  ExpectSameResult(r.dflt_warm, r.ref_warm, expr + " (warm)");
 }
 
 class CorpusTest : public ::testing::TestWithParam<const char*> {};
 
-TEST_P(CorpusTest, EnginesAgree) { ExpectEnginesAgree(GetParam()); }
+TEST_P(CorpusTest, EnginesAgree) { ExpectReferenceAgrees(GetParam()); }
 
 const char* kCorpus[] = {
     "1+2*3",
@@ -166,21 +153,20 @@ const char* kCorpus[] = {
 
 INSTANTIATE_TEST_SUITE_P(Corpus, CorpusTest, ::testing::ValuesIn(kCorpus));
 
-// On pure generator/filter/reduction pipelines the fuel accounting of the
-// two engines coincides exactly (one step per value pulled through each
-// operator), so eval_steps must match to the step.
+// On pure generator/filter/reduction pipelines (no declarations or aliases)
+// a plan-cache replay pulls values through the identical annotated AST, so
+// eval_steps must match to the step across sessions and across cold and warm
+// runs.
 class StepParityTest : public ::testing::TestWithParam<const char*> {};
 
 TEST_P(StepParityTest, EvalStepsIdentical) {
   BothRuns r = RunBoth(GetParam());
-  ASSERT_TRUE(r.sm.ok && r.coro.ok) << GetParam();
-  ASSERT_TRUE(r.sm.stats.has_value() && r.coro.stats.has_value());
-  EXPECT_EQ(r.sm.stats->eval.eval_steps, r.coro.stats->eval.eval_steps) << GetParam();
-  // Step parity must survive a plan-cache replay too: the warm run pulls
-  // values through the identical annotated AST.
-  ASSERT_TRUE(r.sm_warm.stats.has_value() && r.coro_warm.stats.has_value());
-  EXPECT_EQ(r.sm_warm.stats->eval.eval_steps, r.coro_warm.stats->eval.eval_steps) << GetParam();
-  EXPECT_EQ(r.sm.stats->eval.eval_steps, r.sm_warm.stats->eval.eval_steps) << GetParam();
+  ASSERT_TRUE(r.dflt.ok && r.ref.ok) << GetParam();
+  ASSERT_TRUE(r.dflt.stats.has_value() && r.ref.stats.has_value());
+  EXPECT_EQ(r.dflt.stats->eval.eval_steps, r.ref.stats->eval.eval_steps) << GetParam();
+  ASSERT_TRUE(r.dflt_warm.stats.has_value() && r.ref_warm.stats.has_value());
+  EXPECT_EQ(r.dflt_warm.stats->eval.eval_steps, r.ref_warm.stats->eval.eval_steps) << GetParam();
+  EXPECT_EQ(r.dflt.stats->eval.eval_steps, r.dflt_warm.stats->eval.eval_steps) << GetParam();
 }
 
 const char* kStepParityCorpus[] = {
@@ -276,9 +262,11 @@ TEST_P(RandomExprTest, EnginesAgreeOnGeneratedExpressions) {
   for (int i = 0; i < 20; ++i) {
     std::string expr = gen.Gen(3);
     BothRuns r = RunBoth(expr);
-    ASSERT_EQ(r.sm.ok, r.coro.ok) << expr << "\nsm: " << r.sm.error << "\ncoro: " << r.coro.error;
-    ASSERT_EQ(r.sm.lines, r.coro.lines) << expr;
-    ASSERT_EQ(r.sm_warm.lines, r.coro_warm.lines) << expr << " (warm)";
+    ASSERT_EQ(r.dflt.ok, r.ref.ok)
+        << expr << "\ndefault: " << r.dflt.error << "\nreference: " << r.ref.error;
+    ASSERT_EQ(r.dflt.lines, r.ref.lines) << expr;
+    ASSERT_EQ(r.dflt.error, r.ref.error) << expr;
+    ASSERT_EQ(r.dflt_warm.lines, r.ref_warm.lines) << expr << " (warm)";
   }
 }
 
@@ -286,15 +274,9 @@ INSTANTIATE_TEST_SUITE_P(Seeds, RandomExprTest, ::testing::Range(1u, 17u));
 
 // --- algebraic laws ------------------------------------------------------------
 
-class LawsTest : public ::testing::TestWithParam<EngineKind> {
+class LawsTest : public ::testing::TestWithParam<SessionConfig> {
  protected:
-  LawsTest() : fx_(Options()) { BuildRichImage(fx_.image()); }
-
-  SessionOptions Options() {
-    SessionOptions o;
-    o.engine = GetParam();
-    return o;
-  }
+  LawsTest() : fx_(ConfigOptions(GetParam())) { BuildRichImage(fx_.image()); }
 
   std::string Scalar(const std::string& expr) {
     std::vector<std::string> lines = fx_.Lines(expr);
@@ -378,12 +360,7 @@ TEST_P(LawsTest, ValuesUnchangedBySymbolicMode) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(BothEngines, LawsTest,
-                         ::testing::Values(EngineKind::kStateMachine, EngineKind::kCoroutine),
-                         [](const ::testing::TestParamInfo<EngineKind>& pi) {
-                           return pi.param == EngineKind::kStateMachine ? "StateMachine"
-                                                                          : "Coroutine";
-                         });
+INSTANTIATE_TEST_SUITE_P(BothEngines, LawsTest, kSessionConfigs, SessionConfigName);
 
 }  // namespace
 }  // namespace duel

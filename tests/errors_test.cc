@@ -8,15 +8,9 @@
 namespace duel {
 namespace {
 
-class ErrorsTest : public ::testing::TestWithParam<EngineKind> {
+class ErrorsTest : public ::testing::TestWithParam<SessionConfig> {
  protected:
-  ErrorsTest() : fx_(Options()) {}
-
-  SessionOptions Options() {
-    SessionOptions o;
-    o.engine = GetParam();
-    return o;
-  }
+  ErrorsTest() : fx_(ConfigOptions(GetParam())) {}
 
   DuelFixture fx_;
 };
@@ -55,6 +49,20 @@ TEST_P(ErrorsTest, UnboundedGeneratorHitsFuel) {
   EXPECT_NE(err.find("exceeded"), std::string::npos) << err;
 }
 
+TEST_P(ErrorsTest, StepLimitCountsOneQueryNotTheSession) {
+  // A long-lived session (REPL, serve worker) must not start failing once
+  // its cumulative step count passes max_steps: the budget is per query.
+  fx_.session().options().eval.max_steps = 1000;
+  for (int run = 0; run < 3; ++run) {
+    QueryResult r = fx_.session().Query("#/(1..300)");
+    EXPECT_TRUE(r.ok) << "run " << run << ": " << r.error;
+  }
+  QueryResult over = fx_.session().Query("#/(1..2000)");
+  EXPECT_FALSE(over.ok);
+  EXPECT_EQ(over.error_kind, ErrorKind::kLimit);
+  EXPECT_FALSE(over.error_span.empty());
+}
+
 TEST_P(ErrorsTest, TypeErrors) {
   EXPECT_NE(fx_.Error("*5").find("pointer"), std::string::npos);
   EXPECT_NE(fx_.Error("&5").find("lvalue"), std::string::npos);
@@ -91,12 +99,7 @@ TEST_P(ErrorsTest, SessionRecoversAfterError) {
   EXPECT_EQ(fx_.One("2+2"), "2+2 = 4");
 }
 
-INSTANTIATE_TEST_SUITE_P(BothEngines, ErrorsTest,
-                         ::testing::Values(EngineKind::kStateMachine, EngineKind::kCoroutine),
-                         [](const ::testing::TestParamInfo<EngineKind>& pi) {
-                           return pi.param == EngineKind::kStateMachine ? "StateMachine"
-                                                                          : "Coroutine";
-                         });
+INSTANTIATE_TEST_SUITE_P(BothEngines, ErrorsTest, kSessionConfigs, SessionConfigName);
 
 }  // namespace
 }  // namespace duel

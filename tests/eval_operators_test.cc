@@ -1,6 +1,5 @@
 // Per-operator generator semantics, following the paper's Semantics section
-// pseudo-code. Every operator is exercised on both engines via the
-// parameterized suite at the bottom.
+// pseudo-code.
 
 #include <gtest/gtest.h>
 
@@ -9,15 +8,9 @@
 namespace duel {
 namespace {
 
-class OperatorTest : public ::testing::TestWithParam<EngineKind> {
+class OperatorTest : public ::testing::TestWithParam<SessionConfig> {
  protected:
-  OperatorTest() : fx_(Options()) {}
-
-  SessionOptions Options() {
-    SessionOptions o;
-    o.engine = GetParam();
-    return o;
-  }
+  OperatorTest() : fx_(ConfigOptions(GetParam())) {}
 
   DuelFixture fx_;
 };
@@ -325,12 +318,7 @@ TEST_P(OperatorTest, BraceSubstitutesValueInSymbolic) {
   EXPECT_EQ(plain[1], "4+i*5 = 19");
 }
 
-INSTANTIATE_TEST_SUITE_P(BothEngines, OperatorTest,
-                         ::testing::Values(EngineKind::kStateMachine, EngineKind::kCoroutine),
-                         [](const ::testing::TestParamInfo<EngineKind>& pi) {
-                           return pi.param == EngineKind::kStateMachine ? "StateMachine"
-                                                                          : "Coroutine";
-                         });
+INSTANTIATE_TEST_SUITE_P(BothEngines, OperatorTest, kSessionConfigs, SessionConfigName);
 
 }  // namespace
 }  // namespace duel

@@ -9,15 +9,9 @@
 namespace duel {
 namespace {
 
-class FramesTest : public ::testing::TestWithParam<EngineKind> {
+class FramesTest : public ::testing::TestWithParam<SessionConfig> {
  protected:
-  FramesTest() : fx_(Options()) { scenarios::BuildFrames(fx_.image(), 3); }
-
-  SessionOptions Options() {
-    SessionOptions o;
-    o.engine = GetParam();
-    return o;
-  }
+  FramesTest() : fx_(ConfigOptions(GetParam())) { scenarios::BuildFrames(fx_.image(), 3); }
 
   DuelFixture fx_;
 };
@@ -50,12 +44,7 @@ TEST_P(FramesTest, SelectingOneFrame) {
   EXPECT_EQ(fx_.Lines("frames()[[1]].x"), (std::vector<std::string>{"frame(1).x = 10"}));
 }
 
-INSTANTIATE_TEST_SUITE_P(BothEngines, FramesTest,
-                         ::testing::Values(EngineKind::kStateMachine, EngineKind::kCoroutine),
-                         [](const ::testing::TestParamInfo<EngineKind>& pi) {
-                           return pi.param == EngineKind::kStateMachine ? "StateMachine"
-                                                                        : "Coroutine";
-                         });
+INSTANTIATE_TEST_SUITE_P(BothEngines, FramesTest, kSessionConfigs, SessionConfigName);
 
 }  // namespace
 }  // namespace duel

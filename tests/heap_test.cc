@@ -7,15 +7,9 @@
 namespace duel {
 namespace {
 
-class HeapTest : public ::testing::TestWithParam<EngineKind> {
+class HeapTest : public ::testing::TestWithParam<SessionConfig> {
  protected:
-  HeapTest() : fx_(Options()) {}
-
-  SessionOptions Options() {
-    SessionOptions o;
-    o.engine = GetParam();
-    return o;
-  }
+  HeapTest() : fx_(ConfigOptions(GetParam())) {}
 
   DuelFixture fx_;
 };
@@ -68,12 +62,7 @@ TEST_P(HeapTest, DeterministicAcrossBuilds) {
   EXPECT_EQ(n1, n2);
 }
 
-INSTANTIATE_TEST_SUITE_P(BothEngines, HeapTest,
-                         ::testing::Values(EngineKind::kStateMachine, EngineKind::kCoroutine),
-                         [](const ::testing::TestParamInfo<EngineKind>& pi) {
-                           return pi.param == EngineKind::kStateMachine ? "StateMachine"
-                                                                        : "Coroutine";
-                         });
+INSTANTIATE_TEST_SUITE_P(BothEngines, HeapTest, kSessionConfigs, SessionConfigName);
 
 }  // namespace
 }  // namespace duel

@@ -51,11 +51,12 @@ TEST_F(MiTest, ConsoleForm) {
 }
 
 TEST_F(MiTest, EngineAndSymbolicOptions) {
-  EXPECT_EQ(mi_.Handle("-duel-set-engine coro"), "^done\n(gdb)\n");
+  // There is one evaluation engine, so no engine option is offered.
+  EXPECT_EQ(mi_.Handle("-list-features").find("engine"), std::string::npos);
   EXPECT_EQ(mi_.Handle("-duel-set-symbolic off"), "^done\n(gdb)\n");
   std::string r = mi_.Handle("-duel-evaluate \"x[..3] >? 0\"");
   EXPECT_EQ(r, "^done,values=[{sym=\"\",value=\"5\"},{sym=\"\",value=\"8\"}]\n(gdb)\n");
-  EXPECT_TRUE(mi_.Handle("-duel-set-engine warp").rfind("^error", 0) == 0);
+  EXPECT_TRUE(mi_.Handle("-duel-set-symbolic warp").rfind("^error", 0) == 0);
 }
 
 TEST_F(MiTest, ClearAliases) {

@@ -206,15 +206,14 @@ TEST(NodeProfilerTest, InactiveProfilerIgnoresSteps) {
 
 // --- session integration ------------------------------------------------------
 
-SessionOptions StatsOptions(EngineKind kind) {
-  SessionOptions o;
-  o.engine = kind;
+SessionOptions StatsOptions(SessionConfig config) {
+  SessionOptions o = ConfigOptions(config);
   o.collect_stats = true;
   o.profile = true;
   return o;
 }
 
-class SessionStatsTest : public ::testing::TestWithParam<EngineKind> {};
+class SessionStatsTest : public ::testing::TestWithParam<SessionConfig> {};
 
 TEST_P(SessionStatsTest, ProfileStepTotalMatchesEvalSteps) {
   DuelFixture fx(StatsOptions(GetParam()));
@@ -259,9 +258,7 @@ TEST_P(SessionStatsTest, StatsReportNarrowCallsAndBytes) {
 }
 
 TEST_P(SessionStatsTest, StatsOffByDefault) {
-  SessionOptions o;
-  o.engine = GetParam();
-  DuelFixture fx(o);
+  DuelFixture fx(ConfigOptions(GetParam()));
   scenarios::BuildIntArray(fx.image(), "x", {1, 2, 3});
   QueryResult r = fx.session().Query("x[..3]");
   ASSERT_TRUE(r.ok);
@@ -285,12 +282,7 @@ TEST_P(SessionStatsTest, TraceCapturesQueryPhases) {
   EXPECT_NE(std::find(names.begin(), names.end(), "backend.get_target_bytes"), names.end());
 }
 
-INSTANTIATE_TEST_SUITE_P(BothEngines, SessionStatsTest,
-                         ::testing::Values(EngineKind::kStateMachine, EngineKind::kCoroutine),
-                         [](const ::testing::TestParamInfo<EngineKind>& pi) {
-                           return pi.param == EngineKind::kStateMachine ? "StateMachine"
-                                                                        : "Coroutine";
-                         });
+INSTANTIATE_TEST_SUITE_P(BothEngines, SessionStatsTest, kSessionConfigs, SessionConfigName);
 
 // --- RSP wire packet log ------------------------------------------------------
 

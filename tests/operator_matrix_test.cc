@@ -1,5 +1,5 @@
 // Systematic operator matrix: every sequence operator crossed with empty /
-// single / multi-valued operands, on both engines, checked against the
+// single / multi-valued operands, checked against the
 // cardinality each operator's semantics dictate. Empty operands are where
 // restart bookkeeping breaks, so each query is also driven twice.
 
@@ -27,13 +27,12 @@ const Shape kShapes[] = {
     {"(0,2,0)", 3, 1},
 };
 
-class OperatorMatrixTest : public ::testing::TestWithParam<EngineKind> {
+class OperatorMatrixTest : public ::testing::TestWithParam<SessionConfig> {
  protected:
   OperatorMatrixTest() : fx_(Options()) {}
 
   SessionOptions Options() {
-    SessionOptions o;
-    o.engine = GetParam();
+    SessionOptions o = ConfigOptions(GetParam());
     o.eval.sym_mode = EvalOptions::SymMode::kOff;
     return o;
   }
@@ -172,12 +171,7 @@ TEST_P(OperatorMatrixTest, FiltersNeverExceedCartesian) {
   EXPECT_EQ(Count("(1..3) <? 3"), 2u);
 }
 
-INSTANTIATE_TEST_SUITE_P(BothEngines, OperatorMatrixTest,
-                         ::testing::Values(EngineKind::kStateMachine, EngineKind::kCoroutine),
-                         [](const ::testing::TestParamInfo<EngineKind>& pi) {
-                           return pi.param == EngineKind::kStateMachine ? "StateMachine"
-                                                                        : "Coroutine";
-                         });
+INSTANTIATE_TEST_SUITE_P(BothEngines, OperatorMatrixTest, kSessionConfigs, SessionConfigName);
 
 }  // namespace
 }  // namespace duel

@@ -11,15 +11,9 @@
 namespace duel {
 namespace {
 
-class PaperExamplesTest : public ::testing::TestWithParam<EngineKind> {
+class PaperExamplesTest : public ::testing::TestWithParam<SessionConfig> {
  protected:
-  PaperExamplesTest() : fx_(Options()) {}
-
-  SessionOptions Options() {
-    SessionOptions o;
-    o.engine = GetParam();
-    return o;
-  }
+  PaperExamplesTest() : fx_(ConfigOptions(GetParam())) {}
 
   DuelFixture fx_;
 };
@@ -361,12 +355,7 @@ TEST_P(PaperExamplesTest, LookupHeavyRange) {
   EXPECT_EQ(fx_.One("#/(1..100+i)"), "105");
 }
 
-INSTANTIATE_TEST_SUITE_P(BothEngines, PaperExamplesTest,
-                         ::testing::Values(EngineKind::kStateMachine, EngineKind::kCoroutine),
-                         [](const ::testing::TestParamInfo<EngineKind>& pi) {
-                           return pi.param == EngineKind::kStateMachine ? "StateMachine"
-                                                                          : "Coroutine";
-                         });
+INSTANTIATE_TEST_SUITE_P(BothEngines, PaperExamplesTest, kSessionConfigs, SessionConfigName);
 
 }  // namespace
 }  // namespace duel

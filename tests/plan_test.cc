@@ -1,7 +1,7 @@
 // Plan-cache behaviour: hits and misses, epoch-based invalidation (frame
 // switches, target calls, alias redefinition), fingerprinting of
 // compilation-relevant options, and output equivalence with the cache on
-// vs off on both engines.
+// vs off.
 
 #include <gtest/gtest.h>
 
@@ -173,16 +173,13 @@ TEST_F(PlanTest, ProfileIdenticalCachedAndUncached) {
 }
 
 // The cache must be semantically invisible: identical output with the cache
-// on vs off, on both engines, including across stateful queries (aliases,
-// declared variables) and repeated runs.
-class PlanEquivalenceTest : public ::testing::TestWithParam<EngineKind> {};
+// on vs off, including across stateful queries (aliases, declared variables)
+// and repeated runs.
+class PlanEquivalenceTest : public ::testing::TestWithParam<SessionConfig> {};
 
 TEST_P(PlanEquivalenceTest, OutputIdenticalCacheOnAndOff) {
-  SessionOptions on_opts;
-  on_opts.engine = GetParam();
-  SessionOptions off_opts = on_opts;
-  DuelFixture cached(on_opts);
-  DuelFixture uncached(off_opts);
+  DuelFixture cached(ConfigOptions(GetParam()));
+  DuelFixture uncached(ConfigOptions(GetParam()));
   cached.session().options().plan_cache = true;
   uncached.session().options().plan_cache = false;
   for (DuelFixture* fx : {&cached, &uncached}) {
@@ -211,8 +208,7 @@ TEST_P(PlanEquivalenceTest, OutputIdenticalCacheOnAndOff) {
   EXPECT_EQ(uncached.session().plan_cache().counters().lookups, 0u);
 }
 
-INSTANTIATE_TEST_SUITE_P(Engines, PlanEquivalenceTest,
-                         ::testing::Values(EngineKind::kStateMachine, EngineKind::kCoroutine));
+INSTANTIATE_TEST_SUITE_P(Engines, PlanEquivalenceTest, kSessionConfigs);
 
 }  // namespace
 }  // namespace duel

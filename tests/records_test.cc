@@ -8,15 +8,9 @@
 namespace duel {
 namespace {
 
-class RecordsTest : public ::testing::TestWithParam<EngineKind> {
+class RecordsTest : public ::testing::TestWithParam<SessionConfig> {
  protected:
-  RecordsTest() : fx_(Options()) {}
-
-  SessionOptions Options() {
-    SessionOptions o;
-    o.engine = GetParam();
-    return o;
-  }
+  RecordsTest() : fx_(ConfigOptions(GetParam())) {}
 
   DuelFixture fx_;
 };
@@ -110,12 +104,7 @@ TEST_P(RecordsTest, ExpandingArrayOfStructsByPointerField) {
                                       "(&nodes[0])->peer->peer->id = 3"}));
 }
 
-INSTANTIATE_TEST_SUITE_P(BothEngines, RecordsTest,
-                         ::testing::Values(EngineKind::kStateMachine, EngineKind::kCoroutine),
-                         [](const ::testing::TestParamInfo<EngineKind>& pi) {
-                           return pi.param == EngineKind::kStateMachine ? "StateMachine"
-                                                                        : "Coroutine";
-                         });
+INSTANTIATE_TEST_SUITE_P(BothEngines, RecordsTest, kSessionConfigs, SessionConfigName);
 
 }  // namespace
 }  // namespace duel

@@ -130,7 +130,7 @@ TEST_F(ServerTest, CallThroughProtocol) {
 
 // --- end-to-end: a DUEL session over the remote backend ------------------------
 
-class RemoteEndToEndTest : public ::testing::TestWithParam<EngineKind> {};
+class RemoteEndToEndTest : public ::testing::TestWithParam<SessionConfig> {};
 
 TEST_P(RemoteEndToEndTest, RemoteMatchesLocal) {
   target::TargetImage image;
@@ -145,8 +145,7 @@ TEST_P(RemoteEndToEndTest, RemoteMatchesLocal) {
   FramedTransport transport(server);
   RemoteBackend remote(transport);
 
-  SessionOptions opts;
-  opts.engine = GetParam();
+  SessionOptions opts = ConfigOptions(GetParam());
   Session local_session(sim, opts);
   Session remote_session(remote, opts);
 
@@ -183,13 +182,14 @@ TEST_P(RemoteEndToEndTest, RemoteFaultsMatchLocal) {
   FramedTransport transport(server);
   RemoteBackend remote(transport);
 
-  SessionOptions opts;
-  opts.engine = GetParam();
+  SessionOptions opts = ConfigOptions(GetParam());
   Session remote_session(remote, opts);
   QueryResult r = remote_session.Query("p->val");
   EXPECT_FALSE(r.ok);
   EXPECT_NE(r.error.find("Illegal memory reference"), std::string::npos) << r.error;
 }
+
+INSTANTIATE_TEST_SUITE_P(BothEngines, RemoteEndToEndTest, kSessionConfigs, SessionConfigName);
 
 TEST(SocketTransportTest, FullSessionOverARealByteStream) {
   target::TargetImage image;
@@ -282,13 +282,6 @@ TEST(SocketTransportTest, ReceiveTimeoutFailsCleanlyWhenServerHangs) {
   // Unwedge the server so the transport destructor can join its thread.
   server.Release();
 }
-
-INSTANTIATE_TEST_SUITE_P(BothEngines, RemoteEndToEndTest,
-                         ::testing::Values(EngineKind::kStateMachine, EngineKind::kCoroutine),
-                         [](const ::testing::TestParamInfo<EngineKind>& pi) {
-                           return pi.param == EngineKind::kStateMachine ? "StateMachine"
-                                                                        : "Coroutine";
-                         });
 
 }  // namespace
 }  // namespace duel::rsp

@@ -56,19 +56,5 @@ TEST(Smoke, ListTraversal) {
   EXPECT_EQ(r.lines[2], "L->next->next->value = 30");
 }
 
-TEST(Smoke, CoroutineEngineMatches) {
-  target::TargetImage image;
-  scenarios::BuildIntArray(image, "x", {5, 1, 8, 3});
-  dbg::SimBackend backend(image);
-  SessionOptions opts;
-  opts.engine = EngineKind::kCoroutine;
-  Session session(backend, opts);
-  QueryResult r = session.Query("x[..4] >? 4");
-  ASSERT_TRUE(r.ok) << r.error;
-  ASSERT_EQ(r.lines.size(), 2u);
-  EXPECT_EQ(r.lines[0], "x[0] = 5");
-  EXPECT_EQ(r.lines[1], "x[2] = 8");
-}
-
 }  // namespace
 }  // namespace duel

@@ -1,9 +1,8 @@
-// Support library: string helpers, the coroutine generator, error types.
+// Support library: string helpers, error types.
 
 #include <gtest/gtest.h>
 
 #include "src/support/error.h"
-#include "src/support/generator.h"
 #include "src/support/strings.h"
 
 namespace duel {
@@ -65,62 +64,6 @@ TEST(StringsTest, Split) {
   ASSERT_EQ(parts.size(), 4u);
   EXPECT_EQ(parts[2], "");
   EXPECT_EQ(Split("", ',').size(), 1u);
-}
-
-TEST(GeneratorTest, YieldsAndEnds) {
-  auto gen = []() -> Generator<int> {
-    co_yield 1;
-    co_yield 2;
-    co_yield 3;
-  }();
-  EXPECT_EQ(gen.Next(), 1);
-  EXPECT_EQ(gen.Next(), 2);
-  EXPECT_EQ(gen.Next(), 3);
-  EXPECT_EQ(gen.Next(), std::nullopt);
-  EXPECT_EQ(gen.Next(), std::nullopt);  // stays exhausted
-}
-
-TEST(GeneratorTest, EmptyGenerator) {
-  auto gen = []() -> Generator<int> { co_return; }();
-  EXPECT_EQ(gen.Next(), std::nullopt);
-}
-
-TEST(GeneratorTest, ExceptionsPropagateFromNext) {
-  auto gen = []() -> Generator<int> {
-    co_yield 1;
-    throw std::runtime_error("boom");
-  }();
-  EXPECT_EQ(gen.Next(), 1);
-  EXPECT_THROW(gen.Next(), std::runtime_error);
-}
-
-TEST(GeneratorTest, AbandonmentRunsDestructors) {
-  struct Tracker {
-    bool* flag;
-    explicit Tracker(bool* f) : flag(f) {}
-    ~Tracker() { *flag = true; }
-  };
-  bool destroyed = false;
-  {
-    auto gen = [](bool* flag) -> Generator<int> {
-      Tracker t(flag);
-      co_yield 1;
-      co_yield 2;
-    }(&destroyed);
-    EXPECT_EQ(gen.Next(), 1);
-    // Abandon mid-sequence.
-  }
-  EXPECT_TRUE(destroyed);
-}
-
-TEST(GeneratorTest, MoveTransfersOwnership) {
-  auto gen = []() -> Generator<int> {
-    co_yield 7;
-    co_yield 8;
-  }();
-  Generator<int> other = std::move(gen);
-  EXPECT_EQ(other.Next(), 7);
-  EXPECT_EQ(other.Next(), 8);
 }
 
 TEST(ErrorTest, KindsAndContext) {

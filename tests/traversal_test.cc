@@ -8,15 +8,9 @@
 namespace duel {
 namespace {
 
-class TraversalTest : public ::testing::TestWithParam<EngineKind> {
+class TraversalTest : public ::testing::TestWithParam<SessionConfig> {
  protected:
-  TraversalTest() : fx_(Options()) {}
-
-  SessionOptions Options() {
-    SessionOptions o;
-    o.engine = GetParam();
-    return o;
-  }
+  TraversalTest() : fx_(ConfigOptions(GetParam())) {}
 
   DuelFixture fx_;
 };
@@ -114,12 +108,7 @@ TEST_P(TraversalTest, ExpansionLimitGuards) {
   EXPECT_NE(err.find("limit"), std::string::npos) << err;
 }
 
-INSTANTIATE_TEST_SUITE_P(BothEngines, TraversalTest,
-                         ::testing::Values(EngineKind::kStateMachine, EngineKind::kCoroutine),
-                         [](const ::testing::TestParamInfo<EngineKind>& pi) {
-                           return pi.param == EngineKind::kStateMachine ? "StateMachine"
-                                                                          : "Coroutine";
-                         });
+INSTANTIATE_TEST_SUITE_P(BothEngines, TraversalTest, kSessionConfigs, SessionConfigName);
 
 }  // namespace
 }  // namespace duel
