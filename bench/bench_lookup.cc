@@ -5,9 +5,8 @@
 // techniques".
 //
 // We compare a lookup-per-value query against a constant-only control, sweep
-// the number of symbols the debugger must search, and measure the
-// lookup-cache ablation (a stand-in for the compile-time binding the paper
-// proposes).
+// the number of symbols the debugger must search, and measure the prebind
+// pass (the compile-time binding the paper proposes).
 
 #include "bench/bench_util.h"
 
@@ -26,12 +25,8 @@ void AddSymbols(BenchFixture& fx, size_t count) {
 }
 
 void BM_LookupPerValue(benchmark::State& state) {
-  size_t symbols = static_cast<size_t>(state.range(0));
-  bool cache = state.range(1) != 0;
-  SessionOptions opts;
-  opts.eval.lookup_cache = cache;
-  BenchFixture fx(opts);
-  AddSymbols(fx, symbols);
+  BenchFixture fx;
+  AddSymbols(fx, static_cast<size_t>(state.range(0)));
   for (auto _ : state) {
     fx.Drive("(1..100)+i");  // one lookup of i per produced value
   }
@@ -39,10 +34,8 @@ void BM_LookupPerValue(benchmark::State& state) {
   fx.Drive("(1..100)+i");
   state.counters["name_lookups"] =
       static_cast<double>(fx.session().context().counters().name_lookups);
-  state.SetLabel(cache ? "cache=on" : "cache=off");
 }
-BENCHMARK(BM_LookupPerValue)
-    ->ArgsProduct({{10, 100, 1000}, {0, 1}});
+BENCHMARK(BM_LookupPerValue)->Arg(10)->Arg(100)->Arg(1000);
 
 void BM_PrebindOptimization(benchmark::State& state) {
   // The paper's proposed fix ("symbol lookup could be done at compile time

@@ -58,9 +58,6 @@ void BM_RepeatedCold(benchmark::State& state) {
 
 void BM_RepeatedWarm(benchmark::State& state) {
   BenchFixture fx(CacheOptions(true));
-  // The benchmark must measure the cached path even under the CI ablation
-  // environment (DUEL_PLAN_CACHE=off flips the constructor default).
-  fx.session().options().plan_cache = true;
   Build(fx);
   const char* query = kRepeatedQueries[static_cast<size_t>(state.range(0))];
   fx.Drive(query);  // populate the cache; every timed iteration is a hit

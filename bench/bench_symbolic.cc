@@ -36,9 +36,7 @@ void BM_Symbolic(benchmark::State& state) {
   const QuerySpec& spec = kQueries[state.range(0)];
   int mode = static_cast<int>(state.range(1));
   SessionOptions opts;
-  opts.eval.sym_mode = mode == 0   ? EvalOptions::SymMode::kOff
-                       : mode == 1 ? EvalOptions::SymMode::kOn
-                                   : EvalOptions::SymMode::kLazy;
+  opts.eval.sym_mode = mode == 0 ? EvalOptions::SymMode::kOff : EvalOptions::SymMode::kOn;
   BenchFixture fx(opts);
   SetupImage(fx);
   for (auto _ : state) {
@@ -50,11 +48,11 @@ void BM_Symbolic(benchmark::State& state) {
   fx.session().Query(spec.query);
   state.counters["sym_builds"] =
       static_cast<double>(fx.session().context().counters().symbolic_builds);
-  const char* mode_name = mode == 0 ? "/sym=off" : mode == 1 ? "/sym=eager" : "/sym=lazy";
+  const char* mode_name = mode == 0 ? "/sym=off" : "/sym=eager";
   state.SetLabel(std::string(spec.name) + mode_name);
 }
 BENCHMARK(BM_Symbolic)
-    ->ArgsProduct({{0, 1, 2, 3}, {0, 1, 2}});
+    ->ArgsProduct({{0, 1, 2, 3}, {0, 1}});
 
 }  // namespace
 }  // namespace duel::bench

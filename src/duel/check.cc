@@ -126,7 +126,7 @@ class Checker {
 
   void Run(const Node& root) {
     CollectDefined(root);
-    out_->has_side_effects = Walk(root).side_effects;
+    Walk(root);
   }
 
  private:

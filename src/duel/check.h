@@ -42,12 +42,6 @@ struct CheckResult {
   // invalidates the cached verdict (Session::PlanIsValid).
   std::vector<std::pair<std::string, bool>> names;
 
-  // True when the inference walk saw anything that can mutate target or
-  // session state (assignment, ++/--, a target call, alloc). The serve
-  // layer's read/write classifier starts from this verdict; a query without
-  // side effects may run under a shared (reader) target lock.
-  bool has_side_effects = false;
-
   size_t num_errors() const;
   size_t num_warnings() const;
   bool HasErrors() const { return num_errors() > 0; }

@@ -207,31 +207,6 @@ Value ComposeWithResult(EvalContext& ctx, const Value& subject, bool arrow, cons
     return out;
   }
   ctx.counters().symbolic_builds++;
-  if (inner.sym().IsLazy() || subject.sym().IsLazy()) {
-    // `_` passthrough without materializing: the underscore returns the
-    // subject value, so the deferred nodes are shared.
-    if (inner.sym().deferred() != nullptr &&
-        inner.sym().deferred() == subject.sym().deferred()) {
-      return out;
-    }
-    const SymDeferred* d = inner.sym().deferred().get();
-    if (d != nullptr && d->k == SymDeferred::K::kText && IsSimpleIdentifier(d->text)) {
-      out.set_sym(subject.sym().WithMember(d->text, arrow));
-      return out;
-    }
-    auto node = std::make_shared<SymDeferred>();
-    node->k = SymDeferred::K::kWithExpr;
-    node->prec = kPrecPostfix;
-    node->arrow = arrow;
-    node->a = subject.sym().IsLazy()
-                  ? subject.sym().deferred()
-                  : Sym::LazyText(subject.sym().Text(), subject.sym().prec()).deferred();
-    node->b = inner.sym().IsLazy()
-                  ? inner.sym().deferred()
-                  : Sym::LazyText(inner.sym().Text(), inner.sym().prec()).deferred();
-    out.set_sym(Sym::FromDeferred(std::move(node)));
-    return out;
-  }
   std::string inner_text = inner.sym().Text();
   // `_` passthrough: the inner value IS the subject; keep its original sym.
   if (inner_text == subject.sym().Text()) {

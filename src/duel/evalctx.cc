@@ -280,19 +280,7 @@ std::optional<Value> EvalContext::LookupName(const std::string& name) {
   }
   // 3. target variables (current frame, then globals — the backend applies
   //    debugger scope rules).
-  std::optional<dbg::VariableInfo> info;
-  if (opts_.lookup_cache) {
-    auto it = lookup_cache_.find(name);
-    if (it != lookup_cache_.end()) {
-      info = it->second;
-    } else {
-      info = backend_->GetTargetVariable(name);
-      lookup_cache_[name] = info;
-    }
-  } else {
-    info = backend_->GetTargetVariable(name);
-  }
-  if (info.has_value()) {
+  if (auto info = backend_->GetTargetVariable(name)) {
     return Value::LV(info->type, info->addr, MakeSym(name));
   }
   // 4. target functions.

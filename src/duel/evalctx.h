@@ -24,10 +24,8 @@ class Annotations;  // sema.h: per-node side table produced by the analyze stage
 
 struct EvalOptions {
   enum class SymMode {
-    kOff,   // no symbolic values computed (E3 ablation)
-    kOn,    // eager symbolic values (the original's behaviour)
-    kLazy,  // deferred derivation DAG, materialized only when printed (the
-            // paper's proposed optimization; E3 measures all three)
+    kOff,  // no symbolic values computed (E3 ablation)
+    kOn,   // eager symbolic values (the original's behaviour)
   };
   SymMode sym_mode = SymMode::kOn;
 
@@ -41,9 +39,6 @@ struct EvalOptions {
   // Bound on values a single --> node will expand (safety net when cycle
   // detection is off).
   uint64_t max_expand_nodes = 10'000'000;
-
-  // E4 ablation: cache target-variable lookups for the whole query.
-  bool lookup_cache = false;
 
   // The paper's proposed optimization: bind eligible names to target
   // variables at "compile time" (the analyze stage, see sema.h).
@@ -100,14 +95,8 @@ class EvalContext {
 
   bool sym_on() const { return opts_.sym_mode != EvalOptions::SymMode::kOff; }
   Sym MakeSym(std::string text, int prec = kPrecPrimary) {
-    switch (opts_.sym_mode) {
-      case EvalOptions::SymMode::kOff:
-        return Sym::None();
-      case EvalOptions::SymMode::kLazy:
-        counters_.symbolic_builds++;
-        return Sym::LazyText(std::move(text), prec);
-      case EvalOptions::SymMode::kOn:
-        break;
+    if (!sym_on()) {
+      return Sym::None();
     }
     counters_.symbolic_builds++;
     return Sym::Plain(std::move(text), prec);
@@ -179,8 +168,6 @@ class EvalContext {
   // Resolves a syntactic type-name against the debugger's type tables.
   TypeRef ResolveTypeSpec(const TypeSpec& spec, SourceRange range);
 
-  void ClearLookupCache() { lookup_cache_.clear(); }
-
   // Interns a string literal in target space, once per distinct body (the
   // paper's duel_alloc_target_space path). Keyed by content, not by AST
   // node: plans cache their trees across queries, and node addresses can be
@@ -199,7 +186,6 @@ class EvalContext {
   obs::NodeProfiler* profiler_ = nullptr;
   ExecGovernor* governor_ = nullptr;
   const Annotations* annotations_ = nullptr;
-  std::map<std::string, std::optional<dbg::VariableInfo>> lookup_cache_;
 };
 
 }  // namespace duel

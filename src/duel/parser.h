@@ -107,7 +107,9 @@ class Parser {
   int next_id_ = 0;
   int depth_ = 0;
 
-  static constexpr int kMaxDepth = 10000;  // ~650 paren levels (each costs ~15 frames)
+  // ~130 paren levels (each costs ~15 frames). Sized so the deepest accepted
+  // query fits an 8 MiB stack even with AddressSanitizer's larger frames.
+  static constexpr int kMaxDepth = 2000;
 };
 
 }  // namespace duel

@@ -1,7 +1,6 @@
 #include "src/duel/session.h"
 
 #include <array>
-#include <cstdlib>
 
 #include "src/duel/check.h"
 #include "src/duel/lexer.h"
@@ -46,13 +45,13 @@ uint64_t PlanFingerprint(const EvalOptions& o) {
          (o.cycle_detect ? 1u : 0u);
 }
 
-// RAII: arms the session governor for one execute stage (when the session
-// option is on and any limit is set) and disarms on every exit path, so a
-// cancel that lands between queries cannot leak into the next one.
+// RAII: arms the session governor for one execute stage (when any limit is
+// set) and disarms on every exit path, so a cancel that lands between
+// queries cannot leak into the next one.
 class ScopedGovernor {
  public:
-  ScopedGovernor(ExecGovernor& g, const GovernorLimits& limits, bool enabled)
-      : g_(enabled && limits.any() ? &g : nullptr) {
+  ScopedGovernor(ExecGovernor& g, const GovernorLimits& limits)
+      : g_(limits.any() ? &g : nullptr) {
     if (g_ != nullptr) {
       g_->Arm(limits);
     }
@@ -100,45 +99,11 @@ std::string QueryResult::Text() const {
 }
 
 Session::Session(dbg::DebuggerBackend& backend, SessionOptions opts)
-    : backend_(&backend),
-      opts_(opts),
-      ctx_(backend, opts.eval),
-      plan_cache_(opts.plan_cache_capacity) {
+    : backend_(&backend), opts_(opts), ctx_(backend, opts.eval) {
   // The governor stays attached for the session's lifetime; it only costs
   // anything while armed (DriveCore arms it per query when limits are set).
   ctx_.set_governor(&governor_);
   ctx_.access().set_governor(&governor_);
-  // The CI ablation switch: DUEL_PLAN_CACHE=off runs every suite with the
-  // staged pipeline rebuilt per query (mirroring the data-cache ablation).
-  if (const char* env = std::getenv("DUEL_PLAN_CACHE"); env != nullptr) {
-    std::string v(env);
-    if (v == "off" || v == "0" || v == "false") {
-      opts_.plan_cache = false;
-    } else if (v == "on" || v == "1") {
-      opts_.plan_cache = true;
-    }
-  }
-  // Escape hatch / ablation: DUEL_CHECK=off evaluates every query without
-  // the static gate (verdicts are still computed and cached with the plan).
-  if (const char* env = std::getenv("DUEL_CHECK"); env != nullptr) {
-    std::string v(env);
-    if (v == "off" || v == "0" || v == "false") {
-      opts_.check = false;
-    } else if (v == "on" || v == "1") {
-      opts_.check = true;
-    }
-  }
-  // Ablation / escape hatch: DUEL_GOVERNOR=off never arms the per-query
-  // governor, so queries run with deadlines/budgets/cancellation disabled
-  // (the serve suite pins the option back on where it tests the governor).
-  if (const char* env = std::getenv("DUEL_GOVERNOR"); env != nullptr) {
-    std::string v(env);
-    if (v == "off" || v == "0" || v == "false") {
-      opts_.governor = false;
-    } else if (v == "on" || v == "1") {
-      opts_.governor = true;
-    }
-  }
 }
 
 void Session::Remember(const std::string& expr) {
@@ -316,14 +281,12 @@ uint64_t Session::DriveCore(const std::string& expr, QueryResult* result) {
       }
     }
   }
-  if (opts_.check) {
-    if (plan->check.HasErrors()) {
-      throw plan->check.FirstError();
-    }
-    if (opts_.warn == WarnMode::kError && !plan->check.diags.empty()) {
-      const Diag& d = plan->check.diags.front();
-      throw DuelError(ErrorKind::kType, d.message + " [warnings are errors]", d.span);
-    }
+  if (plan->check.HasErrors()) {
+    throw plan->check.FirstError();
+  }
+  if (opts_.warn == WarnMode::kError && !plan->check.diags.empty()) {
+    const Diag& d = plan->check.diags.front();
+    throw DuelError(ErrorKind::kType, d.message + " [warnings are errors]", d.span);
   }
 
   // Fresh data-cache epoch (data half only: the backend's client-side symbol
@@ -335,7 +298,7 @@ uint64_t Session::DriveCore(const std::string& expr, QueryResult* result) {
   // The governor covers exactly the execute stage: compile-time work is
   // bounded by the text, and a budget trip mid-run must not leave the
   // governor armed for the next query.
-  ScopedGovernor scoped_governor(governor_, opts_.governor_limits, opts_.governor);
+  ScopedGovernor scoped_governor(governor_, opts_.governor_limits);
   const Node& root = *plan->parsed.root;
   ScopedAnnotations scoped_notes(ctx_, &plan->notes);
   EvalEngine engine(ctx_);

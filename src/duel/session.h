@@ -43,27 +43,22 @@ struct SessionOptions {
 
   // Plan cache: reuse the compiled half of the pipeline (tokens + AST +
   // annotations) across queries with the same text. Invalidation is
-  // epoch-based (see plan.h); `DUEL_PLAN_CACHE=off` in the environment
-  // disables it at construction (the CI ablation configuration).
+  // epoch-based (see plan.h).
   bool plan_cache = true;
-  size_t plan_cache_capacity = 64;
 
-  // The check stage (check.h): static type inference + lint between analyze
-  // and execute. A query with a hard error is rejected before BeginQuery —
-  // no target data is ever touched for it. `DUEL_CHECK=off` disables the
-  // stage at construction (ablation/escape hatch).
-  bool check = true;
+  // The check stage (check.h) runs static type inference + lint between
+  // analyze and execute. A query with a hard error is always rejected before
+  // BeginQuery — no target data is ever touched for it; `warn` decides what
+  // happens to warnings.
   WarnMode warn = WarnMode::kOn;
 
-  // Per-query execution governor (support/governor.h): when `governor` is on
-  // and any limit is set, each query runs under a wall-clock deadline, an
-  // eval-step budget, and a target-bytes-read budget, and can be cancelled
-  // from another thread mid-flight (the serve layer's runaway protection;
-  // `govern` in the REPL). A trip aborts the query with a span-carrying
-  // kCancel diagnostic, keeping the values produced so far as partial
-  // results. `DUEL_GOVERNOR=off` disables arming at construction (the CI
-  // ablation configuration).
-  bool governor = true;
+  // Per-query execution governor (support/governor.h): when any limit is
+  // set, each query runs under a wall-clock deadline, an eval-step budget,
+  // and a target-bytes-read budget, and can be cancelled from another thread
+  // mid-flight (the serve layer's runaway protection; `govern` in the REPL).
+  // A trip aborts the query with a span-carrying kCancel diagnostic, keeping
+  // the values produced so far as partial results. All-zero limits (the
+  // default) leave it unarmed.
   GovernorLimits governor_limits;
 
   // Observability (see src/support/obs/): collect_stats assembles an

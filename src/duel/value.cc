@@ -13,57 +13,7 @@ Sym Sym::Plain(std::string text, int prec) {
   return s;
 }
 
-Sym Sym::LazyText(std::string text, int prec) {
-  auto node = std::make_shared<SymDeferred>();
-  node->k = SymDeferred::K::kText;
-  node->text = std::move(text);
-  node->prec = prec;
-  return FromDeferred(std::move(node));
-}
-
-Sym Sym::FromDeferred(std::shared_ptr<const SymDeferred> node) {
-  Sym s;
-  s.lazy_ = std::move(node);
-  return s;
-}
-
-int Sym::prec() const {
-  if (lazy_ != nullptr) {
-    // Conservative without materializing: postfix-ish nodes bind tight,
-    // everything else reports its recorded precedence.
-    return lazy_->prec;
-  }
-  return count_ > 0 ? kPrecPostfix : prec_;
-}
-
-Sym Sym::Materialize(const SymDeferred& node) {
-  switch (node.k) {
-    case SymDeferred::K::kText:
-      return Plain(node.text, node.prec);
-    case SymDeferred::K::kBinary:
-      return ComposeBinary(Materialize(*node.a), node.text, Materialize(*node.b), node.prec);
-    case SymDeferred::K::kUnary:
-      return ComposeUnary(node.text, Materialize(*node.a));
-    case SymDeferred::K::kIndex:
-      return ComposeIndex(Materialize(*node.a), Materialize(*node.b));
-    case SymDeferred::K::kMember:
-      return Materialize(*node.a).WithMember(node.text, node.arrow);
-    case SymDeferred::K::kWithExpr: {
-      const char* sep = node.arrow ? "->" : ".";
-      return Plain(Materialize(*node.a).TextAsOperand(kPrecPostfix) + sep + "(" +
-                       Materialize(*node.b).Text() + ")",
-                   kPrecPostfix);
-    }
-    case SymDeferred::K::kSelected:
-      return Materialize(*node.a).SelectedAt(node.index);
-  }
-  return None();
-}
-
 std::string Sym::Text() const {
-  if (lazy_ != nullptr) {
-    return Materialize(*lazy_).Text();
-  }
   if (count_ == 0) {
     return head_;
   }
@@ -78,9 +28,6 @@ std::string Sym::Text() const {
 }
 
 std::string Sym::TextAsOperand(int min_prec) const {
-  if (lazy_ != nullptr) {
-    return Materialize(*lazy_).TextAsOperand(min_prec);
-  }
   if (prec() < min_prec) {
     return "(" + Text() + ")";
   }
@@ -88,15 +35,6 @@ std::string Sym::TextAsOperand(int min_prec) const {
 }
 
 Sym Sym::WithMember(const std::string& member, bool arrow) const {
-  if (lazy_ != nullptr) {
-    auto node = std::make_shared<SymDeferred>();
-    node->k = SymDeferred::K::kMember;
-    node->prec = kPrecPostfix;
-    node->text = member;
-    node->arrow = arrow;
-    node->a = lazy_;
-    return FromDeferred(std::move(node));
-  }
   Sym s;
   s.prec_ = kPrecPostfix;
   const char* sep = arrow ? "->" : ".";
@@ -123,14 +61,6 @@ Sym Sym::WithMember(const std::string& member, bool arrow) const {
 }
 
 Sym Sym::SelectedAt(uint64_t index) const {
-  if (lazy_ != nullptr) {
-    auto node = std::make_shared<SymDeferred>();
-    node->k = SymDeferred::K::kSelected;
-    node->prec = kPrecPostfix;
-    node->index = index;
-    node->a = lazy_;
-    return FromDeferred(std::move(node));
-  }
   if (count_ == 0) {
     return *this;
   }
@@ -141,55 +71,15 @@ Sym Sym::SelectedAt(uint64_t index) const {
   return s;
 }
 
-namespace {
-
-std::shared_ptr<const SymDeferred> DeferOperand(const Sym& s) {
-  if (s.IsLazy()) {
-    return s.deferred();
-  }
-  auto node = std::make_shared<SymDeferred>();
-  node->k = SymDeferred::K::kText;
-  node->text = s.Text();
-  node->prec = s.prec();
-  return node;
-}
-
-}  // namespace
-
 Sym ComposeBinary(const Sym& lhs, const std::string& op, const Sym& rhs, int prec) {
-  if (lhs.IsLazy() || rhs.IsLazy()) {
-    auto node = std::make_shared<SymDeferred>();
-    node->k = SymDeferred::K::kBinary;
-    node->prec = prec;
-    node->text = op;
-    node->a = DeferOperand(lhs);
-    node->b = DeferOperand(rhs);
-    return Sym::FromDeferred(std::move(node));
-  }
   return Sym::Plain(lhs.TextAsOperand(prec) + op + rhs.TextAsOperand(prec + 1), prec);
 }
 
 Sym ComposeUnary(const std::string& op, const Sym& operand) {
-  if (operand.IsLazy()) {
-    auto node = std::make_shared<SymDeferred>();
-    node->k = SymDeferred::K::kUnary;
-    node->prec = kPrecUnary;
-    node->text = op;
-    node->a = DeferOperand(operand);
-    return Sym::FromDeferred(std::move(node));
-  }
   return Sym::Plain(op + operand.TextAsOperand(kPrecUnary), kPrecUnary);
 }
 
 Sym ComposeIndex(const Sym& base, const Sym& index) {
-  if (base.IsLazy() || index.IsLazy()) {
-    auto node = std::make_shared<SymDeferred>();
-    node->k = SymDeferred::K::kIndex;
-    node->prec = kPrecPostfix;
-    node->a = DeferOperand(base);
-    node->b = DeferOperand(index);
-    return Sym::FromDeferred(std::move(node));
-  }
   return Sym::Plain(base.TextAsOperand(kPrecPostfix) + "[" + index.Text() + "]",
                     kPrecPostfix);
 }

@@ -52,24 +52,6 @@ enum SymPrec {
   kPrecPrimary = 18,
 };
 
-class Sym;
-
-// A deferred symbolic derivation: an immutable DAG recording how a value was
-// computed, materialized into text only if it is actually printed. This is
-// the paper's proposed fix for "many of the symbolic computations are
-// unnecessary, because they are never printed" (EvalOptions::SymMode::kLazy;
-// experiment E3 measures eager vs lazy vs off).
-struct SymDeferred {
-  enum class K { kText, kBinary, kUnary, kIndex, kMember, kWithExpr, kSelected };
-  K k = K::kText;
-  int prec = kPrecPrimary;
-  std::string text;  // literal text / operator spelling / member name
-  std::shared_ptr<const SymDeferred> a;
-  std::shared_ptr<const SymDeferred> b;
-  bool arrow = false;     // kMember
-  uint64_t index = 0;     // kSelected
-};
-
 class Sym {
  public:
   Sym() = default;
@@ -77,15 +59,8 @@ class Sym {
   static Sym Plain(std::string text, int prec = kPrecPrimary);
   static Sym None() { return Sym(); }
 
-  // Deferred (lazy-mode) constructors.
-  static Sym LazyText(std::string text, int prec = kPrecPrimary);
-  static Sym FromDeferred(std::shared_ptr<const SymDeferred> node);
-
-  bool IsLazy() const { return lazy_ != nullptr; }
-  const std::shared_ptr<const SymDeferred>& deferred() const { return lazy_; }
-
-  bool empty() const { return lazy_ == nullptr && head_.empty() && count_ == 0; }
-  int prec() const;
+  bool empty() const { return head_.empty() && count_ == 0; }
+  int prec() const { return count_ > 0 ? kPrecPostfix : prec_; }
 
   // Rendered text; chains of `->member` longer than kCompressAt render as
   // head-->member[[n]]suffix.
@@ -106,9 +81,6 @@ class Sym {
   // and 8 compressed; the threshold is unspecified, we use 4.
   static constexpr int kCompressAt = 4;
 
-  // Renders a deferred sym by folding the DAG through the eager operations.
-  static Sym Materialize(const SymDeferred& node);
-
  private:
   // Invariant: either count_ == 0 and head_ holds the whole text, or
   // count_ > 0 and the sym is head_ (-> member_)*count_ suffix_.
@@ -117,7 +89,6 @@ class Sym {
   int count_ = 0;
   std::string suffix_;
   int prec_ = kPrecPrimary;
-  std::shared_ptr<const SymDeferred> lazy_;  // non-null => deferred
 };
 
 // Composes "a op b" with parenthesization by precedence; the result binds at

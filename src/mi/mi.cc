@@ -144,15 +144,11 @@ std::string MiSession::HandleCommand(const std::string& token, const std::string
       session_.options().eval.sym_mode = EvalOptions::SymMode::kOn;
       return done();
     }
-    if (rest == "lazy") {
-      session_.options().eval.sym_mode = EvalOptions::SymMode::kLazy;
-      return done();
-    }
     if (rest == "off") {
       session_.options().eval.sym_mode = EvalOptions::SymMode::kOff;
       return done();
     }
-    return error("expected on|lazy|off");
+    return error("expected on|off");
   }
   if (command == "-duel-set-cache") {
     if (rest == "on") {

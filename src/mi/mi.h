@@ -6,7 +6,7 @@
 //
 //   [token]-duel-evaluate "expr"             -> [token]^done,values=[{sym="..",value=".."},...]
 //                                               [token]^error,msg="..."
-//   [token]-duel-set-symbolic on|lazy|off    -> ^done
+//   [token]-duel-set-symbolic on|off         -> ^done
 //   [token]-duel-set-cache on|off            -> ^done
 //   [token]-duel-set-plan-cache on|off|clear -> ^done
 //   [token]-duel-set-warn on|off|error       -> ^done

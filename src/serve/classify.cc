@@ -53,9 +53,6 @@ bool AstMutatesTarget(const Node& n) {
 }
 
 QueryClass Classify(const CompiledQuery& plan) {
-  if (plan.check.has_side_effects) {
-    return QueryClass::kMutating;
-  }
   if (plan.parsed.root != nullptr && AstMutatesTarget(*plan.parsed.root)) {
     return QueryClass::kMutating;
   }

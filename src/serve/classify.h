@@ -8,16 +8,12 @@
 // race every concurrent reader), while classifying a read-only query as
 // mutating merely serialises it.
 //
-// Two independent sources feed the verdict, OR-ed together:
-//
-//   - the check stage's side-effect inference (CheckResult::has_side_effects,
-//     computed once per compiled plan and cached with it);
-//   - a conservative AST scan for the syntactic mutators: assignment in all
-//     its spellings, ++/--, target calls, and declarations (which allocate
-//     target space).
-//
-// The scan backstops the checker: CheckQuery swallows internal errors and
-// returns partial results, so its flag alone is not a safety guarantee.
+// The verdict is a conservative AST scan for the syntactic mutators:
+// assignment in all its spellings, ++/--, target calls, and declarations
+// (which allocate target space). Every operation the check stage's per-node
+// side-effect inference flags is one of these, so the scan alone is the
+// whole verdict — and unlike the checker, which swallows internal errors
+// and returns partial results, it cannot stop early.
 
 #ifndef DUEL_SERVE_CLASSIFY_H_
 #define DUEL_SERVE_CLASSIFY_H_
@@ -39,7 +35,7 @@ const char* QueryClassName(QueryClass c);
 // count — each session is single-threaded, so its alias table is private.
 bool AstMutatesTarget(const Node& n);
 
-// The full verdict for a compiled plan: checker inference OR AST scan.
+// The verdict for a compiled plan: the AST scan over its parsed tree.
 QueryClass Classify(const CompiledQuery& plan);
 
 }  // namespace duel::serve

@@ -211,6 +211,14 @@ TypeTable::TypeTable() {
   }
 }
 
+TypeTable::~TypeTable() {
+  for (const auto* records : {&structs_, &unions_}) {
+    for (const auto& [tag, rec] : *records) {
+      const_cast<Type*>(rec.get())->members_.clear();
+    }
+  }
+}
+
 const TypeRef& TypeTable::Basic(TypeKind k) const {
   if (k > TypeKind::kDouble) {
     throw DuelError(ErrorKind::kInternal,

@@ -137,6 +137,9 @@ bool TypeEquals(const TypeRef& a, const TypeRef& b);
 class TypeTable {
  public:
   TypeTable();
+  // Breaks the shared_ptr cycles of recursive records (`struct node { struct
+  // node *next; }` reaches itself through its member list) so they are freed.
+  ~TypeTable();
 
   TypeTable(const TypeTable&) = delete;
   TypeTable& operator=(const TypeTable&) = delete;

@@ -27,10 +27,6 @@ class CheckTest : public ::testing::Test {
     b.Global("p2", b.Ptr(t));
     b.Global("vp", b.Ptr(fx_.image().types().Void()));
     scenarios::BuildIntArray(fx_.image(), "arr", {3, -1, 4, 1, -5, 9, 2, 6, -5, 3});
-    // This suite tests the check stage and verdict caching themselves, so pin
-    // both on regardless of the DUEL_CHECK / DUEL_PLAN_CACHE ablation env.
-    fx_.session().options().check = true;
-    fx_.session().options().plan_cache = true;
   }
 
   std::vector<Diag> Diags(const std::string& expr) {
@@ -303,19 +299,9 @@ TEST_F(CheckTest, WarnOffSuppressesReporting) {
   EXPECT_TRUE(r.diags.empty());
 }
 
-TEST_F(CheckTest, CheckOffStillReportsButDoesNotReject) {
-  fx_.session().options().check = false;
-  QueryResult r = fx_.session().Query("*i");
-  EXPECT_FALSE(r.ok);  // fails at runtime instead, with the same message
-  EXPECT_NE(r.error.find("'*' needs a pointer operand"), std::string::npos) << r.error;
-  ASSERT_FALSE(r.diags.empty());
-  EXPECT_EQ(r.diags[0].rule, "deref-non-pointer");
-}
-
 // --- runtime spans: a cached plan attributes faults like a fresh one --------
 
 TEST_F(CheckTest, EnginesReportIdenticalErrorSpans) {
-  fx_.session().options().plan_cache = true;
   const char* faulting[] = {
       "arr[0] / (arr[1] + 1)",  // runtime division by zero
       "i / (i - 3)",            // ditto, via a variable

@@ -1,5 +1,5 @@
 // Cross-cutting integration coverage: large rvalues through the ByteStore,
-// prebind/lazy-symbolic over the remote backend, scenario files driving the
+// prebind over the remote backend, scenario files driving the
 // stepping debugger, deeply composed types.
 
 #include <gtest/gtest.h>
@@ -76,12 +76,6 @@ TEST_F(RemoteFeatureTest, PrebindWorksOverTheWire) {
   session.Drive("#/(x[..4] >? 0)");
   uint64_t var_queries_possible = server_.requests_handled() - before;
   EXPECT_LT(var_queries_possible, 40u);  // reads dominate; lookup bound once
-}
-
-TEST_F(RemoteFeatureTest, LazySymbolicsOverTheWire) {
-  SessionOptions opts;
-  opts.eval.sym_mode = EvalOptions::SymMode::kLazy;
-  Session session(remote_, opts);
   EXPECT_EQ(session.Query("L-->next->value").lines,
             (std::vector<std::string>{"L->value = 1", "L->next->value = 2",
                                       "L->next->next->value = 3"}));
@@ -124,29 +118,6 @@ TEST(DeepTypesTest, ArrayOfArrayOfStruct) {
   EXPECT_EQ(fx.One("{grid[1][2].v}"), "12");
   EXPECT_EQ(fx.One("+/(grid[..2][..3].v)"), "36");
   EXPECT_EQ(fx.One("{sizeof grid}"), "24");
-}
-
-// The lazy symbolic mode renders identically in both session configurations,
-// cold and on a warm re-run (a plan-cache hit in the default configuration).
-TEST(LazyEngineEquivalenceTest, LazyModeIdenticalAcrossEngines) {
-  for (SessionConfig config : {SessionConfig::kDefault, SessionConfig::kReference}) {
-    SessionOptions opts = ConfigOptions(config);
-    opts.eval.sym_mode = EvalOptions::SymMode::kLazy;
-    DuelFixture fx(opts);
-    const bool cached = config == SessionConfig::kDefault;
-    fx.session().options().plan_cache = cached;
-    scenarios::BuildList(fx.image(), "L", {11, 22, 33, 44, 27, 55, 66, 77, 88, 27});
-    for (const char* run : {"cold", "warm"}) {
-      EXPECT_EQ(fx.Lines("L-->next->(value ==? next-->next->value)"),
-                (std::vector<std::string>{"L-->next[[4]]->value = 27"}))
-          << run;
-      EXPECT_EQ(fx.Lines("L-->next->value[[3,5]]"),
-                (std::vector<std::string>{"L-->next[[3]]->value = 44",
-                                          "L-->next[[5]]->value = 55"}))
-          << run;
-    }
-    EXPECT_EQ(fx.session().plan_cache().counters().hits, cached ? 2u : 0u);
-  }
 }
 
 }  // namespace

@@ -74,7 +74,6 @@ class DifferentialTest : public ::testing::TestWithParam<uint32_t> {};
 
 TEST_P(DifferentialTest, BaselineMatchesBothEngines) {
   DuelFixture fx;
-  fx.session().options().plan_cache = true;
   BuildImage(fx.image());
   DuelFixture base_fx;
   BuildImage(base_fx.image());

@@ -57,6 +57,7 @@ TEST_F(MiTest, EngineAndSymbolicOptions) {
   std::string r = mi_.Handle("-duel-evaluate \"x[..3] >? 0\"");
   EXPECT_EQ(r, "^done,values=[{sym=\"\",value=\"5\"},{sym=\"\",value=\"8\"}]\n(gdb)\n");
   EXPECT_TRUE(mi_.Handle("-duel-set-symbolic warp").rfind("^error", 0) == 0);
+  EXPECT_TRUE(mi_.Handle("-duel-set-symbolic lazy").rfind("^error", 0) == 0);
 }
 
 TEST_F(MiTest, ClearAliases) {
@@ -90,8 +91,6 @@ TEST_F(MiTest, CheckEmitsDiagRecordsWithSpans) {
 }
 
 TEST_F(MiTest, SetWarnGatesEvaluation) {
-  // Pin enforcement on regardless of the DUEL_CHECK ablation env.
-  mi_.session().options().check = true;
   EXPECT_EQ(mi_.Handle("-duel-set-warn error"), "^done\n(gdb)\n");
   std::string r = mi_.Handle("-duel-evaluate \"if (x[0] = 5) 1\"");
   EXPECT_TRUE(r.rfind("^error", 0) == 0) << r;
@@ -101,8 +100,6 @@ TEST_F(MiTest, SetWarnGatesEvaluation) {
 }
 
 TEST_F(MiTest, PlanIntrospection) {
-  // Pin the cache on regardless of the DUEL_PLAN_CACHE ablation env.
-  mi_.Handle("-duel-set-plan-cache on");
   mi_.Handle("-duel-evaluate \"x[..3] >? 0\"");
   mi_.Handle("-duel-evaluate \"x[..3] >? 0\"");
   std::string r = mi_.Handle("-duel-plan");
@@ -141,12 +138,6 @@ TEST_F(MiTest, TruncationFlagSurfaces) {
   mi_.session().options().max_output_values = 2;
   std::string r = mi_.Handle("-duel-evaluate \"1..100\"");
   EXPECT_NE(r.find("truncated=\"1\""), std::string::npos) << r;
-}
-
-TEST_F(MiTest, LazySymbolicOption) {
-  EXPECT_EQ(mi_.Handle("-duel-set-symbolic lazy"), "^done\n(gdb)\n");
-  std::string r = mi_.Handle("-duel-evaluate \"x[..3] >? 0\"");
-  EXPECT_NE(r.find("{sym=\"x[0]\",value=\"5\"}"), std::string::npos) << r;
 }
 
 TEST_F(MiTest, MiQuoteEscapes) {

@@ -220,6 +220,8 @@ TEST_P(PaperExamplesTest, ListDuplicateSearchOneLiner) {
   ASSERT_EQ(lines.size(), 1u);
   // 4 repeated ->next steps reach the compression threshold.
   EXPECT_EQ(lines[0], "L-->next[[4]]->value = 27");
+  EXPECT_EQ(fx_.Lines("L-->next->value[[3,5]]"),
+            (std::vector<std::string>{"L-->next[[3]]->value = 44", "L-->next[[5]]->value = 55"}));
 }
 
 TEST_P(PaperExamplesTest, TreeKeysPreorder) {

@@ -173,10 +173,12 @@ TEST(ParserTest, DeepNestingIsAnErrorNotACrash) {
     EXPECT_NE(std::string(e.what()).find("nested too deeply"), std::string::npos);
   }
   // Moderate nesting still parses.
-  std::string ok(100, '(');
-  ok += "1";
-  ok += std::string(100, ')');
-  EXPECT_EQ(Dump(ok), "(constant 1)");
+  for (size_t levels : {100, 120}) {
+    std::string ok(levels, '(');
+    ok += "1";
+    ok += std::string(levels, ')');
+    EXPECT_EQ(Dump(ok), "(constant 1)") << levels;
+  }
 }
 
 TEST(ParserTest, NodeIdsAreDense) {

@@ -14,10 +14,6 @@ namespace {
 class PlanTest : public ::testing::Test {
  protected:
   PlanTest() {
-    // Force the cache on after construction: the CI ablation sets
-    // DUEL_PLAN_CACHE=off in the environment, which flips the constructor
-    // default — these tests pin the behaviour they each exercise.
-    fx_.session().options().plan_cache = true;
     fx_.session().options().collect_stats = true;
   }
 

@@ -10,10 +10,8 @@
 
 namespace {
 
-std::string RunRepl(const std::string& script, const std::string& args = "",
-                    const std::string& env = "") {
-  std::string command =
-      "printf '" + script + "' | " + env + " " + REPL_BINARY + " " + args + " 2>&1";
+std::string RunRepl(const std::string& script, const std::string& args = "") {
+  std::string command = "printf '" + script + "' | " + REPL_BINARY + " " + args + " 2>&1";
   FILE* pipe = popen(command.c_str(), "r");
   EXPECT_NE(pipe, nullptr);
   std::string out;
@@ -110,9 +108,7 @@ TEST(ReplE2ETest, WarnModesGateEvaluation) {
       "duel if (arr[0] = 3) 99\\n"   // rejected
       "warn off\\n"
       "duel if (arr[0] = 3) 99\\n"   // silent
-      "quit\\n",
-      // Pin enforcement on regardless of the DUEL_CHECK ablation env.
-      "", "DUEL_CHECK=on");
+      "quit\\n");
   EXPECT_NE(out.find("[assign-in-condition]"), std::string::npos) << out;
   EXPECT_NE(out.find("did you mean '=='?"), std::string::npos) << out;
   EXPECT_NE(out.find("warnings are errors"), std::string::npos) << out;

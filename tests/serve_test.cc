@@ -30,14 +30,6 @@ QueryService::BackendFactory FactoryFor(target::TargetImage& image) {
   return [&image] { return std::make_unique<dbg::SimBackend>(image); };
 }
 
-// Pins the governor on for one service session, overriding a possible
-// DUEL_GOVERNOR=off ablation environment (the pattern check_test.cc uses for
-// DUEL_CHECK): tests of the governor must behave identically in both CI
-// configurations.
-void PinGovernorOn(QueryService& service, uint64_t client) {
-  service.session(client)->options().governor = true;
-}
-
 // --- classification ----------------------------------------------------------
 
 TEST(ServeClassifyTest, ReadOnlyVsMutating) {
@@ -147,7 +139,6 @@ TEST(ServeGovernorTest, StepBudgetCancelIsDeterministic) {
                                         /*max_read_bytes=*/0};
   QueryService service(FactoryFor(image), opts);
   uint64_t id = service.OpenSession();
-  PinGovernorOn(service, id);
 
   std::string first_error;
   for (int run = 0; run < 3; ++run) {
@@ -180,7 +171,6 @@ TEST(ServeGovernorTest, ReadByteBudgetTrips) {
   opts.governor_limits = GovernorLimits{0, 0, /*max_read_bytes=*/8};
   QueryService service(FactoryFor(image), opts);
   uint64_t id = service.OpenSession();
-  PinGovernorOn(service, id);
 
   QueryService::Outcome out = service.Eval(id, "arr[..10]");
   ASSERT_EQ(out.status, SubmitStatus::kAccepted);
@@ -202,7 +192,6 @@ TEST(ServeGovernorTest, DeadlineCancelsRunawayWhileOthersComplete) {
   QueryService service(FactoryFor(image), opts);
 
   uint64_t runaway = service.OpenSession();
-  PinGovernorOn(service, runaway);
   uint64_t id_a = service.OpenSession();
   uint64_t id_b = service.OpenSession();
 
@@ -241,11 +230,11 @@ TEST(ServeGovernorTest, ExplicitCancelFromAnotherThread) {
   opts.governor_limits = GovernorLimits{0, /*max_steps=*/40'000'000, 0};
   QueryService service(FactoryFor(image), opts);
   uint64_t id = service.OpenSession();
-  PinGovernorOn(service, id);
 
+  // The runaway prints nothing, so it cannot end early at max_output_values.
   std::promise<QueryResult> done;
   std::future<QueryResult> future = done.get_future();
-  ASSERT_EQ(service.Submit(id, "C-->next->value",
+  ASSERT_EQ(service.Submit(id, "C-->next->value >? 100",
                            [&](QueryResult r) { done.set_value(std::move(r)); }),
             SubmitStatus::kAccepted);
   std::this_thread::sleep_for(std::chrono::milliseconds(30));
@@ -271,7 +260,6 @@ TEST(ServeTest, AdmissionControlRejectsBusyNeverDrops) {
   opts.governor_limits = GovernorLimits{0, /*max_steps=*/200'000, 0};
   QueryService service(FactoryFor(image), opts);
   uint64_t id = service.OpenSession();
-  PinGovernorOn(service, id);
 
   constexpr int kSubmissions = 12;
   std::atomic<int> callbacks{0};
@@ -402,15 +390,18 @@ TEST(ServeTest, ShutdownFailsQueuedRequestsTyped) {
   ServeOptions opts;
   opts.workers = 1;
   opts.session.eval.cycle_detect = false;
-  opts.governor_limits = GovernorLimits{/*deadline_ms=*/2000, 0, 0};
+  // The deadline is only a backstop that keeps the test finite.
+  opts.governor_limits = GovernorLimits{/*deadline_ms=*/10000, 0, 0};
   QueryService service(FactoryFor(image), opts);
   uint64_t id = service.OpenSession();
-  PinGovernorOn(service, id);
 
-  // One slow query occupies the worker; the second sits in the queue.
+  // One runaway query occupies the worker; the second sits in the queue. The
+  // runaway prints nothing, so only the shutdown (or the deadline) ends it:
+  // an output-producing walk would stop by itself at max_output_values and
+  // let the queued query run if shutdown came late on a loaded machine.
   std::promise<QueryResult> p1, p2;
   std::future<QueryResult> f1 = p1.get_future(), f2 = p2.get_future();
-  ASSERT_EQ(service.Submit(id, "C-->next->value",
+  ASSERT_EQ(service.Submit(id, "C-->next->value >? 100",
                            [&](QueryResult r) { p1.set_value(std::move(r)); }),
             SubmitStatus::kAccepted);
   ASSERT_EQ(service.Submit(id, "arr[..10]",
