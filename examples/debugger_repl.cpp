@@ -691,8 +691,8 @@ int main(int argc, char** argv) {
       std::cout << "globals: " << image.symbols().globals().size()
                 << ", functions: " << image.symbols().functions().size()
                 << ", frames: " << image.symbols().NumFrames() << "\n"
-                << "sim backend: " << sim.counters().read_calls << " reads, "
-                << sim.counters().symbol_lookups << " symbol lookups\n"
+                << "sim backend: " << sim.instr().calls(obs::NarrowCall::kGetBytes) << " reads, "
+                << sim.instr().calls(obs::NarrowCall::kSymbolLookup) << " symbol lookups\n"
                 << "rsp transport: " << transport.round_trips() << " round trips, "
                 << transport.bytes_on_wire() << " bytes on wire\n";
     } else {

@@ -237,14 +237,12 @@ bool MemoryAccess::ValidBytes(Addr addr, size_t size) {
 target::RawDatum MemoryAccess::CallFunc(const std::string& name,
                                         std::span<const target::RawDatum> args) {
   target::RawDatum ret = backend_->CallTargetFunc(name, args);
-  ++mutation_epoch_;
   Invalidate();  // the call may have written anywhere in the target
   return ret;
 }
 
 Addr MemoryAccess::Alloc(size_t size, size_t align) {
   Addr addr = backend_->AllocTargetSpace(size, align);
-  ++mutation_epoch_;
   Invalidate();  // the memory map changed: previously-invalid bytes may be valid
   return addr;
 }

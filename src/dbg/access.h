@@ -99,23 +99,6 @@ class MemoryAccess {
   CacheCounters& counters() { return counters_; }
   const Config& config() const { return config_; }
 
-  // Monotonic count of target-mutating events routed through this layer
-  // (CallFunc, Alloc). The plan cache uses it the same way Invalidate()
-  // uses those events for data blocks: a cached plan built before a target
-  // call/alloc may hold stale addresses and must be rebuilt.
-  uint64_t mutation_epoch() const { return mutation_epoch_; }
-
-  // Records a mutation that happened *outside* this access layer — another
-  // session of the concurrent query service wrote target memory, called a
-  // target function, or allocated. Bumps the mutation epoch (invalidating
-  // cached plans the same way a local call/alloc would) and drops cached
-  // blocks. Must be called on the thread that owns this layer (the serve
-  // scheduler calls it before handing the session to a worker).
-  void NoteExternalMutation() {
-    ++mutation_epoch_;
-    Invalidate();
-  }
-
   // Per-query execution governor (may be null). When attached and armed,
   // every cached read charges its requested size against the target-read
   // budget — cache hits included, so a governed query's byte accounting is
@@ -146,7 +129,6 @@ class MemoryAccess {
   std::map<uint64_t, Block> blocks_;  // block index -> contents
   uint64_t next_seq_block_ = UINT64_MAX;  // readahead: next block if sequential
   unsigned seq_run_ = 0;                  // consecutive sequential misses
-  uint64_t mutation_epoch_ = 0;
   CacheCounters counters_;
 };
 

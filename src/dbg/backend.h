@@ -23,7 +23,6 @@
 #include <string>
 #include <vector>
 
-#include "src/support/counters.h"
 #include "src/support/obs/metrics.h"
 #include "src/target/ctype.h"
 #include "src/target/image.h"
@@ -97,11 +96,12 @@ class DebuggerBackend {
 
   // Monotonic counter that moves whenever the symbol world may have changed:
   // new globals/functions, a frame push, new frame locals. Cached query
-  // plans compare it to notice that their compile-time name bindings are
-  // stale. Backends that cannot observe symbol mutations return a constant
-  // (plans then rely on the per-query BeginQueryEpoch re-resolution that
-  // dynamic lookups already get).
-  virtual uint64_t SymbolEpoch() { return 0; }
+  // plans compare it to notice that their compile-time name bindings and
+  // check verdicts are stale; it is the only target-side staleness signal
+  // a plan has, so a constant would replay stale plans. A backend that
+  // cannot observe symbol mutations moves it on every BeginQueryEpoch
+  // (rsp::RemoteBackend does so when its server lacks qDuelSymEpoch).
+  virtual uint64_t SymbolEpoch() = 0;
 
   // --- target execution ---
   virtual RawDatum CallTargetFunc(const std::string& name, std::span<const RawDatum> args) = 0;
@@ -127,15 +127,11 @@ class DebuggerBackend {
   // for RemoteBackend it is a client-side table fed by the wire protocol.
   virtual target::TypeTable& Types() = 0;
 
-  // Instrumentation for the experiments.
-  BackendCounters& counters() { return counters_; }
-
   // Observability: per-narrow-call counts always, latency/bytes histograms
   // and trace spans while enabled (see src/support/obs/metrics.h).
   obs::BackendInstr& instr() { return instr_; }
 
  protected:
-  BackendCounters counters_;
   obs::BackendInstr instr_;
 };
 

@@ -7,8 +7,6 @@ void SimBackend::GetTargetBytes(Addr addr, void* out, size_t size) {
   if (instr_.enabled()) {
     instr_.RecordReadBytes(size);
   }
-  counters_.read_calls++;
-  counters_.bytes_read += size;
   image_->memory().Read(addr, out, size);
 }
 
@@ -17,8 +15,6 @@ void SimBackend::PutTargetBytes(Addr addr, const void* in, size_t size) {
   if (instr_.enabled()) {
     instr_.RecordWriteBytes(size);
   }
-  counters_.write_calls++;
-  counters_.bytes_written += size;
   image_->memory().Write(addr, in, size);
 }
 
@@ -29,19 +25,16 @@ bool SimBackend::ValidTargetBytes(Addr addr, size_t size) {
 
 Addr SimBackend::AllocTargetSpace(size_t size, size_t align) {
   obs::CallTimer timer(instr_, obs::NarrowCall::kAllocSpace);
-  counters_.allocations++;
   return image_->memory().Allocate(size, align);
 }
 
 RawDatum SimBackend::CallTargetFunc(const std::string& name, std::span<const RawDatum> args) {
   obs::CallTimer timer(instr_, obs::NarrowCall::kCallFunc);
-  counters_.target_calls++;
   return image_->Call(name, args);
 }
 
 std::optional<VariableInfo> SimBackend::GetTargetVariable(const std::string& name) {
   obs::CallTimer timer(instr_, obs::NarrowCall::kSymbolLookup);
-  counters_.symbol_lookups++;
   const target::Variable* v = image_->symbols().FindVariable(name);
   if (v == nullptr) {
     return std::nullopt;
@@ -51,7 +44,6 @@ std::optional<VariableInfo> SimBackend::GetTargetVariable(const std::string& nam
 
 std::optional<FunctionInfo> SimBackend::GetTargetFunction(const std::string& name) {
   obs::CallTimer timer(instr_, obs::NarrowCall::kSymbolLookup);
-  counters_.symbol_lookups++;
   const target::FunctionSym* f = image_->symbols().FindFunction(name);
   if (f == nullptr) {
     return std::nullopt;
@@ -61,31 +53,26 @@ std::optional<FunctionInfo> SimBackend::GetTargetFunction(const std::string& nam
 
 TypeRef SimBackend::GetTargetTypedef(const std::string& name) {
   obs::CallTimer timer(instr_, obs::NarrowCall::kTypeLookup);
-  counters_.type_lookups++;
   return image_->types().LookupTypedef(name);
 }
 
 TypeRef SimBackend::GetTargetStruct(const std::string& tag) {
   obs::CallTimer timer(instr_, obs::NarrowCall::kTypeLookup);
-  counters_.type_lookups++;
   return image_->types().LookupStruct(tag);
 }
 
 TypeRef SimBackend::GetTargetUnion(const std::string& tag) {
   obs::CallTimer timer(instr_, obs::NarrowCall::kTypeLookup);
-  counters_.type_lookups++;
   return image_->types().LookupUnion(tag);
 }
 
 TypeRef SimBackend::GetTargetEnum(const std::string& tag) {
   obs::CallTimer timer(instr_, obs::NarrowCall::kTypeLookup);
-  counters_.type_lookups++;
   return image_->types().LookupEnum(tag);
 }
 
 std::optional<EnumeratorInfo> SimBackend::GetTargetEnumerator(const std::string& name) {
   obs::CallTimer timer(instr_, obs::NarrowCall::kSymbolLookup);
-  counters_.symbol_lookups++;
   for (const auto& [tag, type] : image_->types().enums()) {
     for (const target::Enumerator& e : type->enumerators()) {
       if (e.name == name) {

@@ -165,18 +165,6 @@ std::string FormatValue(EvalContext& ctx, const Value& v) {
   return FormatRecursive(ctx, v, 0);
 }
 
-std::string FormatResultLine(EvalContext& ctx, const Value& v) {
-  std::string val = FormatValue(ctx, v);
-  if (v.sym().empty()) {
-    return val;
-  }
-  std::string sym = v.sym().Text();
-  if (sym == val) {
-    return val;  // e.g. plain constants: don't print "5 = 5"
-  }
-  return sym + " = " + val;
-}
-
 std::string FormatError(const DuelError& e) {
   if (e.kind() == ErrorKind::kMemory) {
     const auto* mf = dynamic_cast<const MemoryFault*>(&e);

@@ -1,6 +1,7 @@
-// Result display: formats values per type (gdb-style) and renders the
-// "symbolic = value" lines the duel command prints, plus error reports in
-// the paper's "Illegal memory reference in ...: x = lvalue 0x..." shape.
+// Result display: formats values per type (gdb-style), plus error reports
+// in the paper's "Illegal memory reference in ...: x = lvalue 0x..." shape.
+// Session::DriveCore joins a value's symbolic and its formatted value into
+// the "sym = value" lines the duel command prints.
 
 #ifndef DUEL_DUEL_OUTPUT_H_
 #define DUEL_DUEL_OUTPUT_H_
@@ -15,10 +16,6 @@ namespace duel {
 // Formats a value for display. Reads target memory for lvalues and for
 // char* string display; never throws on bad pointers (falls back to hex).
 std::string FormatValue(EvalContext& ctx, const Value& v);
-
-// One output line for a produced value: "sym = value", or just "value" when
-// the value has no symbolic (reductions, plain constants).
-std::string FormatResultLine(EvalContext& ctx, const Value& v);
 
 // Renders an evaluation error, using the paper's phrasing for memory faults.
 std::string FormatError(const DuelError& e);

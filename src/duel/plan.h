@@ -9,15 +9,14 @@
 // a plan is semantically invisible except for the work it skips.
 //
 // Session keeps plans in an LRU PlanCache keyed by (expression text,
-// options fingerprint). Validity is epoch-based, reusing the invalidation
-// machinery the access layer introduced:
+// options fingerprint). A plan is stale only when one of two epochs moves:
 //   * DebuggerBackend::SymbolEpoch() — frame changes and symbol-table
-//     mutations move it; stale name bindings are rebuilt;
-//   * MemoryAccess::mutation_epoch() — target calls and allocations move
-//     it; plans built before may hold stale compile-time addresses;
+//     mutations move it; stale name bindings and verdicts are rebuilt;
 //   * AliasTable::version() — a new alias can shadow a prebound name; the
 //     plan re-checks its (usually empty) bound-name list, so alias churn
 //     from `:=`-heavy queries does not evict unrelated plans.
+// Target writes, calls and allocations never stale a plan: it holds no
+// target bytes, and every query re-reads memory through a fresh data epoch.
 
 #ifndef DUEL_DUEL_PLAN_H_
 #define DUEL_DUEL_PLAN_H_
@@ -49,7 +48,7 @@ struct CompiledQuery {
   // replays the diagnostics without re-running the inference walk. The
   // verdict depends on the same compile-time world as `notes` — its names
   // list is re-validated against the alias table by Session::PlanIsValid,
-  // and the symbol/mutation epochs below cover the target side.
+  // and the symbol epoch below covers the target side.
   CheckResult check;
 
   // Build-stage timings, replayed into QueryStats on cache hits as zero
@@ -59,12 +58,10 @@ struct CompiledQuery {
   uint64_t sema_ns = 0;
   uint64_t check_ns = 0;
 
-  // Validity epochs (see header comment). alias_version and mutation_epoch
-  // are refreshed after each successful run: a query's own aliases/allocs
-  // cannot invalidate its own plan (nothing the plan stores reads memory,
-  // and a query's own definitions are never prebound).
+  // Validity epochs (see header comment). alias_version is refreshed after
+  // each successful run: a query's own definitions are never prebound, so
+  // its own aliases cannot invalidate its own plan.
   uint64_t symbol_epoch = 0;
-  uint64_t mutation_epoch = 0;
   uint64_t alias_version = 0;
 
   uint64_t hits = 0;  // times this plan was reused

@@ -156,7 +156,6 @@ std::unique_ptr<CompiledQuery> Session::BuildPlan(const std::string& expr, uint6
   plan->check_ns = obs::NowNs() - t_check;
 
   plan->symbol_epoch = backend_->SymbolEpoch();
-  plan->mutation_epoch = ctx_.access().mutation_epoch();
   plan->alias_version = ctx_.aliases().version();
   return plan;
 }
@@ -164,9 +163,6 @@ std::unique_ptr<CompiledQuery> Session::BuildPlan(const std::string& expr, uint6
 bool Session::PlanIsValid(CompiledQuery& plan) {
   if (plan.symbol_epoch != backend_->SymbolEpoch()) {
     return false;  // frame change / symbol-table mutation: bindings stale
-  }
-  if (plan.mutation_epoch != ctx_.access().mutation_epoch()) {
-    return false;  // a target call/alloc happened since the plan last ran
   }
   if (plan.alias_version != ctx_.aliases().version()) {
     // Only the plan's own compile-time name bindings are alias-sensitive; a
@@ -248,7 +244,6 @@ uint64_t Session::DriveCore(const std::string& expr, QueryResult* result) {
   obs::QueryStats stats;
   std::array<uint64_t, obs::kNumNarrowCalls> calls_before{};
   EvalCounters eval_before;
-  BackendCounters backend_before;
   CacheCounters cache_before;
   PlanCacheCounters plan_before;
   if (collect) {
@@ -257,7 +252,6 @@ uint64_t Session::DriveCore(const std::string& expr, QueryResult* result) {
       calls_before[i] = instr.calls(static_cast<obs::NarrowCall>(i));
     }
     eval_before = ctx_.counters();
-    backend_before = backend_->counters();
     cache_before = ctx_.access().counters();
     plan_before = plan_cache_.counters();
     stats.query = expr;
@@ -323,6 +317,7 @@ uint64_t Session::DriveCore(const std::string& expr, QueryResult* result) {
           entry.sym = v->sym().Text();
         }
         result->entries.push_back(entry);
+        // "sym = value"; a plain constant prints "5", not "5 = 5".
         result->lines.push_back(entry.sym.empty() || entry.sym == entry.value
                                     ? entry.value
                                     : entry.sym + " = " + entry.value);
@@ -342,18 +337,14 @@ uint64_t Session::DriveCore(const std::string& expr, QueryResult* result) {
   }
 
   if (cache_on) {
-    // The run completed: refresh the epochs this query moved itself. Sound
-    // because nothing the plan stores reads target memory, and a query's
-    // own alias definitions are never prebound — so a plan can only be
-    // invalidated by events outside its own runs.
-    plan->mutation_epoch = ctx_.access().mutation_epoch();
+    // The run completed: a query's own alias definitions are never prebound,
+    // so they cannot invalidate its own plan.
     plan->alias_version = ctx_.aliases().version();
   }
 
   if (collect) {
     stats.values = count;
     stats.eval = obs::CountersDelta(eval_before, ctx_.counters());
-    stats.backend = obs::CountersDelta(backend_before, backend_->counters());
     stats.cache = obs::CountersDelta(cache_before, ctx_.access().counters());
     stats.plan = obs::CountersDelta(plan_before, plan_cache_.counters());
     for (size_t i = 0; i < obs::kNumNarrowCalls; ++i) {

@@ -43,8 +43,6 @@ void RemoteBackend::GetTargetBytes(Addr addr, void* out, size_t size) {
   if (instr_.enabled()) {
     instr_.RecordReadBytes(size);
   }
-  counters_.read_calls++;
-  counters_.bytes_read += size;
   std::string r = Request("m" + HexU64(addr) + "," + HexU64(size));
   if (StartsWith(r, "E")) {
     throw MemoryFault(addr, size, StrPrintf("cannot read %zu bytes at 0x%llx (remote)", size,
@@ -62,8 +60,6 @@ void RemoteBackend::PutTargetBytes(Addr addr, const void* in, size_t size) {
   if (instr_.enabled()) {
     instr_.RecordWriteBytes(size);
   }
-  counters_.write_calls++;
-  counters_.bytes_written += size;
   std::string r = Request("M" + HexU64(addr) + "," + HexU64(size) + ":" + HexEncode(in, size));
   if (r != "OK") {
     throw MemoryFault(addr, size, StrPrintf("cannot write %zu bytes at 0x%llx (remote)", size,
@@ -88,7 +84,6 @@ std::vector<std::vector<uint8_t>> RemoteBackend::ReadTargetRanges(
     std::span<const dbg::ReadRange> batch =
         ranges.subspan(base, std::min(kMaxRangesPerPacket, ranges.size() - base));
     obs::CallTimer timer(instr_, obs::NarrowCall::kReadVector);
-    counters_.vectored_reads++;
     std::string req = "qDuelReadV:";
     uint64_t requested = 0;
     for (size_t i = 0; i < batch.size(); ++i) {
@@ -154,6 +149,7 @@ size_t RemoteBackend::ReadTargetPrefix(Addr addr, void* out, size_t size) {
 }
 
 void RemoteBackend::BeginQueryEpoch() {
+  sym_epoch_fresh_ = false;
   var_cache_.clear();
   func_cache_.clear();
   enum_cache_.clear();
@@ -163,6 +159,23 @@ void RemoteBackend::BeginQueryEpoch() {
   frame_locals_cache_.clear();
 }
 
+uint64_t RemoteBackend::SymbolEpoch() {
+  if (!sym_epoch_fresh_) {
+    uint64_t epoch = 0;
+    if (sym_epoch_supported_) {
+      std::string r = Request("qDuelSymEpoch");
+      sym_epoch_supported_ =
+          StartsWith(r, "S") && ParseHexU64(std::string_view(r).substr(1), &epoch);
+    }
+    // Without server support every query epoch is a new symbol epoch: the
+    // server's epochs only grow, so last + 1 differs from every value a
+    // cached plan holds, and plans are rebuilt rather than replayed stale.
+    sym_epoch_ = sym_epoch_supported_ ? epoch : sym_epoch_ + 1;
+    sym_epoch_fresh_ = true;
+  }
+  return sym_epoch_;
+}
+
 bool RemoteBackend::ValidTargetBytes(Addr addr, size_t size) {
   obs::CallTimer timer(instr_, obs::NarrowCall::kValidBytes);
   return Request("qValid:" + HexU64(addr) + "," + HexU64(size)) == "OK";
@@ -170,7 +183,6 @@ bool RemoteBackend::ValidTargetBytes(Addr addr, size_t size) {
 
 Addr RemoteBackend::AllocTargetSpace(size_t size, size_t align) {
   obs::CallTimer timer(instr_, obs::NarrowCall::kAllocSpace);
-  counters_.allocations++;
   std::string r = Request("qAlloc:" + HexU64(size) + "," + HexU64(align));
   uint64_t addr;
   if (!StartsWith(r, "A") || !ParseHexU64(std::string_view(r).substr(1), &addr)) {
@@ -182,7 +194,6 @@ Addr RemoteBackend::AllocTargetSpace(size_t size, size_t align) {
 RawDatum RemoteBackend::CallTargetFunc(const std::string& name,
                                        std::span<const RawDatum> args) {
   obs::CallTimer timer(instr_, obs::NarrowCall::kCallFunc);
-  counters_.target_calls++;
   std::string req = "vCall:" + HexName(name) + ":";
   for (const RawDatum& a : args) {
     req += target::SerializeType(a.type) + "," + HexEncode(a.bytes.data(), a.bytes.size()) +
@@ -217,7 +228,6 @@ std::optional<dbg::VariableInfo> RemoteBackend::GetTargetVariable(const std::str
     return it->second;
   }
   obs::CallTimer timer(instr_, obs::NarrowCall::kSymbolLookup);
-  counters_.symbol_lookups++;
   std::string r = Request("qVar:" + HexName(name));
   if (StartsWith(r, "E")) {
     var_cache_[name] = std::nullopt;
@@ -242,7 +252,6 @@ std::optional<dbg::FunctionInfo> RemoteBackend::GetTargetFunction(const std::str
     return it->second;
   }
   obs::CallTimer timer(instr_, obs::NarrowCall::kSymbolLookup);
-  counters_.symbol_lookups++;
   std::string r = Request("qFunc:" + HexName(name));
   if (StartsWith(r, "E")) {
     func_cache_[name] = std::nullopt;
@@ -268,7 +277,6 @@ TypeRef RemoteBackend::QueryType(const std::string& command, const std::string& 
     return it->second;
   }
   obs::CallTimer timer(instr_, obs::NarrowCall::kTypeLookup);
-  counters_.type_lookups++;
   std::string r = Request(command + ":" + HexName(name));
   TypeRef t = nullptr;
   if (!StartsWith(r, "E") && StartsWith(r, "T")) {
@@ -300,7 +308,6 @@ std::optional<dbg::EnumeratorInfo> RemoteBackend::GetTargetEnumerator(
     return it->second;
   }
   obs::CallTimer timer(instr_, obs::NarrowCall::kSymbolLookup);
-  counters_.symbol_lookups++;
   std::string r = Request("qEnumConst:" + HexName(name));
   if (!StartsWith(r, "C")) {
     enum_cache_[name] = std::nullopt;

@@ -14,6 +14,10 @@
 //   - Symbol, type, and frame lookups are memoized (negative results too)
 //     for the duration of one query epoch; BeginQueryEpoch() drops the memo
 //     so a new query re-observes the target.
+//   - SymbolEpoch() asks the server (qDuelSymEpoch) once per query epoch, so
+//     cached plans notice symbols the target defined since they were built.
+//     A server that doesn't speak it latches a fallback in which every query
+//     epoch is a new symbol epoch.
 
 #ifndef DUEL_RSP_REMOTE_BACKEND_H_
 #define DUEL_RSP_REMOTE_BACKEND_H_
@@ -60,6 +64,9 @@ class RemoteBackend final : public dbg::DebuggerBackend {
   // records and stay valid across queries).
   void BeginQueryEpoch() override;
 
+  // The server's symbol epoch, memoized for the query epoch.
+  uint64_t SymbolEpoch() override;
+
   bool vectored_supported() const { return vectored_supported_; }
 
  private:
@@ -70,6 +77,9 @@ class RemoteBackend final : public dbg::DebuggerBackend {
   target::TypeTable types_;  // client-side type universe
 
   bool vectored_supported_ = true;  // latched off on first failed qDuelReadV
+  bool sym_epoch_supported_ = true;  // latched off on first failed qDuelSymEpoch
+  uint64_t sym_epoch_ = 0;           // last SymbolEpoch() answer
+  bool sym_epoch_fresh_ = false;     // sym_epoch_ belongs to this query epoch
 
   // Per-epoch memo caches. Values are whatever the wire returned, including
   // "not found" — a repeated miss costs no round trip either.

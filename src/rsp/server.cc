@@ -159,6 +159,9 @@ std::string RspServer::HandleImpl(const std::string& request) {
       return "C" + HexU64(static_cast<uint64_t>(e->value)) + ";" +
              target::SerializeType(e->type);
     }
+    if (request == "qDuelSymEpoch") {
+      return "S" + HexU64(backend_->SymbolEpoch());
+    }
     if (request == "qFrames") {
       return "N" + HexU64(backend_->NumFrames());
     }

@@ -12,10 +12,16 @@
 //   qFunc:<name-hex>             function lookup    -> F<addr>;<type> | E00
 //   qTypedef:<name-hex>          typedef lookup     -> T<type> | E00
 //   qStruct:<tag-hex> / qUnion: / qEnum:            -> T<type> | E00
+//   qEnumConst:<name-hex>        enumerator lookup  -> C<value>;<type> | E00
+//   qDuelSymEpoch                symbol epoch       -> S<epoch>
 //   qFrames                      frame count        -> N<count>
 //   qFrameFn:<n>                 frame function     -> F<name-hex>
 //   qFrameLocals:<n>             frame locals       -> L<name-hex>,<addr>,<type>;...
+//   qDuelReadV:<addr>,<len>;...  vectored prefix read -> V<hexbytes>;... | E03
 //   vCall:<name-hex>:<type>,<hexbytes>;...          -> R<type>,<hexbytes> | E02:<msg-hex>
+//
+// qDuelSymEpoch reports the backend's SymbolEpoch(): the client compares it
+// to decide whether its cached query plans still bind the right names.
 //
 // Unknown requests get an empty response (the RSP convention).
 

@@ -2,10 +2,6 @@
 
 namespace duel::serve {
 
-const char* QueryClassName(QueryClass c) {
-  return c == QueryClass::kReadOnly ? "read-only" : "mutating";
-}
-
 namespace {
 
 bool OpMutatesTarget(Op op) {

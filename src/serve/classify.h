@@ -2,11 +2,10 @@
 //
 // The concurrent query service runs read-only queries from different
 // sessions in parallel under a shared (reader) target lock; anything that
-// can mutate shared target state takes the writer lock and bumps the
-// service's mutation epoch. Classification must therefore be *sound in one
-// direction only*: a mutating query must never classify read-only (it would
-// race every concurrent reader), while classifying a read-only query as
-// mutating merely serialises it.
+// can mutate shared target state takes the writer lock. Classification must
+// therefore be *sound in one direction only*: a mutating query must never
+// classify read-only (it would race every concurrent reader), while
+// classifying a read-only query as mutating merely serialises it.
 //
 // The verdict is a conservative AST scan for the syntactic mutators:
 // assignment in all its spellings, ++/--, target calls, and declarations
@@ -27,8 +26,6 @@ enum class QueryClass {
   kReadOnly,  // touches no shared target state: runs under the reader lock
   kMutating,  // may write/alloc/call into the target: takes the writer lock
 };
-
-const char* QueryClassName(QueryClass c);
 
 // The syntactic half: true when any node in the tree can mutate target
 // state. Session-local effects (alias definition via `:=`, `#`) do not

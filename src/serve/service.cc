@@ -83,7 +83,6 @@ uint64_t QueryService::OpenSession() {
     so.governor_limits = opts_.governor_limits;
   }
   c->session = std::make_unique<Session>(*c->backend, so);
-  c->seen_epoch = mutation_epoch_.load(std::memory_order_acquire);
 
   std::lock_guard<std::mutex> lock(mu_);
   c->id = next_client_id_++;
@@ -155,9 +154,11 @@ bool QueryService::Cancel(uint64_t client, const std::string& reason) {
     return false;
   }
   // Safe cross-thread: Cancel only flips the governor's atomic flag (the
-  // session thread observes it at its next step checkpoint). A no-op when
-  // the client has nothing in flight or its governor is not armed.
-  it->second->session->governor().Cancel(reason);
+  // session thread observes it at its next step checkpoint). Only a request
+  // in flight is cancelled; the flag would otherwise wait for the next one.
+  if (it->second->running) {
+    it->second->session->governor().Cancel(reason);
+  }
   return true;
 }
 
@@ -182,7 +183,7 @@ ServeStats QueryService::stats() const {
   s.in_flight = in_flight_;
   s.clients = clients_.size();
   s.workers = workers_.size();
-  s.mutation_epoch = mutation_epoch_.load(std::memory_order_acquire);
+  s.mutation_epoch = mutating_;
   s.latency_ns = latency_ns_;
   s.queue_ns = queue_ns_;
   return s;
@@ -254,26 +255,8 @@ QueryService::Client* QueryService::PickWork() {
   return nullptr;
 }
 
-void QueryService::SyncEpoch(Client& c) {
-  uint64_t now = mutation_epoch_.load(std::memory_order_acquire);
-  if (c.seen_epoch != now) {
-    // Another session mutated the shared target since this one last ran:
-    // drop its block cache and invalidate its cached plans, exactly as a
-    // local target call/alloc would. Runs on the thread that owns the
-    // session (this worker), never cross-thread.
-    c.session->context().access().NoteExternalMutation();
-    c.seen_epoch = now;
-  }
-}
-
 QueryResult QueryService::RunOne(Client& c, const std::string& expr, bool* was_mutating) {
   std::shared_lock<std::shared_mutex> read_lock(target_mu_);
-  // Sync under the shared lock: a writer bumps mutation_epoch_ while still
-  // holding the exclusive lock, so once we hold the reader lock the epoch we
-  // load covers every write that could have preceded us. Syncing before
-  // acquisition would let a write that we blocked behind slip past the check
-  // and leave stale pre-mutation bytes in this session's caches.
-  SyncEpoch(c);
   // Compile (or warm-hit) under the reader lock: the front half resolves
   // names and types against shared tables. A plan that fails to lex/parse is
   // read-only — Query reproduces the error without touching target data.
@@ -285,13 +268,7 @@ QueryResult QueryService::RunOne(Client& c, const std::string& expr, bool* was_m
   }
   read_lock.unlock();
   std::unique_lock<std::shared_mutex> write_lock(target_mu_);
-  // Another writer may have run between the two locks; re-sync so this
-  // session's caches don't carry pre-write bytes into its own query.
-  SyncEpoch(c);
-  QueryResult result = c.session->Query(expr);
-  // Publish the mutation; this session has trivially seen its own write.
-  c.seen_epoch = mutation_epoch_.fetch_add(1, std::memory_order_acq_rel) + 1;
-  return result;
+  return c.session->Query(expr);
 }
 
 void QueryService::WorkerLoop() {
@@ -318,6 +295,10 @@ void QueryService::WorkerLoop() {
     Request req = std::move(c->queue.front());
     c->queue.pop_front();
     queued_total_--;
+    // A cancel aimed at an earlier request must not hit this one; one that
+    // lands after this point (Cancel takes mu_ too) stays pending until the
+    // session arms its governor.
+    c->session->governor().Disarm();
     c->running = true;
     in_flight_++;
     const uint64_t dispatch_ns = obs::NowNs();

@@ -13,7 +13,7 @@
 //                └ queue full -> SubmitStatus::kBusy       classify (read/write)
 //                                                                  │
 //                                      read-only: shared target lock, parallel
-//                                      mutating:  writer lock + epoch bump
+//                                      mutating:  writer lock
 //
 // Scheduling is fair per client, not per request: workers pick the next
 // client after the previously dispatched one (round-robin over client ids)
@@ -24,22 +24,24 @@
 // Consistency: read-only queries from different sessions run truly in
 // parallel against the shared image (reads are const; the type table's
 // runtime interning is internally locked). Any query that can mutate the
-// target classifies as mutating (see classify.h), runs exclusively, and
-// bumps the service's mutation epoch; before a session runs, the scheduler
-// compares the epoch it last saw and calls NoteExternalMutation() so its
-// block cache and cached plans are invalidated exactly when another session
-// mutated the world — idle sessions are never touched cross-thread.
+// target classifies as mutating (see classify.h) and runs exclusively. No
+// session needs telling about another's writes: every query starts a fresh
+// data epoch (its block cache and backend lookup memo are dropped), and
+// cached plans hold no target bytes — they go stale only when the backend's
+// symbol epoch moves, which target writes and calls do not do.
 //
 // Runaway protection: every session's governor is armed per query from the
 // service's default limits (deadline / step budget / read-byte budget), so
 // an `L-->next` over a cyclic list dies with a span-carrying kCancel
 // diagnostic and partial results while every other session keeps running.
-// Cancel(client, reason) trips the same mechanism from outside.
+// Cancel(client, reason) trips the same mechanism from outside. The service
+// drops a pending cancel when it dispatches a request, under the same lock
+// Cancel takes, so a cancel aimed at the in-flight request is never lost
+// (even before the session arms its governor) and never hits a later one.
 
 #ifndef DUEL_SERVE_SERVICE_H_
 #define DUEL_SERVE_SERVICE_H_
 
-#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -97,7 +99,7 @@ struct ServeStats {
   size_t in_flight = 0;        // queries executing right now (gauge)
   size_t clients = 0;          // open sessions
   size_t workers = 0;
-  uint64_t mutation_epoch = 0;  // bumps per mutating query
+  uint64_t mutation_epoch = 0;  // equals `mutating` (kept for existing readers)
 
   obs::Histogram latency_ns;  // submit -> completion, end to end
   obs::Histogram queue_ns;    // submit -> dispatch (time spent queued)
@@ -144,13 +146,9 @@ class QueryService {
 
   // Trips the client's governor from outside: its in-flight query (if any)
   // aborts at the next step checkpoint with `reason`. Queued requests still
-  // run. False when the id is unknown.
+  // run, and a client with nothing in flight is unaffected. False when the
+  // id is unknown.
   bool Cancel(uint64_t client, const std::string& reason);
-
-  // Tells the service the target mutated behind its back (e.g. a direct
-  // write through some out-of-band channel): every session revalidates
-  // before its next query.
-  void NoteDirectMutation() { mutation_epoch_.fetch_add(1, std::memory_order_acq_rel); }
 
   ServeStats stats() const;
 
@@ -177,7 +175,6 @@ class QueryService {
     std::deque<Request> queue;
     bool running = false;  // a worker is inside this client's session
     bool closing = false;
-    uint64_t seen_epoch = 0;  // last service mutation epoch this session saw
   };
 
   void WorkerLoop();
@@ -189,10 +186,6 @@ class QueryService {
   // Runs one query on the client's session under the right target lock.
   // Called without mu_; fills `was_mutating`.
   QueryResult RunOne(Client& c, const std::string& expr, bool* was_mutating);
-
-  // Re-syncs the session with mutations other sessions performed since it
-  // last ran. Caller must be about to run on c's session (c.running).
-  void SyncEpoch(Client& c);
 
   BackendFactory factory_;
   ServeOptions opts_;
@@ -223,9 +216,6 @@ class QueryService {
   // queries exclusively. Taken *outside* mu_ (never both at once in a way
   // that inverts: workers release mu_ before touching target_mu_).
   std::shared_mutex target_mu_;
-
-  // Bumped after every mutating query (and by NoteDirectMutation).
-  std::atomic<uint64_t> mutation_epoch_{0};
 
   std::vector<std::thread> workers_;
 };

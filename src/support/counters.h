@@ -1,8 +1,9 @@
 // Lightweight instrumentation counters.
 //
-// The experiments in EXPERIMENTS.md report operation counts (target bytes
-// moved, symbol lookups, eval steps) alongside wall-clock times, since
-// absolute 1992-era timings are not reproducible.
+// The experiments in EXPERIMENTS.md report operation counts (cache hits,
+// plan reuse, eval steps) alongside wall-clock times, since absolute
+// 1992-era timings are not reproducible. Narrow-call counts and target
+// bytes moved are metered by obs::BackendInstr (src/support/obs/metrics.h).
 
 #ifndef DUEL_SUPPORT_COUNTERS_H_
 #define DUEL_SUPPORT_COUNTERS_H_
@@ -10,20 +11,6 @@
 #include <cstdint>
 
 namespace duel {
-
-struct BackendCounters {
-  uint64_t bytes_read = 0;
-  uint64_t bytes_written = 0;
-  uint64_t read_calls = 0;
-  uint64_t write_calls = 0;
-  uint64_t vectored_reads = 0;  // ReadTargetRanges round trips (remote: qDuelReadV)
-  uint64_t symbol_lookups = 0;
-  uint64_t type_lookups = 0;
-  uint64_t target_calls = 0;
-  uint64_t allocations = 0;
-
-  void Reset() { *this = BackendCounters(); }
-};
 
 // dbg::MemoryAccess (the read-combining cache between the evaluators and the
 // backend) meters itself here. hits/misses count requests; bytes_from_cache

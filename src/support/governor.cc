@@ -16,21 +16,21 @@ std::mutex g_cancel_reason_mu;
 
 void ExecGovernor::Arm(const GovernorLimits& limits) {
   limits_ = limits;
-  max_steps_ = limits.max_steps;
-  max_read_bytes_ = limits.max_read_bytes;
   deadline_ns_ = limits.deadline_ms == 0 ? 0 : obs::NowNs() + limits.deadline_ms * 1'000'000;
   steps_ = 0;
   read_bytes_ = 0;
-  {
-    // Flag and reason must change together: if a racing Cancel lands between
-    // them, the flag could be cleared while its reason survives (or vice
-    // versa), and the stale reason would be reported by a later, unrelated
-    // trip via Cancel's first-writer-wins gate.
-    std::lock_guard<std::mutex> lock(g_cancel_reason_mu);
-    cancel_reason_.clear();
-    cancelled_.store(false, std::memory_order_relaxed);
-  }
   armed_ = true;
+}
+
+void ExecGovernor::Disarm() {
+  armed_ = false;
+  // Flag and reason must change together: if a racing Cancel lands between
+  // them, the flag could be cleared while its reason survives (or vice
+  // versa), and the stale reason would be reported by a later, unrelated
+  // trip via Cancel's first-writer-wins gate.
+  std::lock_guard<std::mutex> lock(g_cancel_reason_mu);
+  cancel_reason_.clear();
+  cancelled_.store(false, std::memory_order_relaxed);
 }
 
 void ExecGovernor::Cancel(const std::string& reason) {
@@ -61,13 +61,13 @@ void ExecGovernor::ThrowCancelled() {
 void ExecGovernor::ThrowStepBudget() {
   throw DuelError(ErrorKind::kCancel,
                   StrPrintf("exceeded the step budget (%llu steps)",
-                            static_cast<unsigned long long>(max_steps_)));
+                            static_cast<unsigned long long>(limits_.max_steps)));
 }
 
 void ExecGovernor::ThrowByteBudget() {
   throw DuelError(ErrorKind::kCancel,
                   StrPrintf("exceeded the target-read budget (%llu bytes)",
-                            static_cast<unsigned long long>(max_read_bytes_)));
+                            static_cast<unsigned long long>(limits_.max_read_bytes)));
 }
 
 void ExecGovernor::ThrowDeadline() {

@@ -40,13 +40,15 @@ struct GovernorLimits {
 class ExecGovernor {
  public:
   // Arms the governor for one query: captures the limits, resets the usage
-  // counters and the cancel flag, and stamps the deadline from the steady
-  // clock. Runs on the executing thread before evaluation starts.
+  // counters, and stamps the deadline from the steady clock. Runs on the
+  // executing thread before evaluation starts. A cancel requested before
+  // Arm stays pending and trips the first checkpoint.
   void Arm(const GovernorLimits& limits);
 
   // Disarms after the query (armed() gates the checkpoints; a disarmed
-  // governor charges nothing).
-  void Disarm() { armed_ = false; }
+  // governor charges nothing) and drops any pending cancel, so a trip never
+  // leaks into the next query.
+  void Disarm();
   bool armed() const { return armed_; }
 
   // Requests cancellation of the in-flight query. Safe from any thread; the
@@ -69,7 +71,7 @@ class ExecGovernor {
     if (cancelled_.load(std::memory_order_relaxed)) {
       ThrowCancelled();
     }
-    if (max_steps_ != 0 && steps_ > max_steps_) {
+    if (limits_.max_steps != 0 && steps_ > limits_.max_steps) {
       ThrowStepBudget();
     }
     if (deadline_ns_ != 0 && steps_ % kClockCheckInterval == 0) {
@@ -86,15 +88,10 @@ class ExecGovernor {
       return;
     }
     read_bytes_ += n;
-    if (max_read_bytes_ != 0 && read_bytes_ > max_read_bytes_) {
+    if (limits_.max_read_bytes != 0 && read_bytes_ > limits_.max_read_bytes) {
       ThrowByteBudget();
     }
   }
-
-  // Usage so far this arming (executing thread only; for stats surfaces).
-  uint64_t steps_used() const { return steps_; }
-  uint64_t read_bytes_used() const { return read_bytes_; }
-  const GovernorLimits& limits() const { return limits_; }
 
   // How often ChargeStep consults the wall clock (a steady-clock read per
   // step would dominate cheap steps; 1024 steps of slack is microseconds).
@@ -113,8 +110,6 @@ class ExecGovernor {
   bool armed_ = false;
   GovernorLimits limits_;
   uint64_t deadline_ns_ = 0;  // absolute steady-clock deadline (0 = none)
-  uint64_t max_steps_ = 0;
-  uint64_t max_read_bytes_ = 0;
   uint64_t steps_ = 0;
   uint64_t read_bytes_ = 0;
   std::atomic<bool> cancelled_{false};

@@ -118,20 +118,6 @@ void BackendInstr::ResetHistograms() {
   write_bytes_.Reset();
 }
 
-BackendCounters CountersDelta(const BackendCounters& before, const BackendCounters& after) {
-  BackendCounters d;
-  d.bytes_read = after.bytes_read - before.bytes_read;
-  d.bytes_written = after.bytes_written - before.bytes_written;
-  d.read_calls = after.read_calls - before.read_calls;
-  d.write_calls = after.write_calls - before.write_calls;
-  d.vectored_reads = after.vectored_reads - before.vectored_reads;
-  d.symbol_lookups = after.symbol_lookups - before.symbol_lookups;
-  d.type_lookups = after.type_lookups - before.type_lookups;
-  d.target_calls = after.target_calls - before.target_calls;
-  d.allocations = after.allocations - before.allocations;
-  return d;
-}
-
 EvalCounters CountersDelta(const EvalCounters& before, const EvalCounters& after) {
   EvalCounters d;
   d.eval_steps = after.eval_steps - before.eval_steps;
@@ -192,18 +178,6 @@ std::vector<std::string> QueryStats::Render() const {
       static_cast<unsigned long long>(eval.applies),
       static_cast<unsigned long long>(eval.name_lookups),
       static_cast<unsigned long long>(eval.symbolic_builds)));
-  out.push_back(StrPrintf(
-      "backend: reads=%llu (%llu bytes) vectored=%llu writes=%llu (%llu bytes) "
-      "lookups=%llu type_lookups=%llu calls=%llu allocs=%llu",
-      static_cast<unsigned long long>(backend.read_calls),
-      static_cast<unsigned long long>(backend.bytes_read),
-      static_cast<unsigned long long>(backend.vectored_reads),
-      static_cast<unsigned long long>(backend.write_calls),
-      static_cast<unsigned long long>(backend.bytes_written),
-      static_cast<unsigned long long>(backend.symbol_lookups),
-      static_cast<unsigned long long>(backend.type_lookups),
-      static_cast<unsigned long long>(backend.target_calls),
-      static_cast<unsigned long long>(backend.allocations)));
   if (cache.hits + cache.misses + cache.passthroughs > 0) {
     uint64_t served = cache.bytes_from_cache;
     out.push_back(StrPrintf(
@@ -298,19 +272,6 @@ std::string QueryStats::ToJson() const {
       static_cast<unsigned long long>(eval.applies),
       static_cast<unsigned long long>(eval.name_lookups),
       static_cast<unsigned long long>(eval.symbolic_builds));
-  out += StrPrintf(
-      ",\"backend\":{\"read_calls\":%llu,\"bytes_read\":%llu,\"write_calls\":%llu,"
-      "\"bytes_written\":%llu,\"symbol_lookups\":%llu,\"type_lookups\":%llu,"
-      "\"target_calls\":%llu,\"allocations\":%llu,\"vectored_reads\":%llu}",
-      static_cast<unsigned long long>(backend.read_calls),
-      static_cast<unsigned long long>(backend.bytes_read),
-      static_cast<unsigned long long>(backend.write_calls),
-      static_cast<unsigned long long>(backend.bytes_written),
-      static_cast<unsigned long long>(backend.symbol_lookups),
-      static_cast<unsigned long long>(backend.type_lookups),
-      static_cast<unsigned long long>(backend.target_calls),
-      static_cast<unsigned long long>(backend.allocations),
-      static_cast<unsigned long long>(backend.vectored_reads));
   out += StrPrintf(
       ",\"cache\":{\"hits\":%llu,\"misses\":%llu,\"passthroughs\":%llu,"
       "\"bytes_from_cache\":%llu,\"bytes_fetched\":%llu,\"block_fetches\":%llu,"

@@ -1,6 +1,6 @@
 // Metrics layer: histograms, per-narrow-call backend instrumentation, and
-// the per-query stats snapshot that grows BackendCounters/EvalCounters into
-// a full observability record.
+// the per-query stats snapshot that grows the counters of counters.h into a
+// full observability record.
 //
 // The paper's narrow DUEL↔debugger interface is the natural metering
 // boundary — every target byte, symbol lookup, and target call crosses it.
@@ -77,8 +77,8 @@ constexpr size_t kNumNarrowCalls = static_cast<size_t>(NarrowCall::kNumKinds);
 const char* NarrowCallName(NarrowCall c);
 
 // Per-backend instrumentation: call counts always; latency and byte-size
-// histograms (and trace spans) only while enabled. Lives in DebuggerBackend
-// next to BackendCounters.
+// histograms (and trace spans) only while enabled. Lives in DebuggerBackend;
+// it is the one meter of the narrow interface.
 class BackendInstr {
  public:
   bool enabled() const { return enabled_; }
@@ -172,10 +172,11 @@ struct QueryStats {
 
   uint64_t values = 0;
 
-  EvalCounters eval;        // delta for this query
-  BackendCounters backend;  // delta for this query
-  CacheCounters cache;      // access-layer delta for this query
+  EvalCounters eval;    // delta for this query
+  CacheCounters cache;  // access-layer delta for this query
 
+  // Narrow-call metering for this query. Collecting stats enables the
+  // histograms, so read_bytes.sum()/write_bytes.sum() are the byte totals.
   std::array<uint64_t, kNumNarrowCalls> call_counts{};
   std::array<Histogram, kNumNarrowCalls> call_ns{};  // filled when instr enabled
   Histogram read_bytes;
@@ -205,7 +206,6 @@ struct QueryStats {
 };
 
 // Captures the counter deltas `after - before` field by field.
-BackendCounters CountersDelta(const BackendCounters& before, const BackendCounters& after);
 EvalCounters CountersDelta(const EvalCounters& before, const EvalCounters& after);
 CacheCounters CountersDelta(const CacheCounters& before, const CacheCounters& after);
 PlanCacheCounters CountersDelta(const PlanCacheCounters& before, const PlanCacheCounters& after);

@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/dbg/access.h"
@@ -459,8 +460,8 @@ TEST_F(VectoredServerTest, RejectsMalformedRequests) {
   EXPECT_EQ(server_.Handle(too_many), "E03");
 }
 
-// A transport that sabotages qDuelReadV replies, emulating servers that
-// don't speak the extension or answer it malformed.
+// A transport that sabotages the replies to one extension packet (qDuelReadV
+// by default), emulating servers that don't speak it or answer it malformed.
 class TamperTransport final : public rsp::Transport {
  public:
   enum class Mode {
@@ -470,12 +471,13 @@ class TamperTransport final : public rsp::Transport {
     kOverlong,    // more bytes than the range asked for
   };
 
-  TamperTransport(rsp::RspServer& server, Mode mode) : server_(&server), mode_(mode) {}
+  TamperTransport(rsp::RspServer& server, Mode mode, std::string packet = "qDuelReadV:")
+      : server_(&server), mode_(mode), packet_(std::move(packet)) {}
 
   std::string RoundTrip(const std::string& request) override {
     round_trips_++;
     bytes_on_wire_ += request.size();
-    if (StartsWith(request, "qDuelReadV:")) {
+    if (StartsWith(request, packet_)) {
       tampered_++;
       switch (mode_) {
         case Mode::kUnknown:
@@ -507,6 +509,7 @@ class TamperTransport final : public rsp::Transport {
  private:
   rsp::RspServer* server_;
   Mode mode_;
+  std::string packet_;
   uint64_t tampered_ = 0;
 };
 
@@ -549,6 +552,36 @@ INSTANTIATE_TEST_SUITE_P(
       return std::string("?");
     });
 
+// A server without qDuelSymEpoch (a stock gdbserver answers it empty): the
+// client latches a fallback in which every query re-plans, so results stay
+// correct and a cached verdict never hides a symbol defined later.
+TEST(SymEpochClientTest, UnsupportedEpochRebuildsPlansAndStaysCorrect) {
+  for (TamperTransport::Mode mode : {TamperTransport::Mode::kUnknown,
+                                     TamperTransport::Mode::kGarbage}) {
+    target::TargetImage image;
+    target::InstallStandardFunctions(image);
+    scenarios::BuildIntArray(image, "x", {3, -1, 4, 1, -5, 9});
+    dbg::SimBackend sim(image);
+    rsp::RspServer server(sim);
+    TamperTransport transport(server, mode, "qDuelSymEpoch");
+    rsp::RemoteBackend remote(transport);
+    SessionOptions opts;
+    opts.collect_stats = true;
+    Session session(remote, opts);
+
+    for (int run = 0; run < 2; ++run) {
+      EXPECT_EQ(session.Query("x[..6] >? 0").lines,
+                (std::vector<std::string>{"x[0] = 3", "x[2] = 4", "x[3] = 1", "x[5] = 9"}));
+      EXPECT_FALSE(session.last_stats()->plan_hit) << run;
+    }
+    EXPECT_FALSE(session.Query("fresh + 1").ok);
+    scenarios::BuildIntArray(image, "fresh", {7});
+    EXPECT_TRUE(session.Query("fresh + 1").ok);
+    // The first bad reply latched the fallback: the packet was asked once.
+    EXPECT_EQ(transport.tampered(), 1u);
+  }
+}
+
 TEST(VectoredReadTest, ShortPrefixRepliesMatchTheLocalBackend) {
   target::TargetImage image;
   target::InstallStandardFunctions(image);
@@ -571,7 +604,7 @@ TEST(VectoredReadTest, ShortPrefixRepliesMatchTheLocalBackend) {
     EXPECT_EQ(got[i], expect) << i;
   }
   EXPECT_TRUE(remote.vectored_supported());
-  EXPECT_GE(remote.counters().vectored_reads, 1u);
+  EXPECT_GE(remote.instr().calls(obs::NarrowCall::kReadVector), 1u);
 }
 
 // A pass-through transport that keeps every request payload, for asserting
@@ -648,7 +681,7 @@ TEST(VectoredReadTest, CachedRemoteScanUsesUnder5PercentOfThePackets) {
   EXPECT_GE(uncached_wire.round_trips(), 10000u);
   EXPECT_LE(cached_wire.round_trips() * 20, uncached_wire.round_trips())
       << "cached=" << cached_wire.round_trips() << " uncached=" << uncached_wire.round_trips();
-  EXPECT_GE(cached_remote.counters().vectored_reads, 1u);
+  EXPECT_GE(cached_remote.instr().calls(obs::NarrowCall::kReadVector), 1u);
 }
 
 }  // namespace

@@ -66,12 +66,13 @@ void ExpectSameWork(const QueryResult& dflt, const QueryResult& ref, const std::
   EXPECT_EQ(a.applies, b.applies) << expr;
   EXPECT_EQ(a.name_lookups, b.name_lookups) << expr;
   EXPECT_EQ(a.symbolic_builds, b.symbolic_builds) << expr;
-  const BackendCounters& x = dflt.stats->backend;
-  const BackendCounters& y = ref.stats->backend;
-  EXPECT_EQ(x.write_calls, y.write_calls) << expr;
-  EXPECT_EQ(x.bytes_written, y.bytes_written) << expr;
-  EXPECT_EQ(x.target_calls, y.target_calls) << expr;
-  EXPECT_EQ(x.allocations, y.allocations) << expr;
+  for (obs::NarrowCall c :
+       {obs::NarrowCall::kPutBytes, obs::NarrowCall::kCallFunc, obs::NarrowCall::kAllocSpace}) {
+    const size_t i = static_cast<size_t>(c);
+    EXPECT_EQ(dflt.stats->call_counts[i], ref.stats->call_counts[i])
+        << obs::NarrowCallName(c) << " " << expr;
+  }
+  EXPECT_EQ(dflt.stats->write_bytes.sum(), ref.stats->write_bytes.sum()) << expr;
 }
 
 void ExpectSameResult(const QueryResult& dflt, const QueryResult& ref, const std::string& expr) {

@@ -1,11 +1,12 @@
 // Plan-cache behaviour: hits and misses, epoch-based invalidation (frame
-// switches, target calls, alias redefinition), fingerprinting of
-// compilation-relevant options, and output equivalence with the cache on
-// vs off.
+// switches, symbol additions, alias redefinition; target calls keep plans),
+// fingerprinting of compilation-relevant options, and output equivalence
+// with the cache on vs off.
 
 #include <gtest/gtest.h>
 
 #include "src/duel/plan.h"
+#include "src/target/builder.h"
 #include "tests/duel_test_util.h"
 
 namespace duel {
@@ -83,18 +84,25 @@ TEST_F(PlanTest, SymbolTableMutationInvalidates) {
   EXPECT_EQ(counters().invalidations, 1u);
 }
 
-TEST_F(PlanTest, TargetCallInvalidatesOtherPlans) {
-  scenarios::BuildIntArray(fx_.image(), "x", {7});
-  fx_.Lines("x[0]");
-  // A target call moves the mutation epoch; the printf query's own plan
-  // refreshes itself after its run, but x[0]'s plan is now stale.
-  fx_.Lines("printf(\"%d\", 1) ;");
-  fx_.Lines("x[0]");
-  EXPECT_EQ(counters().invalidations, 1u);
-
-  // The printf plan itself survived its own call: re-running it hits.
-  fx_.Lines("printf(\"%d\", 1) ;");
+TEST_F(PlanTest, TargetCallKeepsPlansAndReadsFreshValues) {
+  target::ImageBuilder b(fx_.image());
+  Addr g = b.Global("g", b.Int());
+  b.PokeI32(g, 5);
+  target::TypeTable& tt = fx_.image().types();
+  fx_.image().RegisterFunction(
+      "bump", tt.Function(tt.Int(), {}, false),
+      [g](target::TargetImage& img, std::span<const target::RawDatum>) {
+        int32_t v = img.memory().ReadScalar<int32_t>(g);
+        img.memory().WriteScalar<int32_t>(g, v + 1);
+        return target::MakeScalarDatum<int32_t>(img.types().Int(), v);
+      });
+  EXPECT_EQ(fx_.One("g"), "g = 5");
+  fx_.Lines("bump() ;");
+  // The call wrote g but moved no symbol: g's plan is replayed, and the
+  // replay reads the new value because plans hold no target bytes.
+  EXPECT_EQ(fx_.One("g"), "g = 6");
   EXPECT_TRUE(fx_.session().last_stats()->plan_hit);
+  EXPECT_EQ(counters().invalidations, 0u);
 }
 
 TEST_F(PlanTest, AliasRedefinitionInvalidatesBoundPlan) {

@@ -108,6 +108,10 @@ TEST_F(ServerTest, VariableAndTypeQueries) {
   EXPECT_NE(r.find(";A3:i"), std::string::npos) << r;  // int[3]
   EXPECT_EQ(server_.Handle("qVar:" + HexEncode("zz", 2)), "E00");
   EXPECT_TRUE(StartsWith(server_.Handle("qFunc:" + HexEncode("printf", 6)), "F"));
+  std::string epoch = server_.Handle("qDuelSymEpoch");
+  EXPECT_TRUE(StartsWith(epoch, "S")) << epoch;
+  scenarios::BuildIntArray(image_, "y", {1});  // AddGlobal moves the epoch
+  EXPECT_NE(server_.Handle("qDuelSymEpoch"), epoch);
 }
 
 TEST_F(ServerTest, MalformedRequests) {
@@ -190,6 +194,28 @@ TEST_P(RemoteEndToEndTest, RemoteFaultsMatchLocal) {
 }
 
 INSTANTIATE_TEST_SUITE_P(BothEngines, RemoteEndToEndTest, kSessionConfigs, SessionConfigName);
+
+// The server reports its symbol epoch, so a remote session's cached plan (and
+// its "unknown name" verdict) is rebuilt once the target defines the name.
+TEST(RemoteStalenessTest, SymbolDefinedLaterIsSeenByCachedPlan) {
+  target::TargetImage image;
+  target::InstallStandardFunctions(image);
+  dbg::SimBackend sim(image);
+  RspServer server(sim);
+  FramedTransport transport(server);
+  RemoteBackend remote(transport);
+  Session session(remote);
+
+  QueryResult before = session.Query("fresh + 1");
+  EXPECT_FALSE(before.ok);
+  EXPECT_NE(before.error.find("unknown name 'fresh'"), std::string::npos) << before.error;
+
+  scenarios::BuildIntArray(image, "fresh", {7});
+  QueryResult after = session.Query("fresh + 1");
+  ASSERT_TRUE(after.ok) << after.error;
+  Session local(sim);
+  EXPECT_EQ(after.lines, local.Query("fresh + 1").lines);
+}
 
 TEST(SocketTransportTest, FullSessionOverARealByteStream) {
   target::TargetImage image;

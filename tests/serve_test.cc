@@ -237,13 +237,47 @@ TEST(ServeGovernorTest, ExplicitCancelFromAnotherThread) {
   ASSERT_EQ(service.Submit(id, "C-->next->value >? 100",
                            [&](QueryResult r) { done.set_value(std::move(r)); }),
             SubmitStatus::kAccepted);
-  std::this_thread::sleep_for(std::chrono::milliseconds(30));
+  // Cancel reaches only a request in flight: wait for the dispatch.
+  while (service.stats().in_flight == 0) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
   EXPECT_TRUE(service.Cancel(id, "operator stop"));
 
   QueryResult r = future.get();
   EXPECT_FALSE(r.ok);
   EXPECT_EQ(r.error_kind, ErrorKind::kCancel);
   EXPECT_NE(r.error.find("operator stop"), std::string::npos) << r.error;
+}
+
+TEST(ServeGovernorTest, CancelBeforeArmTripsFirstStep) {
+  // The service dispatches a request before the session arms its governor;
+  // a cancel landing in between must survive the arming.
+  ExecGovernor g;
+  g.Cancel("stop");
+  g.Arm(GovernorLimits{0, /*max_steps=*/1000, 0});
+  try {
+    g.ChargeStep();
+    ADD_FAILURE() << "the pending cancel did not trip";
+  } catch (const DuelError& e) {
+    EXPECT_EQ(e.kind(), ErrorKind::kCancel);
+    EXPECT_NE(std::string(e.what()).find("stop"), std::string::npos) << e.what();
+  }
+  // Disarm drops the trip, so it never leaks into the next query.
+  g.Disarm();
+  g.Arm(GovernorLimits{0, /*max_steps=*/1000, 0});
+  EXPECT_NO_THROW(g.ChargeStep());
+}
+
+TEST(ServeGovernorTest, CancelOnIdleClientLeavesNextQueryOk) {
+  target::TargetImage image;
+  BuildSharedDebuggee(image);
+  QueryService service(FactoryFor(image));
+  uint64_t id = service.OpenSession();
+
+  EXPECT_TRUE(service.Cancel(id, "nothing in flight"));
+  QueryService::Outcome out = service.Eval(id, "arr[..10] >? 0");
+  ASSERT_EQ(out.status, SubmitStatus::kAccepted);
+  EXPECT_TRUE(out.result.ok) << out.result.error;
 }
 
 // --- admission control -------------------------------------------------------
@@ -308,8 +342,9 @@ TEST(ServeTest, MutationInOneSessionVisibleToOthers) {
   ASSERT_EQ(write.status, SubmitStatus::kAccepted);
   ASSERT_TRUE(write.result.ok) << write.result.error;
 
-  // The reader's block cache and cached plan were epoch-invalidated: the
-  // next read observes the other session's write.
+  // The reader's next query starts a fresh data epoch (its block cache is
+  // dropped) and replays a plan that holds no target bytes: it observes the
+  // other session's write.
   QueryService::Outcome after = service.Eval(reader, "arr[0]");
   ASSERT_EQ(after.status, SubmitStatus::kAccepted);
   ASSERT_TRUE(after.result.ok) << after.result.error;
@@ -409,9 +444,11 @@ TEST(ServeTest, ShutdownFailsQueuedRequestsTyped) {
             SubmitStatus::kAccepted);
 
   service.Shutdown();
-  QueryResult r1 = f1.get();  // in-flight: cancelled by shutdown (or deadline)
+  QueryResult r1 = f1.get();  // in-flight (or still queued): cancelled by shutdown
   QueryResult r2 = f2.get();  // queued: failed typed, never silently dropped
   EXPECT_FALSE(r1.ok);
+  EXPECT_EQ(r1.error_kind, ErrorKind::kCancel);
+  EXPECT_NE(r1.error.find("shutting down"), std::string::npos) << r1.error;
   EXPECT_FALSE(r2.ok);
   EXPECT_EQ(r2.error_kind, ErrorKind::kCancel);
   EXPECT_NE(r2.error.find("shutting down"), std::string::npos) << r2.error;

@@ -184,17 +184,20 @@ TEST_F(PrebindTest, ResultsUnchangedWithPrebinding) {
 }
 
 TEST_F(PrebindTest, PrebindingSkipsBackendLookups) {
+  auto symbol_lookups = [&] {
+    return fx_.backend().instr().calls(obs::NarrowCall::kSymbolLookup);
+  };
   fx_.session().Drive("#/((1..100)+i)");  // warms nothing; prebind binds i once
-  uint64_t before = fx_.backend().counters().symbol_lookups;
+  uint64_t before = symbol_lookups();
   fx_.session().Drive("#/((1..100)+i)");
-  uint64_t per_query = fx_.backend().counters().symbol_lookups - before;
+  uint64_t per_query = symbol_lookups() - before;
   // One lookup at prebind time (plus the typedef probe pattern), not 100.
   EXPECT_LT(per_query, 10u);
 
   fx_.session().options().eval.prebind = false;
-  before = fx_.backend().counters().symbol_lookups;
+  before = symbol_lookups();
   fx_.session().Drive("#/((1..100)+i)");
-  EXPECT_GE(fx_.backend().counters().symbol_lookups - before, 100u);
+  EXPECT_GE(symbol_lookups() - before, 100u);
 }
 
 TEST_F(PrebindTest, AliasedNamesAreNotPrebound) {
