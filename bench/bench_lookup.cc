@@ -5,8 +5,8 @@
 // techniques".
 //
 // We compare a lookup-per-value query against a constant-only control, sweep
-// the number of symbols the debugger must search, and measure the prebind
-// pass (the compile-time binding the paper proposes).
+// the number of symbols the debugger must search, and measure the session's
+// analyze stage, which binds the name at compile time as the paper proposes.
 
 #include "bench/bench_util.h"
 
@@ -24,32 +24,52 @@ void AddSymbols(BenchFixture& fx, size_t count) {
   b.PokeI32(i, 0);
 }
 
+uint64_t SymbolLookups(BenchFixture& fx) {
+  return fx.backend().instr().calls(obs::NarrowCall::kSymbolLookup);
+}
+
+// Drives a bare parse through the engine with no annotations: every name is
+// looked up each time it is evaluated, as in the original implementation.
+uint64_t DriveUnannotated(EvalContext& ctx, const ParseResult& parsed) {
+  ctx.BeginQuery();
+  EvalEngine engine(ctx);
+  engine.Start(*parsed.root, parsed.num_nodes);
+  uint64_t n = 0;
+  while (engine.Next()) {
+    ++n;
+  }
+  benchmark::DoNotOptimize(n);
+  return n;
+}
+
 void BM_LookupPerValue(benchmark::State& state) {
   BenchFixture fx;
   AddSymbols(fx, static_cast<size_t>(state.range(0)));
+  ParseResult parsed = Parser("(1..100)+i").Parse();  // one lookup of i per value
+  EvalContext& ctx = fx.session().context();
   for (auto _ : state) {
-    fx.Drive("(1..100)+i");  // one lookup of i per produced value
+    DriveUnannotated(ctx, parsed);
   }
-  fx.session().context().counters().Reset();
-  fx.Drive("(1..100)+i");
-  state.counters["name_lookups"] =
-      static_cast<double>(fx.session().context().counters().name_lookups);
+  uint64_t before = SymbolLookups(fx);
+  DriveUnannotated(ctx, parsed);
+  state.counters["symbol_lookups"] = static_cast<double>(SymbolLookups(fx) - before);
 }
 BENCHMARK(BM_LookupPerValue)->Arg(10)->Arg(100)->Arg(1000);
 
-void BM_PrebindOptimization(benchmark::State& state) {
+void BM_BoundAtCompileTime(benchmark::State& state) {
   // The paper's proposed fix ("symbol lookup could be done at compile time
-  // using type-inference techniques"), implemented as the prebind pass.
-  SessionOptions opts;
-  opts.eval.prebind = true;
-  BenchFixture fx(opts);
+  // using type-inference techniques"): the session's analyze stage binds i
+  // once per plan.
+  BenchFixture fx;
   AddSymbols(fx, static_cast<size_t>(state.range(0)));
   for (auto _ : state) {
     fx.Drive("(1..100)+i");
   }
-  state.SetLabel("prebind");
+  uint64_t before = SymbolLookups(fx);
+  fx.Drive("(1..100)+i");
+  state.counters["symbol_lookups"] = static_cast<double>(SymbolLookups(fx) - before);
 }
-BENCHMARK(BM_PrebindOptimization)->Arg(10)->Arg(1000);
+BENCHMARK(BM_BoundAtCompileTime)->Arg(10)->Arg(1000);
 
 void BM_ConstantControl(benchmark::State& state) {
   BenchFixture fx;

@@ -242,7 +242,7 @@ int main(int argc, char** argv) {
       PrintHelp();
     } else if (cmd == "duel") {
       QueryResult r = session.Query(rest);
-      // Warnings come from the check stage, before any value; print them
+      // Warnings come from the analyze stage, before any value; print them
       // first. The rejected-query error is already part of Text().
       for (const Diag& d : r.diags) {
         if (d.severity == Severity::kWarning) {
@@ -423,7 +423,7 @@ int main(int argc, char** argv) {
                   << " evictions=" << pc.evictions << "\n";
         for (const CompiledQuery* p : session.plan_cache().Entries()) {
           std::cout << "  [hits=" << p->hits << " nodes=" << p->parsed.num_nodes
-                    << " bound=" << p->notes.bound_names.size()
+                    << " bound=" << p->notes.stats.names_bound
                     << " folded=" << p->notes.stats.nodes_folded << "] "
                     << p->text << "\n";
         }

@@ -65,7 +65,7 @@ class MemoryAccess {
 
   // The data half of BeginQuery: drops cached blocks without touching the
   // backend's client-side caches. For callers that already refreshed the
-  // symbol view this epoch (the check stage runs before any data is read;
+  // symbol view this epoch (the analyze stage runs before any data is read;
   // its symbol lookups stay memoized into evaluation).
   void BeginQueryData();
 

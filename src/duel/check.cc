@@ -1,7 +1,9 @@
 #include "src/duel/check.h"
 
+#include <map>
 #include <optional>
 #include <set>
+#include <utility>
 
 #include "src/duel/apply.h"
 #include "src/duel/eval_util.h"
@@ -34,7 +36,7 @@ TypeRef RecordOf(const TypeRef& t) {
 }
 
 // Literal integer value of a node, through unary +/- (enough for the
-// div-by-zero and array-bound rules; folding proper lives in sema).
+// div-by-zero and array-bound rules; folding proper is Analyzer::Fold).
 std::optional<int64_t> ConstIntOf(const Node& n) {
   switch (n.op) {
     case Op::kIntConst:
@@ -100,6 +102,20 @@ bool IsComparison(Op op) {
   }
 }
 
+// Pure subtrees: literals combined by C's arithmetic/bitwise/comparison
+// operators. Generators, filters, short-circuit and control ops are excluded
+// — they shape the value *sequence*, and folding must never change how many
+// values a node produces or when its operands are (not) evaluated.
+bool FoldableLeaf(Op op) {
+  return op == Op::kIntConst || op == Op::kCharConst || op == Op::kFloatConst;
+}
+
+bool FoldableUnary(Op op) {
+  return op == Op::kNeg || op == Op::kPos || op == Op::kBitNot || op == Op::kNot;
+}
+
+bool FoldableBinary(Op op) { return IsArithBinary(op) || IsComparison(op); }
+
 // What the inference walk knows about one subexpression. `type == nullptr`
 // means unknown, and unknown silences every rule that consumes it.
 struct Inf {
@@ -119,10 +135,9 @@ struct ScopeInfo {
   bool known = false;
 };
 
-class Checker {
+class Analyzer {
  public:
-  Checker(EvalContext& ctx, const Annotations* notes, CheckResult& out)
-      : ctx_(&ctx), notes_(notes), out_(&out) {}
+  Analyzer(EvalContext& ctx, Annotations& notes) : ctx_(&ctx), notes_(&notes) {}
 
   void Run(const Node& root) {
     CollectDefined(root);
@@ -137,16 +152,17 @@ class Checker {
   // soundness contract: never reject a query the engine would evaluate
   // successfully.
   void Error(const Node& n, const char* rule, std::string message, std::string fixit = "") {
-    out_->diags.push_back({conditional_ ? Severity::kWarning : Severity::kError,
-                           rule, n.range, std::move(message), std::move(fixit)});
+    notes_->check.diags.push_back({conditional_ ? Severity::kWarning : Severity::kError, rule,
+                                   n.range, std::move(message), std::move(fixit)});
   }
   void Warn(const Node& n, const char* rule, std::string message, std::string fixit = "") {
-    out_->diags.push_back(
+    notes_->check.diags.push_back(
         {Severity::kWarning, rule, n.range, std::move(message), std::move(fixit)});
   }
 
-  // Mirrors sema's CollectDefinedNames: anything the query itself can
-  // (re)define resolves dynamically, so the walk treats it as unknown.
+  // Anything the query itself can (re)define — `:=` and `#` aliases,
+  // declarations — resolves dynamically: the walk treats it as unknown and
+  // never binds it.
   void CollectDefined(const Node& n) {
     if (n.op == Op::kDefine || n.op == Op::kIndexAlias) {
       defined_.insert(n.text);
@@ -163,7 +179,7 @@ class Checker {
 
   void NoteName(const std::string& name, bool was_alias) {
     if (noted_.insert(name).second) {
-      out_->names.emplace_back(name, was_alias);
+      notes_->check.names.emplace_back(name, was_alias);
     }
   }
 
@@ -200,6 +216,14 @@ class Checker {
       return r;
     }
     if (auto v = ctx_->backend().GetTargetVariable(n.text)) {
+      if (scopes_.empty()) {
+        // Nothing can rebind the name at run time: bind it now, once.
+        NodeInfo& info = notes_->At(n.id);
+        info.prebound = true;
+        info.bound_type = v->type;
+        info.bound_addr = v->addr;
+        notes_->stats.names_bound++;
+      }
       Inf r;
       r.type = v->type;
       r.lv = Lv::kYes;
@@ -221,13 +245,14 @@ class Checker {
     return {};
   }
 
+  // Resolves a kCast / kSizeofType spec into the table, where the engine
+  // reads it (ResolvedTypeOf). An unknown type stays unresolved, so the
+  // engine raises the error itself — if the node runs at all.
   TypeRef ResolveSpec(const Node& n) {
-    if (const NodeInfo* info = notes_ == nullptr ? nullptr : notes_->Get(n.id);
-        info != nullptr && info->resolved_type != nullptr) {
-      return info->resolved_type;
-    }
     try {
-      return ctx_->ResolveTypeSpec(n.type_spec, n.range);
+      TypeRef t = ctx_->ResolveTypeSpec(n.type_spec, n.range);
+      notes_->At(n.id).resolved_type = t;
+      return t;
     } catch (const DuelError& e) {
       Error(n, "unknown-type", e.what());
       return nullptr;
@@ -403,7 +428,63 @@ class Checker {
     return r;
   }
 
-  Inf Walk(const Node& n) {  // NOLINT(readability-function-size)
+  // Every node enters here. The root of a maximal constant subtree folds to
+  // one value and is inferred from it; its kids are dead code now and stay
+  // unannotated.
+  Inf Walk(const Node& n) {
+    if (FoldableUnary(n.op) || FoldableBinary(n.op)) {
+      if (std::optional<Value> v = Fold(n)) {
+        NodeInfo& info = notes_->At(n.id);
+        info.folded = true;
+        info.folded_value = std::move(*v);
+        notes_->stats.nodes_folded++;
+        Inf r;
+        r.type = info.folded_value.type();
+        r.lv = Lv::kNo;
+        return r;
+      }
+    }
+    return Infer(n);
+  }
+
+  // Evaluates a pure subtree to its one constant value, memoized per node so
+  // a discarded attempt higher up never double-counts the work.
+  std::optional<Value> Fold(const Node& n) {
+    auto it = memo_.find(n.id);
+    if (it != memo_.end()) {
+      return it->second;
+    }
+    std::optional<Value> r = FoldUncached(n);
+    memo_.emplace(n.id, r);
+    return r;
+  }
+
+  std::optional<Value> FoldUncached(const Node& n) {
+    try {
+      if (FoldableLeaf(n.op)) {
+        return ConstValue(*ctx_, n);
+      }
+      if (FoldableUnary(n.op) && n.kids.size() == 1) {
+        if (std::optional<Value> u = Fold(*n.kids[0])) {
+          return ApplyUnary(*ctx_, n.op, *u, n.range);
+        }
+      } else if (FoldableBinary(n.op) && n.kids.size() == 2) {
+        std::optional<Value> u = Fold(*n.kids[0]);
+        if (!u.has_value()) {
+          return std::nullopt;
+        }
+        if (std::optional<Value> v = Fold(*n.kids[1])) {
+          return ApplyBinary(*ctx_, n.op, *u, *v, n.range);
+        }
+      }
+    } catch (const DuelError&) {
+      // 1/0 and friends: leave unfolded. The error surfaces at execute time
+      // with the paper's lazy semantics (not at all under a false branch).
+    }
+    return std::nullopt;
+  }
+
+  Inf Infer(const Node& n) {  // NOLINT(readability-function-size)
     switch (n.op) {
       // --- leaves ----------------------------------------------------------
       case Op::kIntConst: {
@@ -947,10 +1028,10 @@ class Checker {
   }
 
   EvalContext* ctx_;
-  const Annotations* notes_;
-  CheckResult* out_;
+  Annotations* notes_;
   std::set<std::string> defined_;
   std::set<std::string> noted_;
+  std::map<int, std::optional<Value>> memo_;
   std::vector<ScopeInfo> scopes_;
   bool conditional_ = false;  // inside a conditionally-evaluated subtree
 };
@@ -981,17 +1062,22 @@ DuelError CheckResult::FirstError() const {
   return DuelError(ErrorKind::kInternal, "FirstError with no errors");
 }
 
-CheckResult CheckQuery(EvalContext& ctx, const Node& root, const Annotations* notes) {
-  CheckResult out;
-  Checker checker(ctx, notes, out);
+Annotations Analyze(EvalContext& ctx, const Node& root, int num_nodes) {
+  Annotations notes(num_nodes);
+  Analyzer analyzer(ctx, notes);
   try {
-    checker.Run(root);
+    analyzer.Run(root);
   } catch (const DuelError&) {
-    // The checker is advisory scaffolding around evaluation: an unexpected
-    // throw must never take down a query that would have run. Partial
-    // diagnostics collected so far are kept.
+    // The walk is advisory scaffolding around evaluation: an unexpected
+    // throw must never take down a query that would have run. Diagnostics
+    // and annotations collected so far are kept; unannotated nodes resolve
+    // at execute time.
   }
-  return out;
+  return notes;
+}
+
+CheckResult CheckQuery(EvalContext& /*ctx*/, const Node& /*root*/, const Annotations* notes) {
+  return notes->check;
 }
 
 }  // namespace duel

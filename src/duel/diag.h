@@ -1,4 +1,4 @@
-// Structured diagnostics for the static check stage (check.h) and for
+// Structured diagnostics for the analyze stage's checks (check.h) and for
 // runtime error reporting: a severity, a stable rule name, a byte-offset
 // span into the query text, a message, and an optional fix-it hint.
 //

@@ -20,7 +20,7 @@
 
 namespace duel {
 
-class Annotations;  // sema.h: per-node side table produced by the analyze stage
+class Annotations;  // sema.h: per-node side table produced by the analyze stage (check.h)
 
 struct EvalOptions {
   enum class SymMode {
@@ -39,10 +39,6 @@ struct EvalOptions {
   // Bound on values a single --> node will expand (safety net when cycle
   // detection is off).
   uint64_t max_expand_nodes = 10'000'000;
-
-  // The paper's proposed optimization: bind eligible names to target
-  // variables at "compile time" (the analyze stage, see sema.h).
-  bool prebind = false;
 
   // Route target-memory traffic through the read-combining block cache
   // (dbg::MemoryAccess). Off = every read/write hits the backend directly,
@@ -79,7 +75,7 @@ class EvalContext {
   // The data half of BeginQuery: re-syncs the cache toggle and drops cached
   // data blocks, leaving the backend's client-side symbol caches intact.
   // The session uses this when the symbol view was already refreshed at the
-  // top of the query (before the check stage), so the checker's lookups stay
+  // top of the query (before the analyze stage), so its lookups stay
   // memoized into evaluation.
   void BeginQueryData() {
     access_.set_enabled(opts_.data_cache);

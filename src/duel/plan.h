@@ -4,17 +4,19 @@
 //
 // A CompiledQuery owns everything derived purely from the expression text
 // and the compile-time world: the token stream, the parsed AST, and the
-// analyze stage's annotation side table (sema.h). It deliberately owns NO
-// target data — values are always produced against live memory — so reusing
-// a plan is semantically invisible except for the work it skips.
+// analyze stage's result (sema.h) — the annotation side table and the
+// verdict. It deliberately owns NO target data — values are always produced
+// against live memory — so reusing a plan is semantically invisible except
+// for the work it skips.
 //
 // Session keeps plans in an LRU PlanCache keyed by (expression text,
 // options fingerprint). A plan is stale only when one of two epochs moves:
 //   * DebuggerBackend::SymbolEpoch() — frame changes and symbol-table
 //     mutations move it; stale name bindings and verdicts are rebuilt;
-//   * AliasTable::version() — a new alias can shadow a prebound name; the
-//     plan re-checks its (usually empty) bound-name list, so alias churn
-//     from `:=`-heavy queries does not evict unrelated plans.
+//   * AliasTable::version() — a new alias can shadow a bound name or change
+//     how a consulted name resolves; the plan re-checks its one list of
+//     consulted names (CheckResult::names), so alias churn from `:=`-heavy
+//     queries does not evict unrelated plans.
 // Target writes, calls and allocations never stale a plan: it holds no
 // target bytes, and every query re-reads memory through a fresh data epoch.
 
@@ -28,7 +30,6 @@
 #include <utility>
 #include <vector>
 
-#include "src/duel/check.h"
 #include "src/duel/parser.h"
 #include "src/duel/sema.h"
 #include "src/duel/token.h"
@@ -42,25 +43,22 @@ struct CompiledQuery {
 
   std::vector<Token> tokens;
   ParseResult parsed;  // owns the AST; parsed.num_nodes sizes the side table
-  Annotations notes;
 
-  // The check stage's verdict (check.h), cached with the plan: a warm hit
-  // replays the diagnostics without re-running the inference walk. The
-  // verdict depends on the same compile-time world as `notes` — its names
-  // list is re-validated against the alias table by Session::PlanIsValid,
-  // and the symbol epoch below covers the target side.
-  CheckResult check;
+  // The analyze stage's result (check.h): bindings, folds, cast types and
+  // the verdict. A warm hit replays the diagnostics without re-running the
+  // walk; notes.check.names is re-validated against the alias table by
+  // Session::PlanIsValid, and the symbol epoch below covers the target side.
+  Annotations notes;
 
   // Build-stage timings, replayed into QueryStats on cache hits as zero
   // (the stages did not run) but kept here for `plan` introspection.
   uint64_t lex_ns = 0;
   uint64_t parse_ns = 0;
-  uint64_t sema_ns = 0;
-  uint64_t check_ns = 0;
+  uint64_t analyze_ns = 0;
 
   // Validity epochs (see header comment). alias_version is refreshed after
-  // each successful run: a query's own definitions are never prebound, so
-  // its own aliases cannot invalidate its own plan.
+  // each successful run: a query's own definitions are never bound, so its
+  // own aliases cannot invalidate its own plan.
   uint64_t symbol_epoch = 0;
   uint64_t alias_version = 0;
 

@@ -43,7 +43,7 @@ class AliasTable {
   std::vector<std::string> Names() const;
 
   // Bumped on every mutation. The plan cache uses this as a fast path: a
-  // cached plan whose prebound names could be shadowed by a new alias only
+  // cached plan whose bound names could be shadowed by a new alias only
   // needs re-checking when the version moved (see Session::PlanIsValid).
   uint64_t version() const { return version_; }
 

@@ -1,21 +1,22 @@
-// The analyze stage of the staged query pipeline (lex → parse → analyze →
-// execute). Grown out of the prebind pass (the paper's "for many Duel
-// expressions, run-time type checking and symbol lookup could be done at
-// compile time using type-inference techniques"): one walk over the parsed
-// tree produces an annotation side table that the execute stage consumes
-// instead of redoing the work per produced value.
+// The result of the analysis pass (check.h): what the staged query pipeline
+// (lex → parse → analyze → execute) learns about a parsed tree at compile
+// time. The paper: "for many Duel expressions, run-time type checking and
+// symbol lookup could be done at compile time using type-inference
+// techniques". One walk does both halves and leaves them here:
 //
-// The pass computes, per node:
-//   * compile-time name bindings (kName → target variable), under the same
-//     conservative soundness rules the prebind pass used — a name binds only
-//     when no alias, query-local definition, or enclosing with-scope can
-//     rebind it dynamically (gated by EvalOptions::prebind);
-//   * constant-folded pure subtrees: a composite of arithmetic/bitwise/
-//     comparison operators over literals collapses to one precomputed Value
-//     (evaluation then yields it like a literal leaf — exactly one value per
-//     eval call, so generator semantics are untouched);
-//   * resolved syntactic types for kCast / kSizeofType, so repeated casts do
-//     not re-search the debugger's type tables per value.
+//   * a per-node side table the execute stage consumes instead of redoing
+//     the work per produced value —
+//       - compile-time name bindings (kName → target variable), made only
+//         where nothing can rebind the name dynamically: no with-scope is
+//         open, the query does not define it, and no alias holds it;
+//       - constant-folded pure subtrees: a composite of arithmetic/bitwise/
+//         comparison operators over literals collapses to one precomputed
+//         Value (evaluation then yields it like a literal leaf — exactly one
+//         value per eval call, so generator semantics are untouched);
+//       - resolved syntactic types for kCast / kSizeofType, so repeated casts
+//         do not re-search the debugger's type tables per value;
+//   * the verdict (CheckResult): diagnostics, and every name the walk
+//     resolved through the aliases or the target symbol tables.
 //
 // The AST itself is never mutated: annotations live in a side table indexed
 // by the dense Node::id. That is what makes the artifact cacheable — a
@@ -27,9 +28,11 @@
 #define DUEL_DUEL_SEMA_H_
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/duel/ast.h"
+#include "src/duel/diag.h"
 #include "src/duel/evalctx.h"
 #include "src/duel/value.h"
 
@@ -51,13 +54,31 @@ struct NodeInfo {
 };
 
 struct SemaStats {
-  size_t names_total = 0;
   size_t names_bound = 0;
-  size_t nodes_folded = 0;    // maximal folded subtree roots
-  size_t types_resolved = 0;  // casts / sizeofs resolved at analysis time
+  size_t nodes_folded = 0;  // maximal folded subtree roots
 };
 
-// The annotation side table: one NodeInfo per dense Node::id.
+struct CheckResult {
+  std::vector<Diag> diags;  // errors and warnings, in source order
+
+  // Names the walk resolved through the session alias table or the target
+  // symbol tables (bool = was aliased at analysis time); every bound name is
+  // among them. The plan cache re-validates exactly this list when the alias
+  // table changes: an alias appearing, disappearing, or being rebound over
+  // any consulted name invalidates the plan (Session::PlanIsValid).
+  std::vector<std::pair<std::string, bool>> names;
+
+  size_t num_errors() const;
+  size_t num_warnings() const;
+  bool HasErrors() const { return num_errors() > 0; }
+
+  // The first error as a throwable DuelError (message + span match the
+  // diagnostic, so rejected queries read like their runtime counterparts).
+  DuelError FirstError() const;
+};
+
+// The annotation side table (one NodeInfo per dense Node::id) plus the
+// verdict of the walk that filled it.
 class Annotations {
  public:
   Annotations() = default;
@@ -72,22 +93,11 @@ class Annotations {
   int num_nodes() const { return static_cast<int>(infos_.size()); }
 
   SemaStats stats;
-
-  // Names bound at analysis time. A later `name := ...` alias would shadow
-  // them, so the plan cache re-validates exactly this list when the alias
-  // table changes (Session::PlanIsValid).
-  std::vector<std::string> bound_names;
+  CheckResult check;
 
  private:
   std::vector<NodeInfo> infos_;
 };
-
-// Runs the semantic pass. Name binding consults the backend/aliases through
-// `ctx`; folding runs the same ConstValue/Apply* helpers the engine uses, so
-// a folded node's value and symbolic text are byte-identical to unfolded
-// evaluation. Throws nothing: a subtree that would fault or divide by zero
-// is simply left unfolded, preserving lazy error semantics.
-Annotations Analyze(EvalContext& ctx, const Node& root, int num_nodes);
 
 // Annotation lookup for evaluation-time code. Null when the engine is driven
 // without a plan (unit harnesses construct an engine directly): callers must

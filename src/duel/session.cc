@@ -5,7 +5,6 @@
 #include "src/duel/check.h"
 #include "src/duel/lexer.h"
 #include "src/duel/output.h"
-#include "src/duel/sema.h"
 
 namespace duel {
 
@@ -37,12 +36,25 @@ void FillProfile(const Node& n, int depth, const std::string& expr,
 }
 
 // The options that change what a compiled artifact contains: folded values
-// capture their symbolic text (sym_mode), the analyze stage binds names only
-// under prebind, and the check stage's unbounded-walk warning depends on
-// cycle_detect. Everything else affects execution, not compilation.
+// capture their symbolic text (sym_mode), and the unbounded-walk warning
+// depends on cycle_detect. Everything else affects execution, not
+// compilation.
 uint64_t PlanFingerprint(const EvalOptions& o) {
-  return (static_cast<uint64_t>(o.sym_mode) << 2) | (o.prebind ? 2u : 0u) |
-         (o.cycle_detect ? 1u : 0u);
+  return (static_cast<uint64_t>(o.sym_mode) << 1) | (o.cycle_detect ? 1u : 0u);
+}
+
+// The gate between the analyze and execute stages: errors reject the query,
+// and under WarnMode::kError so does any warning. Shared by Query and Check
+// so both give one verdict for the same text.
+std::optional<DuelError> Rejection(const CheckResult& check, WarnMode warn) {
+  if (check.HasErrors()) {
+    return check.FirstError();
+  }
+  if (warn == WarnMode::kError && !check.diags.empty()) {
+    const Diag& d = check.diags.front();
+    return DuelError(ErrorKind::kType, d.message + " [warnings are errors]", d.span);
+  }
+  return std::nullopt;
 }
 
 // RAII: arms the session governor for one execute stage (when any limit is
@@ -138,22 +150,15 @@ std::unique_ptr<CompiledQuery> Session::BuildPlan(const std::string& expr, uint6
     });
     plan->parsed = parser.Parse();
   }
-  const uint64_t t_sema = obs::NowNs();
-  plan->parse_ns = t_sema - t_parse;
+  const uint64_t t_analyze = obs::NowNs();
+  plan->parse_ns = t_analyze - t_parse;
   {
-    obs::Span span(&tracer_, "sema");
+    // The verdict is part of the compiled artifact: warm hits replay it for
+    // free, and the gate in DriveCore / Check decides what it rejects.
+    obs::Span span(&tracer_, "analyze");
     plan->notes = Analyze(ctx_, *plan->parsed.root, plan->parsed.num_nodes);
   }
-  const uint64_t t_check = obs::NowNs();
-  plan->sema_ns = t_check - t_sema;
-  {
-    // The check stage always runs at build time — the verdict is part of the
-    // compiled artifact (warm hits replay it for free); SessionOptions::check
-    // only decides whether DriveCore enforces it.
-    obs::Span span(&tracer_, "check");
-    plan->check = CheckQuery(ctx_, *plan->parsed.root, &plan->notes);
-  }
-  plan->check_ns = obs::NowNs() - t_check;
+  plan->analyze_ns = obs::NowNs() - t_analyze;
 
   plan->symbol_epoch = backend_->SymbolEpoch();
   plan->alias_version = ctx_.aliases().version();
@@ -165,18 +170,12 @@ bool Session::PlanIsValid(CompiledQuery& plan) {
     return false;  // frame change / symbol-table mutation: bindings stale
   }
   if (plan.alias_version != ctx_.aliases().version()) {
-    // Only the plan's own compile-time name bindings are alias-sensitive; a
-    // plan with none (prebind off, or nothing bound) survives alias churn.
-    for (const std::string& name : plan.notes.bound_names) {
-      if (ctx_.aliases().Has(name)) {
-        return false;  // a session alias now shadows a prebound name
-      }
-    }
-    // The check verdict resolved these names through the alias table or the
-    // target symbols. An alias appearing over one changes resolution; one the
-    // verdict read may have been rebound or removed since (the version moved,
-    // and we cannot tell which alias did) — both void the verdict.
-    for (const auto& [name, was_aliased] : plan.check.names) {
+    // The analyze stage resolved these names (bound ones among them) through
+    // the alias table or the target symbols. An alias appearing over one
+    // shadows it; one the walk read may have been rebound or removed since
+    // (the version moved, and we cannot tell which alias did) — both void
+    // the plan. A plan that consulted no name survives alias churn.
+    for (const auto& [name, was_aliased] : plan.notes.check.names) {
       if (was_aliased || ctx_.aliases().Has(name)) {
         return false;
       }
@@ -216,8 +215,7 @@ CompiledQuery* Session::AcquirePlan(const std::string& expr,
     if (stats != nullptr) {
       stats->lex_ns = built->lex_ns;
       stats->parse_ns = built->parse_ns;
-      stats->sema_ns = built->sema_ns;
-      stats->check_ns = built->check_ns;
+      stats->analyze_ns = built->analyze_ns;
     }
     if (cache_on) {
       plan = plan_cache_.Insert(std::move(built));
@@ -236,7 +234,7 @@ uint64_t Session::DriveCore(const std::string& expr, QueryResult* result) {
   instr.set_enabled(collect || tracer_.enabled());
   ctx_.set_profiler(nullptr);
   // Fresh symbol/type/frame view for the front half (parse probes typedefs,
-  // the check stage resolves names). Purely a client-side cache drop — the
+  // the analyze stage resolves names). Purely a client-side cache drop — the
   // full data-path epoch (ctx_.BeginQuery) starts only after the check gate
   // passes, so rejected queries never touch target data.
   backend_->BeginQueryEpoch();
@@ -266,21 +264,18 @@ uint64_t Session::DriveCore(const std::string& expr, QueryResult* result) {
   CompiledQuery* plan = AcquirePlan(expr, uncached, &stats);
 
   // --- check gate: reject doomed queries before touching the target --------
-  stats.diags_errors = plan->check.num_errors();
-  stats.diags_warnings = plan->check.num_warnings();
+  const CheckResult& check = plan->notes.check;
+  stats.diags_errors = check.num_errors();
+  stats.diags_warnings = check.num_warnings();
   if (result != nullptr) {
-    for (const Diag& d : plan->check.diags) {
+    for (const Diag& d : check.diags) {
       if (d.severity == Severity::kError || opts_.warn != WarnMode::kOff) {
         result->diags.push_back(d);
       }
     }
   }
-  if (plan->check.HasErrors()) {
-    throw plan->check.FirstError();
-  }
-  if (opts_.warn == WarnMode::kError && !plan->check.diags.empty()) {
-    const Diag& d = plan->check.diags.front();
-    throw DuelError(ErrorKind::kType, d.message + " [warnings are errors]", d.span);
+  if (std::optional<DuelError> e = Rejection(check, opts_.warn)) {
+    throw *e;
   }
 
   // Fresh data-cache epoch (data half only: the backend's client-side symbol
@@ -337,7 +332,7 @@ uint64_t Session::DriveCore(const std::string& expr, QueryResult* result) {
   }
 
   if (cache_on) {
-    // The run completed: a query's own alias definitions are never prebound,
+    // The run completed: a query's own alias definitions are never bound,
     // so they cannot invalidate its own plan.
     plan->alias_version = ctx_.aliases().version();
   }
@@ -401,13 +396,12 @@ QueryResult Session::Check(const std::string& expr) {
   try {
     std::unique_ptr<CompiledQuery> uncached;
     CompiledQuery* plan = AcquirePlan(expr, uncached, nullptr);
-    result.diags = plan->check.diags;
-    if (plan->check.HasErrors()) {
+    result.diags = plan->notes.check.diags;
+    if (std::optional<DuelError> e = Rejection(plan->notes.check, opts_.warn)) {
       result.ok = false;
-      DuelError e = plan->check.FirstError();
-      result.error = FormatError(e);
-      result.error_span = e.range();
-      result.error_kind = e.kind();
+      result.error = FormatError(*e);
+      result.error_span = e->range();
+      result.error_kind = e->kind();
     }
   } catch (const DuelError& e) {  // lex / parse failures arrive as throws
     result.ok = false;

@@ -27,7 +27,7 @@
 
 namespace duel {
 
-// What the session does with check-stage warnings. Errors always reject the
+// What the session does with analyze-stage warnings. Errors always reject the
 // query; warnings default to being reported alongside the results.
 enum class WarnMode {
   kOff,    // discard warnings
@@ -46,10 +46,10 @@ struct SessionOptions {
   // epoch-based (see plan.h).
   bool plan_cache = true;
 
-  // The check stage (check.h) runs static type inference + lint between
-  // analyze and execute. A query with a hard error is always rejected before
-  // BeginQuery — no target data is ever touched for it; `warn` decides what
-  // happens to warnings.
+  // The analyze stage (check.h) runs static type inference + lint before
+  // execute. A query with a hard error is always rejected before BeginQuery
+  // — no target data is ever touched for it; `warn` decides what happens to
+  // warnings (under kError, Query and Check both reject on any warning).
   WarnMode warn = WarnMode::kOn;
 
   // Per-query execution governor (support/governor.h): when any limit is
@@ -109,8 +109,8 @@ class Session {
   // Evaluates one DUEL query, returning everything it printed.
   QueryResult Query(const std::string& expr);
 
-  // Runs only the front half of the pipeline (lex → parse → analyze →
-  // check) and returns the diagnostics without executing anything. The
+  // Runs only the front half of the pipeline (lex → parse → analyze) and
+  // returns the diagnostics without executing anything. The
   // compiled plan is cached exactly as Query would cache it, so a
   // subsequent Query of the same text is a warm hit. REPL `check <expr>`
   // and MI -duel-check.
@@ -138,7 +138,7 @@ class Session {
   const std::vector<std::string>& history() const { return history_; }
   void ClearHistory() { history_.clear(); }
 
-  // Session-owned span tracer (lex/parse/sema/eval/backend.* spans while
+  // Session-owned span tracer (lex/parse/analyze/eval/backend.* spans while
   // enabled; `trace on` in the REPL, -duel-trace in MI).
   obs::Tracer& tracer() { return tracer_; }
 

@@ -260,7 +260,7 @@ std::string MiSession::HandleCommand(const std::string& token, const std::string
       extra += StrPrintf(
           "{expr=%s,hits=\"%llu\",nodes=\"%d\",bound-names=\"%zu\",folded-nodes=\"%llu\"}",
           MiQuote(p->text).c_str(), static_cast<unsigned long long>(p->hits),
-          p->parsed.num_nodes, p->notes.bound_names.size(),
+          p->parsed.num_nodes, p->notes.stats.names_bound,
           static_cast<unsigned long long>(p->notes.stats.nodes_folded));
     }
     extra += "]";

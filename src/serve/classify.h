@@ -9,7 +9,7 @@
 //
 // The verdict is a conservative AST scan for the syntactic mutators:
 // assignment in all its spellings, ++/--, target calls, and declarations
-// (which allocate target space). Every operation the check stage's per-node
+// (which allocate target space). Every operation the analyze stage's per-node
 // side-effect inference flags is one of these, so the scan alone is the
 // whole verdict — and unlike the checker, which swallows internal errors
 // and returns partial results, it cannot stop early.

@@ -153,9 +153,9 @@ PlanCacheCounters CountersDelta(const PlanCacheCounters& before, const PlanCache
 std::vector<std::string> QueryStats::Render() const {
   std::vector<std::string> out;
   out.push_back("query: " + query);
-  out.push_back(StrPrintf("phases: lex=%s parse=%s sema=%s check=%s eval=%s total=%s  [plan %s]",
-                          Ns(lex_ns).c_str(), Ns(parse_ns).c_str(), Ns(sema_ns).c_str(),
-                          Ns(check_ns).c_str(), Ns(eval_ns).c_str(), Ns(total_ns).c_str(),
+  out.push_back(StrPrintf("phases: lex=%s parse=%s analyze=%s eval=%s total=%s  [plan %s]",
+                          Ns(lex_ns).c_str(), Ns(parse_ns).c_str(), Ns(analyze_ns).c_str(),
+                          Ns(eval_ns).c_str(), Ns(total_ns).c_str(),
                           plan_hit ? "cached" : "built"));
   if (diags_errors + diags_warnings > 0) {
     out.push_back(StrPrintf("diag: errors=%llu warnings=%llu",
@@ -247,11 +247,11 @@ std::string QueryStats::ToJson() const {
   std::string out = "{";
   out += "\"query\":\"" + JsonEscape(query) + "\"";
   out += StrPrintf(
-      ",\"lex_ns\":%llu,\"parse_ns\":%llu,\"sema_ns\":%llu,\"check_ns\":%llu,\"eval_ns\":%llu,"
+      ",\"lex_ns\":%llu,\"parse_ns\":%llu,\"analyze_ns\":%llu,\"eval_ns\":%llu,"
       "\"total_ns\":%llu",
       static_cast<unsigned long long>(lex_ns), static_cast<unsigned long long>(parse_ns),
-      static_cast<unsigned long long>(sema_ns), static_cast<unsigned long long>(check_ns),
-      static_cast<unsigned long long>(eval_ns), static_cast<unsigned long long>(total_ns));
+      static_cast<unsigned long long>(analyze_ns), static_cast<unsigned long long>(eval_ns),
+      static_cast<unsigned long long>(total_ns));
   out += StrPrintf(",\"plan_hit\":%s", plan_hit ? "true" : "false");
   out += StrPrintf(",\"diag\":{\"errors\":%llu,\"warnings\":%llu}",
                    static_cast<unsigned long long>(diags_errors),

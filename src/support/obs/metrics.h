@@ -155,8 +155,7 @@ struct QueryStats {
   // did not run; the plan was replayed.
   uint64_t lex_ns = 0;
   uint64_t parse_ns = 0;
-  uint64_t sema_ns = 0;
-  uint64_t check_ns = 0;
+  uint64_t analyze_ns = 0;
   uint64_t eval_ns = 0;
   uint64_t total_ns = 0;
 

@@ -3,7 +3,7 @@
 // A Tracer records completed spans (name, detail, start, duration, nesting)
 // into a fixed-capacity ring; when the ring is full the oldest spans are
 // dropped and counted. Spans nest via an explicit stack, so the trace of a
-// query reads as parse → prebind → eval → backend.* leaves. The buffer can
+// query reads as lex → parse → analyze → eval → backend.* leaves. The buffer can
 // be exported as JSONL (one object per line) for offline tooling.
 //
 // Tracing is off by default and every hot-path check is a single branch on

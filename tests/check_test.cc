@@ -1,4 +1,4 @@
-// The static check stage (check.h): per-rule golden diagnostics (rule,
+// The analyze stage's checks (check.h): per-rule golden diagnostics (rule,
 // severity, span, fix-it), the reject-before-BeginQuery guarantee, verdict
 // caching in the plan cache, warning modes, and the soundness contract
 // (never reject a query the engine would evaluate successfully).
@@ -256,13 +256,13 @@ TEST_F(CheckTest, WarmPlanHitSkipsRecheckButReplaysDiagnostics) {
   QueryResult cold = fx_.session().Query("if (i = 1) 2");
   ASSERT_TRUE(cold.stats.has_value());
   EXPECT_FALSE(cold.stats->plan_hit);
-  EXPECT_GT(cold.stats->check_ns, 0u);
+  EXPECT_GT(cold.stats->analyze_ns, 0u);
   EXPECT_EQ(cold.stats->diags_warnings, 1u);
 
   QueryResult warm = fx_.session().Query("if (i = 1) 2");
   ASSERT_TRUE(warm.stats.has_value());
   EXPECT_TRUE(warm.stats->plan_hit);
-  EXPECT_EQ(warm.stats->check_ns, 0u);  // replayed, not re-walked
+  EXPECT_EQ(warm.stats->analyze_ns, 0u);  // replayed, not re-walked
   EXPECT_EQ(warm.stats->diags_warnings, 1u);
   ASSERT_EQ(warm.diags.size(), 1u);
   EXPECT_EQ(warm.diags[0].rule, "assign-in-condition");
@@ -287,9 +287,17 @@ TEST_F(CheckTest, AliasCreationInvalidatesCachedVerdict) {
 
 TEST_F(CheckTest, WarnAsErrorRejects) {
   fx_.session().options().warn = WarnMode::kError;
-  QueryResult r = fx_.session().Query("if (i = 1) 2");
-  EXPECT_FALSE(r.ok);
-  EXPECT_NE(r.error.find("warnings are errors"), std::string::npos) << r.error;
+  // Query and Check give one verdict for the same text.
+  for (const char* expr : {"if (i = 1) 2", "arr[10]"}) {
+    QueryResult r = fx_.session().Query(expr);
+    EXPECT_FALSE(r.ok) << expr;
+    EXPECT_NE(r.error.find("warnings are errors"), std::string::npos) << r.error;
+    QueryResult c = fx_.session().Check(expr);
+    EXPECT_FALSE(c.ok) << expr;
+    EXPECT_NE(c.error.find("warnings are errors"), std::string::npos) << c.error;
+    EXPECT_EQ(c.error_kind, ErrorKind::kType) << expr;
+    EXPECT_EQ(c.diags.size(), 1u) << expr;
+  }
 }
 
 TEST_F(CheckTest, WarnOffSuppressesReporting) {

@@ -1,6 +1,8 @@
 // Cross-cutting integration coverage: large rvalues through the ByteStore,
-// prebind over the remote backend, scenario files driving the
+// compile-time name binding over the remote backend, scenario files driving the
 // stepping debugger, deeply composed types.
+
+#include <algorithm>
 
 #include <gtest/gtest.h>
 
@@ -66,11 +68,27 @@ class RemoteFeatureTest : public ::testing::Test {
 };
 
 TEST_F(RemoteFeatureTest, PrebindWorksOverTheWire) {
-  SessionOptions opts;
-  opts.eval.prebind = true;
-  Session session(remote_, opts);
+  Session session(remote_);
   EXPECT_EQ(session.Query("x[..4] >? 0").lines,
             (std::vector<std::string>{"x[0] = 5", "x[2] = 8"}));
+  // A warm query replays the plan's binding of x: it asks for the symbol
+  // epoch and reads the data, but never looks x up again.
+  server_.set_packet_logging(true);
+  EXPECT_EQ(session.Query("x[..4] >? 0").lines,
+            (std::vector<std::string>{"x[0] = 5", "x[2] = 8"}));
+  server_.set_packet_logging(false);
+  std::vector<std::string> requests;
+  for (const rsp::WirePacket& p : server_.packet_log()) {
+    if (p.is_request) {
+      requests.push_back(p.payload.substr(0, p.payload.find(':')));
+    }
+  }
+  auto sent = [&](const std::string& name) {
+    return std::count(requests.begin(), requests.end(), name);
+  };
+  EXPECT_EQ(sent("qDuelSymEpoch"), 1) << ::testing::PrintToString(requests);
+  EXPECT_GE(sent("qDuelReadV"), 1) << ::testing::PrintToString(requests);
+  EXPECT_EQ(sent("qVar"), 0) << ::testing::PrintToString(requests);
   // The second run should make almost no qVar requests.
   uint64_t before = server_.requests_handled();
   session.Drive("#/(x[..4] >? 0)");

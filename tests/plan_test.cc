@@ -36,7 +36,7 @@ TEST_F(PlanTest, RepeatQueryHitsCache) {
   // The build stages did not run on the hit.
   EXPECT_EQ(stats.lex_ns, 0u);
   EXPECT_EQ(stats.parse_ns, 0u);
-  EXPECT_EQ(stats.sema_ns, 0u);
+  EXPECT_EQ(stats.analyze_ns, 0u);
   EXPECT_EQ(counters().lookups, 2u);
   EXPECT_EQ(counters().hits, 1u);
   EXPECT_EQ(counters().misses, 1u);
@@ -107,10 +107,9 @@ TEST_F(PlanTest, TargetCallKeepsPlansAndReadsFreshValues) {
 
 TEST_F(PlanTest, AliasRedefinitionInvalidatesBoundPlan) {
   scenarios::BuildIntArray(fx_.image(), "x", {7});
-  fx_.session().options().eval.prebind = true;
   EXPECT_EQ(fx_.One("x[0]"), "x[0] = 7");
 
-  // An alias now shadows the prebound name: the cached binding is stale. A
+  // An alias now shadows the bound name: the cached binding is stale. A
   // stale plan replayed here would wrongly keep printing 7; the rebuilt one
   // sees the alias (a plain int, not indexable) instead.
   fx_.Lines("x := 41 ;");
@@ -125,13 +124,70 @@ TEST_F(PlanTest, AliasRedefinitionInvalidatesBoundPlan) {
 }
 
 TEST_F(PlanTest, AliasChurnLeavesUnboundPlansAlone) {
-  // With prebind off no plan holds name bindings, so alias-heavy sessions
-  // keep their whole cache warm.
+  // A plan that consulted no name holds no binding, so alias-heavy sessions
+  // keep it warm.
   fx_.Lines("1+1");
   fx_.Lines("v := 5 ;");
   fx_.Lines("1+1");
   EXPECT_TRUE(fx_.session().last_stats()->plan_hit);
   EXPECT_EQ(counters().invalidations, 0u);
+}
+
+// The names a plan bound at compile time, in preorder.
+void CollectBound(const Annotations& notes, const Node& n, std::vector<std::string>* out) {
+  if (const NodeInfo* info = notes.Get(n.id); info != nullptr && info->prebound) {
+    out->push_back(n.text);
+  }
+  for (const NodePtr& k : n.kids) {
+    CollectBound(notes, *k, out);
+  }
+}
+
+// One analysis walk binds names, folds constants, resolves cast types and
+// renders the verdict, each under the rules the engine relies on.
+TEST_F(PlanTest, AnalyzeBindsFoldsAndResolvesOnce) {
+  scenarios::BuildIntArray(fx_.image(), "x", {3, -1, 4});
+  scenarios::BuildList(fx_.image(), "L", {5, 6});
+  target::ImageBuilder b(fx_.image());
+  b.PokeI32(b.Global("i", b.Int()), 5);
+  b.PokeI32(b.Global("value", b.Int()), 777);
+
+  struct Case {
+    const char* text;
+    std::vector<std::string> bound;
+    size_t folded;
+    bool root_type_resolved;
+    std::string error_rule;  // "" when the verdict has no error
+  };
+  const Case cases[] = {
+      {"x[..3] >? 0", {"x"}, 0, false, ""},
+      {"L-->next->value", {"L"}, 0, false, ""},    // members stay dynamic
+      {"i := 7 => {i} + 1", {}, 0, false, ""},     // the query defines i
+      {"frames()", {}, 0, false, ""},              // a callee is not an operand
+      {"{value}", {"value"}, 0, false, ""},        // outside any scope
+      {"L->value", {"L"}, 0, false, ""},           // inside L's scope
+      {"(1..3) + 2*3", {}, 1, false, ""},          // one maximal constant root
+      {"(int)x[0]", {"x"}, 0, true, ""},
+      {"*i", {"i"}, 0, false, "deref-non-pointer"},
+  };
+  for (const Case& c : cases) {
+    const CompiledQuery* plan = fx_.session().Prepare(c.text);
+    ASSERT_NE(plan, nullptr) << c.text;
+    const Annotations& notes = plan->notes;
+    std::vector<std::string> bound;
+    CollectBound(notes, *plan->parsed.root, &bound);
+    EXPECT_EQ(bound, c.bound) << c.text;
+    EXPECT_EQ(notes.stats.names_bound, c.bound.size()) << c.text;
+    EXPECT_EQ(notes.stats.nodes_folded, c.folded) << c.text;
+    EXPECT_EQ(notes.Get(plan->parsed.root->id)->resolved_type != nullptr,
+              c.root_type_resolved)
+        << c.text;
+    EXPECT_EQ(notes.check.HasErrors(), !c.error_rule.empty()) << c.text;
+    if (!c.error_rule.empty()) {
+      ASSERT_FALSE(notes.check.diags.empty()) << c.text;
+      EXPECT_EQ(notes.check.diags.front().rule, c.error_rule) << c.text;
+    }
+  }
 }
 
 TEST_F(PlanTest, CacheOffNeverLooksUp) {

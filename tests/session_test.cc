@@ -167,7 +167,6 @@ TEST_F(OutputFormatTest, VoidAndFunctionValues) {
 class PrebindTest : public ::testing::Test {
  protected:
   PrebindTest() {
-    fx_.session().options().eval.prebind = true;
     scenarios::BuildIntArray(fx_.image(), "x", {3, -1, 4});
     target::ImageBuilder b(fx_.image());
     target::Addr i = b.Global("i", b.Int());
@@ -187,16 +186,22 @@ TEST_F(PrebindTest, PrebindingSkipsBackendLookups) {
   auto symbol_lookups = [&] {
     return fx_.backend().instr().calls(obs::NarrowCall::kSymbolLookup);
   };
-  fx_.session().Drive("#/((1..100)+i)");  // warms nothing; prebind binds i once
+  fx_.session().Drive("#/((1..100)+i)");  // the analyze stage binds i once
   uint64_t before = symbol_lookups();
   fx_.session().Drive("#/((1..100)+i)");
   uint64_t per_query = symbol_lookups() - before;
-  // One lookup at prebind time (plus the typedef probe pattern), not 100.
+  // At most one lookup at bind time (plus the typedef probe pattern), not 100.
   EXPECT_LT(per_query, 10u);
 
-  fx_.session().options().eval.prebind = false;
+  // The same text over a bare parse (no annotations) looks i up per value.
+  EvalContext& ctx = fx_.session().context();
+  ParseResult parsed = Parser("#/((1..100)+i)").Parse();
   before = symbol_lookups();
-  fx_.session().Drive("#/((1..100)+i)");
+  ctx.BeginQuery();
+  EvalEngine engine(ctx);
+  engine.Start(*parsed.root, parsed.num_nodes);
+  while (engine.Next()) {
+  }
   EXPECT_GE(symbol_lookups() - before, 100u);
 }
 
@@ -206,7 +211,7 @@ TEST_F(PrebindTest, AliasedNamesAreNotPrebound) {
 }
 
 TEST_F(PrebindTest, NamesDefinedInTheQueryAreNotPrebound) {
-  // `i` is :=-defined inside the query; prebinding must leave it dynamic.
+  // `i` is :=-defined inside the query; binding must leave it dynamic.
   std::vector<std::string> lines = fx_.Lines("i := 7 => {i} + 1");
   ASSERT_EQ(lines.size(), 1u);
   EXPECT_EQ(lines[0], "7+1 = 8");
@@ -214,7 +219,7 @@ TEST_F(PrebindTest, NamesDefinedInTheQueryAreNotPrebound) {
 
 TEST_F(PrebindTest, WithScopedNamesStayDynamic) {
   scenarios::BuildList(fx_.image(), "L", {5, 6});
-  // `value` must resolve as a member, even though prebinding ran.
+  // `value` must resolve as a member, even though binding ran.
   EXPECT_EQ(fx_.Lines("L-->next->value"),
             (std::vector<std::string>{"L->value = 5", "L->next->value = 6"}));
   // A global named like a member must not capture member references.
