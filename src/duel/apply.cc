@@ -1,7 +1,9 @@
 #include "src/duel/apply.h"
 
 #include <cstring>
+#include <iterator>
 #include <limits>
+#include <utility>
 
 #include "src/support/strings.h"
 
@@ -29,16 +31,6 @@ int IntRank(TypeKind k) {
   }
 }
 
-TypeRef Promote(EvalContext& ctx, const TypeRef& t) {
-  if (t->kind() == TypeKind::kEnum) {
-    return ctx.types().Int();
-  }
-  if (t->IsInteger() && IntRank(t->kind()) < IntRank(TypeKind::kInt)) {
-    return ctx.types().Int();  // all sub-int types fit in int on LP64
-  }
-  return t;
-}
-
 TypeKind UnsignedOf(TypeKind k) {
   switch (k) {
     case TypeKind::kInt: return TypeKind::kUInt;
@@ -48,37 +40,12 @@ TypeKind UnsignedOf(TypeKind k) {
   }
 }
 
-// Usual arithmetic conversions for two arithmetic types.
-TypeRef CommonType(EvalContext& ctx, const TypeRef& ta, const TypeRef& tb) {
-  if (ta->kind() == TypeKind::kDouble || tb->kind() == TypeKind::kDouble) {
-    return ctx.types().Double();
-  }
-  if (ta->kind() == TypeKind::kFloat || tb->kind() == TypeKind::kFloat) {
-    return ctx.types().Float();
-  }
-  TypeRef a = Promote(ctx, ta);
-  TypeRef b = Promote(ctx, tb);
-  if (a->kind() == b->kind()) {
-    return a;
-  }
-  bool ua = a->IsUnsignedInteger();
-  bool ub = b->IsUnsignedInteger();
-  int ra = IntRank(a->kind());
-  int rb = IntRank(b->kind());
-  if (ua == ub) {
-    return ra >= rb ? a : b;
-  }
-  const TypeRef& u = ua ? a : b;
-  const TypeRef& s = ua ? b : a;
-  int ru = IntRank(u->kind());
-  int rs = IntRank(s->kind());
-  if (ru >= rs) {
-    return u;
-  }
-  if (s->size() > u->size()) {
-    return s;  // the signed type can represent every value of the unsigned one
-  }
-  return ctx.types().Basic(UnsignedOf(s->kind()));
+bool IsPointer(const TypeRef& t) { return t != nullptr && t->kind() == TypeKind::kPointer; }
+
+std::string TypeText(const target::Type* t) { return t != nullptr ? t->ToString() : "<frame>"; }
+
+Typing Invalid(Op op, const TypeRef& a, const TypeRef& b) {
+  return {TypeFault::kInvalidOperands, a.get(), b.get(), op};
 }
 
 uint64_t MaskTo(uint64_t v, size_t size) {
@@ -97,6 +64,78 @@ int64_t SignExtend(uint64_t v, size_t size) {
     return static_cast<int64_t>(v | ~((sign << 1) - 1));
   }
   return static_cast<int64_t>(MaskTo(v, size));
+}
+
+template <typename T>
+bool Compare(Op op, T a, T b) {
+  switch (op) {
+    case Op::kLt: return a < b;
+    case Op::kGt: return a > b;
+    case Op::kLe: return a <= b;
+    case Op::kGe: return a >= b;
+    case Op::kEq: return a == b;
+    case Op::kNe: return a != b;
+    default:
+      throw DuelError(ErrorKind::kInternal, "ApplyComparison: unexpected operator");
+  }
+}
+
+Sym BinSym(EvalContext& ctx, Op op, const Value& a, const Value& b) {
+  if (!ctx.sym_on()) {
+    return Sym::None();
+  }
+  ctx.counters().symbolic_builds++;
+  return ComposeBinary(a.sym(), BinOpText(op), b.sym(), BinOpPrec(op));
+}
+
+}  // namespace
+
+// --- static typing -------------------------------------------------------------
+
+// Rule name and message per TypeFault, in enum order. In a message, %a and
+// %b name the operand types and %o spells the operator.
+constexpr struct {
+  const char* rule;
+  const char* text;
+} kFaults[] = {
+    {"", ""},
+    {"invalid-operands", "invalid operands to '%o' (%a and %b)"},
+    {"unary-non-arithmetic", "unary '%o' needs an arithmetic operand"},
+    {"unary-non-integer", "'~' needs an integer operand"},
+    {"deref-non-pointer", "'*' needs a pointer operand"},
+    {"deref-void-pointer", "cannot dereference void *"},
+    {"addrof-rvalue", "'&' needs an lvalue"},
+    {"addrof-bitfield", "cannot take the address of a bit-field"},
+    {"index-non-pointer", "subscript needs an array or pointer, got %a"},
+    {"non-integer-operand", "cannot convert %a to an integer"},
+    {"non-integer-operand", "value has no type"},
+    {"non-scalar-condition", "value of type %a is not a condition"},
+    {"incdec-rvalue", "'++'/'--' need an lvalue"},
+    {"incdec-non-scalar", "cannot increment %a"},
+    {"assign-to-rvalue", "assignment requires an lvalue"},
+    {"assign-incompatible", "cannot assign %a to %b"},
+    {"assign-incompatible", "cannot assign to %a"},
+};
+static_assert(std::size(kFaults) == static_cast<size_t>(TypeFault::kAssignNonScalar) + 1);
+
+const char* Typing::rule() const { return kFaults[static_cast<size_t>(fault_)].rule; }
+
+std::string Typing::Message() const {
+  std::string out;
+  for (const char* p = kFaults[static_cast<size_t>(fault_)].text; *p != '\0'; ++p) {
+    if (*p != '%') {
+      out += *p;
+    } else if (*++p == 'o') {
+      out += BinOpText(op_);
+    } else {
+      out += TypeText(*p == 'a' ? a_ : b_);
+    }
+  }
+  return out;
+}
+
+void Typing::Throw(SourceRange range) const {
+  throw DuelError(ErrorKind::kType, Message(), range);
 }
 
 bool IsArithOp(Op op) {
@@ -131,23 +170,260 @@ bool IsComparisonOp(Op op) {
   }
 }
 
-Sym BinSym(EvalContext& ctx, Op op, const Value& a, const Value& b) {
-  if (!ctx.sym_on()) {
-    return Sym::None();
+Op CompoundBase(Op op) {
+  switch (op) {
+    case Op::kMulEq: return Op::kMul;
+    case Op::kDivEq: return Op::kDiv;
+    case Op::kModEq: return Op::kMod;
+    case Op::kAddEq: return Op::kAdd;
+    case Op::kSubEq: return Op::kSub;
+    case Op::kShlEq: return Op::kShl;
+    case Op::kShrEq: return Op::kShr;
+    case Op::kAndEq: return Op::kBitAnd;
+    case Op::kXorEq: return Op::kBitXor;
+    case Op::kOrEq: return Op::kBitOr;
+    default: return op;
   }
-  ctx.counters().symbolic_builds++;
-  return ComposeBinary(a.sym(), BinOpText(op), b.sym(), BinOpPrec(op));
 }
 
-[[noreturn]] void TypeFail(const Value& a, const Value& b, Op op, SourceRange range) {
-  throw DuelError(ErrorKind::kType,
-                  StrPrintf("invalid operands to '%s' (%s and %s)", BinOpText(op),
-                            a.type() ? a.type()->ToString().c_str() : "<frame>",
-                            b.type() ? b.type()->ToString().c_str() : "<frame>"),
-                  range);
+const TypeRef& Promote(target::TypeTable& types, const TypeRef& t) {
+  if (t->kind() == TypeKind::kEnum) {
+    return types.Int();
+  }
+  if (t->IsInteger() && IntRank(t->kind()) < IntRank(TypeKind::kInt)) {
+    return types.Int();  // all sub-int types fit in int on LP64
+  }
+  return t;
 }
 
-}  // namespace
+const TypeRef& CommonType(target::TypeTable& types, const TypeRef& ta, const TypeRef& tb) {
+  if (ta->kind() == TypeKind::kDouble || tb->kind() == TypeKind::kDouble) {
+    return types.Double();
+  }
+  if (ta->kind() == TypeKind::kFloat || tb->kind() == TypeKind::kFloat) {
+    return types.Float();
+  }
+  const TypeRef& a = Promote(types, ta);
+  const TypeRef& b = Promote(types, tb);
+  if (a->kind() == b->kind()) {
+    return a;
+  }
+  bool ua = a->IsUnsignedInteger();
+  bool ub = b->IsUnsignedInteger();
+  int ra = IntRank(a->kind());
+  int rb = IntRank(b->kind());
+  if (ua == ub) {
+    return ra >= rb ? a : b;
+  }
+  const TypeRef& u = ua ? a : b;
+  const TypeRef& s = ua ? b : a;
+  if (IntRank(u->kind()) >= IntRank(s->kind())) {
+    return u;
+  }
+  if (s->size() > u->size()) {
+    return s;  // the signed type can represent every value of the unsigned one
+  }
+  return types.Basic(UnsignedOf(s->kind()));
+}
+
+const TypeRef& RvalueType(target::TypeTable& types, const TypeRef& t) {
+  if (t != nullptr && t->kind() == TypeKind::kArray) {
+    return types.PointerTo(t->target());
+  }
+  if (t != nullptr && t->kind() == TypeKind::kFunction) {
+    return types.PointerTo(t);
+  }
+  return t;
+}
+
+const TypeRef& RvalueTypeOf(target::TypeTable& types, const Value& v) {
+  return v.is_lvalue() ? RvalueType(types, v.type()) : v.type();
+}
+
+const TypeRef& LiteralType(target::TypeTable& types, const Node& n) {
+  switch (n.op) {
+    case Op::kIntConst:
+      if (n.is_unsigned) {
+        return n.is_long || n.int_value > std::numeric_limits<uint32_t>::max() ? types.ULong()
+                                                                               : types.UInt();
+      }
+      return n.is_long || n.int_value > std::numeric_limits<int32_t>::max() ? types.Long()
+                                                                            : types.Int();
+    case Op::kCharConst: return types.Char();
+    case Op::kFloatConst: return types.Double();
+    case Op::kStringConst: return types.PointerTo(types.Char());
+    default:
+      throw DuelError(ErrorKind::kInternal, "LiteralType on non-literal node");
+  }
+}
+
+Typing IntegerType(const TypeRef& t) {
+  if (t == nullptr) {
+    return {TypeFault::kNoType, nullptr};
+  }
+  if (!t->IsScalar()) {
+    return {TypeFault::kNonInteger, t.get()};
+  }
+  return t;
+}
+
+Typing UnaryType(target::TypeTable& types, Op op, const TypeRef& t) {
+  switch (op) {
+    case Op::kNot:
+      return ConditionType(types, t);
+    case Op::kPos:
+    case Op::kNeg:
+      if (t == nullptr || !t->IsArithmetic()) {
+        // Spelled like the binary operator of the same sign.
+        return {TypeFault::kUnaryNonArithmetic, t.get(), nullptr,
+                op == Op::kNeg ? Op::kSub : Op::kAdd};
+      }
+      return op == Op::kPos || t->IsFloating() ? t : Promote(types, t);
+    case Op::kBitNot:
+      // Enums promote like the C integers they are.
+      if (t == nullptr || (!t->IsInteger() && t->kind() != TypeKind::kEnum)) {
+        return {TypeFault::kUnaryNonInteger, t.get()};
+      }
+      return Promote(types, t);
+    case Op::kDeref:
+      if (!IsPointer(t)) {
+        return {TypeFault::kDerefNonPointer, t.get()};
+      }
+      if (t->target()->kind() == TypeKind::kVoid) {
+        return {TypeFault::kDerefVoidPointer, t.get()};
+      }
+      return t->target();
+    default:
+      throw DuelError(ErrorKind::kInternal, "UnaryType: unexpected operator");
+  }
+}
+
+Typing AddressType(target::TypeTable& types, const TypeRef& t, bool lvalue, bool bitfield) {
+  if (!lvalue) {
+    return {TypeFault::kAddrOfRvalue, t.get()};
+  }
+  if (bitfield) {
+    return {TypeFault::kAddrOfBitfield, t.get()};
+  }
+  return types.PointerTo(t);
+}
+
+Typing BinaryType(target::TypeTable& types, Op op, const TypeRef& a, const TypeRef& b) {
+  if (IsComparisonOp(op)) {
+    if (Typing t = ComparisonType(types, op, a, b); !t) {
+      return t;
+    }
+    return types.Int();
+  }
+  if (a == nullptr || b == nullptr) {
+    return Invalid(op, a, b);
+  }
+  bool pa = IsPointer(a);
+  bool pb = IsPointer(b);
+  if (pa || pb) {
+    if (op == Op::kSub && pa && pb && a->target()->size() != 0) {
+      return types.Long();
+    }
+    if ((op == Op::kAdd || (op == Op::kSub && pa)) && (pa ? b : a)->IsInteger()) {
+      return pa ? a : b;  // p + n, n + p, p - n
+    }
+    return Invalid(op, a, b);
+  }
+  if (!a->IsArithmetic() || !b->IsArithmetic()) {
+    return Invalid(op, a, b);
+  }
+  if (a->IsFloating() || b->IsFloating()) {
+    if (op == Op::kMul || op == Op::kDiv || op == Op::kAdd || op == Op::kSub) {
+      return CommonType(types, a, b);
+    }
+    return Invalid(op, a, b);  // %, shifts and bit ops need integers
+  }
+  if (op == Op::kShl || op == Op::kShr) {
+    return Promote(types, a);  // shifts keep the promoted left type
+  }
+  return CommonType(types, a, b);
+}
+
+Typing ComparisonType(target::TypeTable& types, Op op, const TypeRef& a, const TypeRef& b) {
+  if (a == nullptr || b == nullptr) {
+    return Invalid(op, a, b);
+  }
+  if (IsPointer(a) || IsPointer(b)) {
+    if (Typing t = IntegerType(IsPointer(a) ? b : a); !t) {
+      return t;  // the other side is read as an address
+    }
+    return IsPointer(a) ? a : b;
+  }
+  if (!a->IsArithmetic() || !b->IsArithmetic()) {
+    return Invalid(op, a, b);
+  }
+  if (a->IsFloating() || b->IsFloating()) {
+    return types.Double();
+  }
+  return CommonType(types, a, b);
+}
+
+Typing IndexType(const TypeRef& base, const TypeRef& index) {
+  // C's commutative subscripting: 2[x] == x[2]. Enums subscript like the C
+  // integers they are.
+  bool swapped = base != nullptr && (base->IsInteger() || base->kind() == TypeKind::kEnum) &&
+                 IsPointer(index);
+  const TypeRef& ptr = swapped ? index : base;
+  if (!IsPointer(ptr)) {
+    return {TypeFault::kIndexNonPointer, ptr.get()};
+  }
+  if (Typing t = IntegerType(swapped ? base : index); !t) {
+    return t;
+  }
+  return ptr->target();
+}
+
+Typing IncDecType(target::TypeTable& types, const TypeRef& t, bool lvalue) {
+  if (!lvalue) {
+    return {TypeFault::kIncDecRvalue, t.get()};
+  }
+  const TypeRef& rt = RvalueType(types, t);
+  if (!rt->IsScalar()) {
+    return {TypeFault::kIncDecNonScalar, rt.get()};
+  }
+  return AssignType(types, Op::kAssign, t, true, rt);
+}
+
+Typing AssignType(target::TypeTable& types, Op op, const TypeRef& target, bool lvalue,
+                  const TypeRef& source) {
+  if (op != Op::kAssign) {
+    // op= applies its operator, then stores the result like `=`.
+    Typing t = BinaryType(types, CompoundBase(op), RvalueType(types, target), source);
+    if (!t) {
+      return t;
+    }
+    return AssignType(types, Op::kAssign, target, lvalue, t.type());
+  }
+  if (!lvalue) {
+    return {TypeFault::kAssignRvalue, target.get()};
+  }
+  if (target->IsRecord() || target->kind() == TypeKind::kArray) {
+    if (source == nullptr || !target::TypeEquals(target, source)) {
+      return {TypeFault::kAssignMismatch, source.get(), target.get()};
+    }
+  } else if (target->IsScalar()) {
+    if (Typing t = IntegerType(source); !t) {
+      return t;  // floating sources convert too: every scalar does
+    }
+  } else {
+    return {TypeFault::kAssignNonScalar, target.get()};
+  }
+  return RvalueType(types, target);
+}
+
+Typing ConditionType(target::TypeTable& types, const TypeRef& t) {
+  if (t == nullptr || !t->IsScalar()) {
+    return {TypeFault::kNotCondition, t.get()};
+  }
+  return types.Int();
+}
+
+// --- values --------------------------------------------------------------------
 
 const char* BinOpText(Op op) {
   switch (op) {
@@ -236,71 +512,28 @@ Op FilterToComparison(Op op) {
 }
 
 bool ApplyComparisonImpl(EvalContext& ctx, Op op, const Value& va, const Value& vb,
-                     SourceRange range) {
+                         SourceRange range) {
   ctx.counters().applies++;
   Value a = ctx.Rvalue(va);
   Value b = ctx.Rvalue(vb);
-  const TypeRef& ta = a.type();
-  const TypeRef& tb = b.type();
-  if (ta == nullptr || tb == nullptr) {
-    TypeFail(a, b, op, range);
+  Typing t = ComparisonType(ctx.types(), op, a.type(), b.type());
+  if (!t) {
+    t.Throw(range);
   }
-
-  // Pointer comparisons (pointer vs pointer or vs integer constant).
-  if (ta->kind() == TypeKind::kPointer || tb->kind() == TypeKind::kPointer) {
-    uint64_t ua = ta->kind() == TypeKind::kPointer ? ctx.ToPtr(a) : ctx.ToU64(a);
-    uint64_t ub = tb->kind() == TypeKind::kPointer ? ctx.ToPtr(b) : ctx.ToU64(b);
-    switch (op) {
-      case Op::kLt: return ua < ub;
-      case Op::kGt: return ua > ub;
-      case Op::kLe: return ua <= ub;
-      case Op::kGe: return ua >= ub;
-      case Op::kEq: return ua == ub;
-      case Op::kNe: return ua != ub;
-      default: TypeFail(a, b, op, range);
-    }
+  const TypeRef& ct = t.type();
+  if (ct->kind() == TypeKind::kPointer) {
+    uint64_t ua = a.type()->kind() == TypeKind::kPointer ? ctx.ToPtr(a) : ctx.ToU64(a);
+    uint64_t ub = b.type()->kind() == TypeKind::kPointer ? ctx.ToPtr(b) : ctx.ToU64(b);
+    return Compare(op, ua, ub);
   }
-  if (!ta->IsArithmetic() || !tb->IsArithmetic()) {
-    TypeFail(a, b, op, range);
+  if (ct->IsFloating()) {
+    return Compare(op, ctx.ToF64(a), ctx.ToF64(b));
   }
-  if (ta->IsFloating() || tb->IsFloating()) {
-    double da = ctx.ToF64(a);
-    double db = ctx.ToF64(b);
-    switch (op) {
-      case Op::kLt: return da < db;
-      case Op::kGt: return da > db;
-      case Op::kLe: return da <= db;
-      case Op::kGe: return da >= db;
-      case Op::kEq: return da == db;
-      case Op::kNe: return da != db;
-      default: TypeFail(a, b, op, range);
-    }
+  if (ct->IsUnsignedInteger()) {
+    return Compare(op, MaskTo(static_cast<uint64_t>(ctx.ToI64(a)), ct->size()),
+                   MaskTo(static_cast<uint64_t>(ctx.ToI64(b)), ct->size()));
   }
-  TypeRef common = CommonType(ctx, ta, tb);
-  if (common->IsUnsignedInteger()) {
-    uint64_t xa = MaskTo(static_cast<uint64_t>(ctx.ToI64(a)), common->size());
-    uint64_t xb = MaskTo(static_cast<uint64_t>(ctx.ToI64(b)), common->size());
-    switch (op) {
-      case Op::kLt: return xa < xb;
-      case Op::kGt: return xa > xb;
-      case Op::kLe: return xa <= xb;
-      case Op::kGe: return xa >= xb;
-      case Op::kEq: return xa == xb;
-      case Op::kNe: return xa != xb;
-      default: TypeFail(a, b, op, range);
-    }
-  }
-  int64_t xa = ctx.ToI64(a);
-  int64_t xb = ctx.ToI64(b);
-  switch (op) {
-    case Op::kLt: return xa < xb;
-    case Op::kGt: return xa > xb;
-    case Op::kLe: return xa <= xb;
-    case Op::kGe: return xa >= xb;
-    case Op::kEq: return xa == xb;
-    case Op::kNe: return xa != xb;
-    default: TypeFail(a, b, op, range);
-  }
+  return Compare(op, ctx.ToI64(a), ctx.ToI64(b));
 }
 
 Value ApplyBinaryImpl(EvalContext& ctx, Op op, const Value& va, const Value& vb, SourceRange range) {
@@ -315,83 +548,53 @@ Value ApplyBinaryImpl(EvalContext& ctx, Op op, const Value& va, const Value& vb,
 
   Value a = ctx.Rvalue(va);
   Value b = ctx.Rvalue(vb);
-  const TypeRef& ta = a.type();
-  const TypeRef& tb = b.type();
-  if (ta == nullptr || tb == nullptr) {
-    TypeFail(a, b, op, range);
+  Typing t = BinaryType(ctx.types(), op, a.type(), b.type());
+  if (!t) {
+    t.Throw(range);
   }
+  const TypeRef& rt = t.type();
   Sym sym = BinSym(ctx, op, va, vb);
 
   // Pointer arithmetic.
-  if (ta->kind() == TypeKind::kPointer || tb->kind() == TypeKind::kPointer) {
-    if (op == Op::kAdd && ta->kind() == TypeKind::kPointer && tb->IsInteger()) {
-      Addr p = ctx.ToPtr(a) + static_cast<uint64_t>(ctx.ToI64(b)) * ta->target()->size();
-      return Value::Pointer(ta, p, std::move(sym));
-    }
-    if (op == Op::kAdd && tb->kind() == TypeKind::kPointer && ta->IsInteger()) {
-      Addr p = ctx.ToPtr(b) + static_cast<uint64_t>(ctx.ToI64(a)) * tb->target()->size();
-      return Value::Pointer(tb, p, std::move(sym));
-    }
-    if (op == Op::kSub && ta->kind() == TypeKind::kPointer && tb->IsInteger()) {
-      Addr p = ctx.ToPtr(a) - static_cast<uint64_t>(ctx.ToI64(b)) * ta->target()->size();
-      return Value::Pointer(ta, p, std::move(sym));
-    }
-    if (op == Op::kSub && ta->kind() == TypeKind::kPointer &&
-        tb->kind() == TypeKind::kPointer) {
-      if (ta->target()->size() == 0) {
-        TypeFail(a, b, op, range);
-      }
-      int64_t diff = static_cast<int64_t>(ctx.ToPtr(a) - ctx.ToPtr(b)) /
-                     static_cast<int64_t>(ta->target()->size());
-      return Value::Int(ctx.types().Long(), diff, std::move(sym));
-    }
-    TypeFail(a, b, op, range);
+  bool pa = a.type()->kind() == TypeKind::kPointer;
+  bool pb = b.type()->kind() == TypeKind::kPointer;
+  if (pa && pb) {
+    int64_t diff = static_cast<int64_t>(ctx.ToPtr(a) - ctx.ToPtr(b)) /
+                   static_cast<int64_t>(a.type()->target()->size());
+    return Value::Int(rt, diff, std::move(sym));
+  }
+  if (pa || pb) {
+    uint64_t delta = static_cast<uint64_t>(ctx.ToI64(pa ? b : a)) * rt->target()->size();
+    Addr p = ctx.ToPtr(pa ? a : b);
+    return Value::Pointer(rt, op == Op::kAdd ? p + delta : p - delta, std::move(sym));
   }
 
-  if (!ta->IsArithmetic() || !tb->IsArithmetic()) {
-    TypeFail(a, b, op, range);
-  }
-
-  // Floating arithmetic.
-  if (ta->IsFloating() || tb->IsFloating()) {
+  // Floating arithmetic: * / + - only.
+  if (rt->IsFloating()) {
     double da = ctx.ToF64(a);
     double db = ctx.ToF64(b);
-    double r;
-    switch (op) {
-      case Op::kMul: r = da * db; break;
-      case Op::kDiv:
-        r = da / db;
-        break;
-      case Op::kAdd: r = da + db; break;
-      case Op::kSub: r = da - db; break;
-      default:
-        TypeFail(a, b, op, range);  // %, shifts, bit ops on floats
-    }
-    TypeRef common = CommonType(ctx, ta, tb);
-    return Value::Double(common, r, std::move(sym));
+    double r = op == Op::kMul ? da * db : op == Op::kDiv ? da / db : op == Op::kAdd ? da + db
+                                                                                    : da - db;
+    return Value::Double(rt, r, std::move(sym));
   }
 
-  // Shifts keep the (promoted) left type.
+  size_t size = rt->size();
   if (op == Op::kShl || op == Op::kShr) {
-    TypeRef rt = Promote(ctx, ta);
     uint64_t count = static_cast<uint64_t>(ctx.ToI64(b)) & 63;
-    uint64_t xa = MaskTo(static_cast<uint64_t>(ctx.ToI64(a)), rt->size());
+    uint64_t xa = MaskTo(static_cast<uint64_t>(ctx.ToI64(a)), size);
     uint64_t r;
     if (op == Op::kShl) {
       r = xa << count;
     } else if (rt->IsSignedInteger()) {
-      r = static_cast<uint64_t>(SignExtend(xa, rt->size()) >> count);
+      r = static_cast<uint64_t>(SignExtend(xa, size) >> count);
     } else {
       r = xa >> count;
     }
-    return Value::Int(rt, static_cast<int64_t>(MaskTo(r, rt->size())), std::move(sym));
+    return Value::Int(rt, static_cast<int64_t>(MaskTo(r, size)), std::move(sym));
   }
 
-  TypeRef common = CommonType(ctx, ta, tb);
-  size_t size = common->size();
   uint64_t xa = MaskTo(static_cast<uint64_t>(ctx.ToI64(a)), size);
   uint64_t xb = MaskTo(static_cast<uint64_t>(ctx.ToI64(b)), size);
-  bool uns = common->IsUnsignedInteger();
   uint64_t r = 0;
   switch (op) {
     case Op::kMul: r = xa * xb; break;
@@ -408,7 +611,7 @@ Value ApplyBinaryImpl(EvalContext& ctx, Op op, const Value& va, const Value& vb,
                             (sym.empty() ? "" : " in " + sym.Text()),
                         range);
       }
-      if (uns) {
+      if (rt->IsUnsignedInteger()) {
         r = op == Op::kDiv ? xa / xb : xa % xb;
       } else {
         int64_t sa = SignExtend(xa, size);
@@ -422,9 +625,9 @@ Value ApplyBinaryImpl(EvalContext& ctx, Op op, const Value& va, const Value& vb,
       break;
     }
     default:
-      TypeFail(a, b, op, range);
+      break;  // shifts were handled above
   }
-  return Value::Int(common, static_cast<int64_t>(MaskTo(r, size)), std::move(sym));
+  return Value::Int(rt, static_cast<int64_t>(MaskTo(r, size)), std::move(sym));
 }
 
 Value ApplyUnaryImpl(EvalContext& ctx, Op op, const Value& v, SourceRange range) {
@@ -436,90 +639,57 @@ Value ApplyUnaryImpl(EvalContext& ctx, Op op, const Value& v, SourceRange range)
     ctx.counters().symbolic_builds++;
     return ComposeUnary(text, v.sym());
   };
-  switch (op) {
-    case Op::kNot: {
-      bool t = ctx.Truthy(v);
-      return Value::Int(ctx.types().Int(), t ? 0 : 1, usym("!"));
+  if (op == Op::kNot) {
+    bool truth = ctx.Truthy(v);  // applies ConditionType
+    return Value::Int(ctx.types().Int(), truth ? 0 : 1, usym("!"));
+  }
+  if (op == Op::kAddrOf) {
+    Typing t = AddressType(ctx.types(), v.type(), v.is_lvalue(), v.is_bitfield());
+    if (!t) {
+      t.Throw(range);
     }
-    case Op::kPos: {
-      Value r = ctx.Rvalue(v);
-      if (r.type() == nullptr || !r.type()->IsArithmetic()) {
-        throw DuelError(ErrorKind::kType, "unary '+' needs an arithmetic operand", range);
-      }
+    return Value::Pointer(t.type(), v.addr(), usym("&"));
+  }
+  Value r = ctx.Rvalue(v);
+  Typing t = UnaryType(ctx.types(), op, r.type());
+  if (!t) {
+    t.Throw(range);
+  }
+  const TypeRef& rt = t.type();
+  switch (op) {
+    case Op::kPos:
       r.set_sym(usym("+"));
       return r;
-    }
     case Op::kNeg: {
-      Value r = ctx.Rvalue(v);
-      const TypeRef& t = r.type();
-      if (t == nullptr || !t->IsArithmetic()) {
-        throw DuelError(ErrorKind::kType, "unary '-' needs an arithmetic operand", range);
+      if (rt->IsFloating()) {
+        return Value::Double(rt, -ctx.ToF64(r), usym("-"));
       }
-      if (t->IsFloating()) {
-        return Value::Double(t, -ctx.ToF64(r), usym("-"));
-      }
-      TypeRef rt = Promote(ctx, t);
       uint64_t x = MaskTo(static_cast<uint64_t>(ctx.ToI64(r)), rt->size());
       return Value::Int(rt, static_cast<int64_t>(MaskTo(0 - x, rt->size())), usym("-"));
     }
     case Op::kBitNot: {
-      Value r = ctx.Rvalue(v);
-      const TypeRef& t = r.type();
-      if (t == nullptr || !t->IsInteger()) {
-        throw DuelError(ErrorKind::kType, "'~' needs an integer operand", range);
-      }
-      TypeRef rt = Promote(ctx, t);
       uint64_t x = static_cast<uint64_t>(ctx.ToI64(r));
       return Value::Int(rt, static_cast<int64_t>(MaskTo(~x, rt->size())), usym("~"));
     }
-    case Op::kDeref: {
-      Value r = ctx.Rvalue(v);
-      if (r.type() == nullptr || r.type()->kind() != TypeKind::kPointer) {
-        throw DuelError(ErrorKind::kType, "'*' needs a pointer operand", range);
-      }
-      const TypeRef& pointee = r.type()->target();
-      if (pointee->kind() == TypeKind::kVoid) {
-        throw DuelError(ErrorKind::kType, "cannot dereference void *", range);
-      }
-      return Value::LV(pointee, ctx.ToPtr(r), usym("*"));
-    }
-    case Op::kAddrOf: {
-      if (!v.is_lvalue()) {
-        throw DuelError(ErrorKind::kType, "'&' needs an lvalue", range);
-      }
-      if (v.is_bitfield()) {
-        throw DuelError(ErrorKind::kType, "cannot take the address of a bit-field", range);
-      }
-      return Value::Pointer(ctx.types().PointerTo(v.type()), v.addr(), usym("&"));
-    }
-    default:
-      throw DuelError(ErrorKind::kInternal, "ApplyUnary: unexpected operator");
+    default:  // kDeref
+      return Value::LV(rt, ctx.ToPtr(r), usym("*"));
   }
 }
 
 Value ApplyIndexImpl(EvalContext& ctx, const Value& base, const Value& index, SourceRange range) {
   ctx.counters().applies++;
   Value b = ctx.Rvalue(base);  // decays arrays
-  Value idx = index;
-  if (b.type() != nullptr && b.type()->IsInteger()) {
-    // C's commutative subscripting: 2[x] == x[2].
-    Value swapped = ctx.Rvalue(index);
-    if (swapped.type() != nullptr && swapped.type()->kind() == TypeKind::kPointer) {
-      idx = b;
-      b = swapped;
-    }
+  Typing t = IndexType(b.type(), RvalueTypeOf(ctx.types(), index));
+  if (!t) {
+    t.Throw(range);
   }
-  if (b.type() == nullptr || b.type()->kind() != TypeKind::kPointer) {
-    throw DuelError(ErrorKind::kType,
-                    "subscript needs an array or pointer, got " +
-                        (b.type() ? b.type()->ToString() : "<frame>"),
-                    range);
+  Value i = ctx.Rvalue(index);
+  if (b.type()->kind() != TypeKind::kPointer) {
+    std::swap(b, i);  // 2[x]
   }
-  const TypeRef& elem = b.type()->target();
-  int64_t i = ctx.ToI64(idx);
-  Addr addr = ctx.ToPtr(b) + static_cast<uint64_t>(i) * elem->size();
+  Addr addr = ctx.ToPtr(b) + static_cast<uint64_t>(ctx.ToI64(i)) * t.type()->size();
   Sym sym = ctx.sym_on() ? ComposeIndex(base.sym(), index.sym()) : Sym::None();
-  return Value::LV(elem, addr, std::move(sym));
+  return Value::LV(t.type(), addr, std::move(sym));
 }
 
 Value ApplyCastImpl(EvalContext& ctx, const TypeRef& type, const Value& v, SourceRange range) {
@@ -561,25 +731,14 @@ Value ApplyCastImpl(EvalContext& ctx, const TypeRef& type, const Value& v, Sourc
 }
 
 Value ApplyAssignImpl(EvalContext& ctx, Op op, const Value& lhs, const Value& rhs,
-                  SourceRange range) {
+                      SourceRange range) {
   ctx.counters().applies++;
   if (op == Op::kAssign) {
     ctx.Store(lhs, rhs);
   } else {
-    Op base;
-    switch (op) {
-      case Op::kMulEq: base = Op::kMul; break;
-      case Op::kDivEq: base = Op::kDiv; break;
-      case Op::kModEq: base = Op::kMod; break;
-      case Op::kAddEq: base = Op::kAdd; break;
-      case Op::kSubEq: base = Op::kSub; break;
-      case Op::kShlEq: base = Op::kShl; break;
-      case Op::kShrEq: base = Op::kShr; break;
-      case Op::kAndEq: base = Op::kBitAnd; break;
-      case Op::kXorEq: base = Op::kBitXor; break;
-      case Op::kOrEq: base = Op::kBitOr; break;
-      default:
-        throw DuelError(ErrorKind::kInternal, "ApplyAssign: unexpected operator");
+    Op base = CompoundBase(op);
+    if (!IsArithOp(base)) {
+      throw DuelError(ErrorKind::kInternal, "ApplyAssign: unexpected operator");
     }
     Value combined = ApplyBinary(ctx, base, lhs, rhs, range);
     ctx.Store(lhs, combined);
@@ -592,30 +751,28 @@ Value ApplyAssignImpl(EvalContext& ctx, Op op, const Value& lhs, const Value& rh
 
 Value ApplyIncDecImpl(EvalContext& ctx, Op op, const Value& v, SourceRange range) {
   ctx.counters().applies++;
-  if (!v.is_lvalue()) {
-    throw DuelError(ErrorKind::kType, "'++'/'--' need an lvalue", range);
+  if (Typing t = IncDecType(ctx.types(), v.type(), v.is_lvalue()); !t) {
+    t.Throw(range);
   }
   Value old = ctx.Rvalue(v);
   const TypeRef& t = old.type();
+  bool inc = op == Op::kPreInc || op == Op::kPostInc;
   Value next;
   Sym none = Sym::None();
   if (t->kind() == TypeKind::kPointer) {
     uint64_t delta = t->target()->size();
     Addr p = ctx.ToPtr(old);
-    next = Value::Pointer(t, (op == Op::kPreInc || op == Op::kPostInc) ? p + delta : p - delta,
-                          none);
+    next = Value::Pointer(t, inc ? p + delta : p - delta, none);
   } else if (t->IsFloating()) {
     double d = ctx.ToF64(old);
-    next = Value::Double(t, (op == Op::kPreInc || op == Op::kPostInc) ? d + 1 : d - 1, none);
-  } else if (t->IsInteger() || t->kind() == TypeKind::kEnum) {
-    int64_t x = ctx.ToI64(old);
-    next = Value::Int(t, (op == Op::kPreInc || op == Op::kPostInc) ? x + 1 : x - 1, none);
+    next = Value::Double(t, inc ? d + 1 : d - 1, none);
   } else {
-    throw DuelError(ErrorKind::kType, "cannot increment " + t->ToString(), range);
+    int64_t x = ctx.ToI64(old);
+    next = Value::Int(t, inc ? x + 1 : x - 1, none);
   }
   ctx.Store(v, next);
   bool pre = op == Op::kPreInc || op == Op::kPreDec;
-  const char* text = (op == Op::kPreInc || op == Op::kPostInc) ? "++" : "--";
+  const char* text = inc ? "++" : "--";
   Sym sym = Sym::None();
   if (ctx.sym_on()) {
     sym = pre ? ComposeUnary(text, v.sym())
@@ -635,70 +792,49 @@ Value ApplyIncDecImpl(EvalContext& ctx, Op op, const Value& v, SourceRange range
 // already carry a precise inner range keep it. Every apply step funnels
 // through these same wrappers, so a runtime error always carries a span.
 
-bool ApplyComparison(EvalContext& ctx, Op op, const Value& va, const Value& vb,
-                     SourceRange range) {
+namespace {
+
+template <typename F>
+auto Stamped(SourceRange range, F&& apply) {
   try {
-    return ApplyComparisonImpl(ctx, op, va, vb, range);
+    return apply();
   } catch (DuelError& e) {
     e.set_range(range);
     throw;
   }
+}
+
+}  // namespace
+
+bool ApplyComparison(EvalContext& ctx, Op op, const Value& va, const Value& vb,
+                     SourceRange range) {
+  return Stamped(range, [&] { return ApplyComparisonImpl(ctx, op, va, vb, range); });
 }
 
 Value ApplyBinary(EvalContext& ctx, Op op, const Value& va, const Value& vb,
                   SourceRange range) {
-  try {
-    return ApplyBinaryImpl(ctx, op, va, vb, range);
-  } catch (DuelError& e) {
-    e.set_range(range);
-    throw;
-  }
+  return Stamped(range, [&] { return ApplyBinaryImpl(ctx, op, va, vb, range); });
 }
 
 Value ApplyUnary(EvalContext& ctx, Op op, const Value& v, SourceRange range) {
-  try {
-    return ApplyUnaryImpl(ctx, op, v, range);
-  } catch (DuelError& e) {
-    e.set_range(range);
-    throw;
-  }
+  return Stamped(range, [&] { return ApplyUnaryImpl(ctx, op, v, range); });
 }
 
 Value ApplyIndex(EvalContext& ctx, const Value& base, const Value& index, SourceRange range) {
-  try {
-    return ApplyIndexImpl(ctx, base, index, range);
-  } catch (DuelError& e) {
-    e.set_range(range);
-    throw;
-  }
+  return Stamped(range, [&] { return ApplyIndexImpl(ctx, base, index, range); });
 }
 
 Value ApplyCast(EvalContext& ctx, const TypeRef& type, const Value& v, SourceRange range) {
-  try {
-    return ApplyCastImpl(ctx, type, v, range);
-  } catch (DuelError& e) {
-    e.set_range(range);
-    throw;
-  }
+  return Stamped(range, [&] { return ApplyCastImpl(ctx, type, v, range); });
 }
 
 Value ApplyAssign(EvalContext& ctx, Op op, const Value& lhs, const Value& rhs,
                   SourceRange range) {
-  try {
-    return ApplyAssignImpl(ctx, op, lhs, rhs, range);
-  } catch (DuelError& e) {
-    e.set_range(range);
-    throw;
-  }
+  return Stamped(range, [&] { return ApplyAssignImpl(ctx, op, lhs, rhs, range); });
 }
 
 Value ApplyIncDec(EvalContext& ctx, Op op, const Value& v, SourceRange range) {
-  try {
-    return ApplyIncDecImpl(ctx, op, v, range);
-  } catch (DuelError& e) {
-    e.set_range(range);
-    throw;
-  }
+  return Stamped(range, [&] { return ApplyIncDecImpl(ctx, op, v, range); });
 }
 
 }  // namespace duel

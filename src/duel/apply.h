@@ -1,17 +1,128 @@
 // The operator-application layer: DUEL "contains ... its own implementation
-// of the C operators" (paper, Implementation). These functions implement the
-// single-value C semantics — usual arithmetic conversions, pointer
-// arithmetic, array decay, assignment conversions — on Values. The
-// evaluation engine drives them once per combination of operand values.
+// of the C operators" (paper, Implementation), as one set of rules used at
+// two times. The static-typing half decides from operand types alone what an
+// operator yields or why it cannot apply; the checker (check.cc) calls it
+// with inferred types. The Value half (Apply*) implements the single-value C
+// semantics; it asks the typing half first and then computes, and the
+// evaluation engine drives it once per combination of operand values.
 
 #ifndef DUEL_DUEL_APPLY_H_
 #define DUEL_DUEL_APPLY_H_
+
+#include <cstdint>
+#include <string>
 
 #include "src/duel/ast.h"
 #include "src/duel/evalctx.h"
 #include "src/duel/value.h"
 
 namespace duel {
+
+// --- static typing -----------------------------------------------------------
+//
+// Pure functions of TypeRefs and the TypeTable: no Values, no target memory.
+// Operand types are rvalue types unless a rule takes an lvalue's declared
+// type. A null operand type is a frame handle, which no C operator accepts;
+// the checker never passes one, because unknown types silence every rule.
+
+// Why a typing rule rejected its operands. Each fault has one stable rule
+// name (the checker's diagnostic id) and one message (the engine's error
+// text): Typing::rule() and Typing::Message().
+enum class TypeFault : uint8_t {
+  kNone,
+  kInvalidOperands,
+  kUnaryNonArithmetic,
+  kUnaryNonInteger,
+  kDerefNonPointer,
+  kDerefVoidPointer,
+  kAddrOfRvalue,
+  kAddrOfBitfield,
+  kIndexNonPointer,
+  kNonInteger,  // an operand read as an integer or address (index, store, comparison)
+  kNoType,      // ... that is a frame handle
+  kNotCondition,
+  kIncDecRvalue,
+  kIncDecNonScalar,
+  kAssignRvalue,
+  kAssignMismatch,   // a record or array from another type
+  kAssignNonScalar,  // a void or function lvalue
+};
+
+// A typing rule's verdict: the result type, or the fault. Success neither
+// allocates nor copies a TypeRef; the message is formatted only on demand.
+// The verdict points at its operand types (or at types the TypeTable owns),
+// so it must not outlive them.
+class Typing {
+ public:
+  // Implicit, so a rule can `return t;` its result type.
+  Typing(const TypeRef& type) : type_(&type) {}
+  Typing(TypeFault fault, const target::Type* a, const target::Type* b = nullptr,
+         Op op = Op::kAdd)
+      : fault_(fault), op_(op), a_(a), b_(b) {}
+
+  explicit operator bool() const { return type_ != nullptr; }
+  const TypeRef& type() const { return *type_; }  // only when the rule held
+  TypeFault fault() const { return fault_; }
+
+  const char* rule() const;
+  std::string Message() const;
+  [[noreturn]] void Throw(SourceRange range = {}) const;  // DuelError(kType, Message())
+
+ private:
+  const TypeRef* type_ = nullptr;
+  TypeFault fault_ = TypeFault::kNone;
+  Op op_ = Op::kAdd;
+  const target::Type* a_ = nullptr;  // the operand types the message names
+  const target::Type* b_ = nullptr;
+};
+
+// Operator families: * / % + - << >> & ^ |, and < > <= >= == !=.
+bool IsArithOp(Op op);
+bool IsComparisonOp(Op op);
+// The operator a compound assignment applies (kAddEq -> kAdd); `op` itself
+// for every other operator.
+Op CompoundBase(Op op);
+
+// Integer promotion and the usual arithmetic conversions (LP64).
+const TypeRef& Promote(target::TypeTable& types, const TypeRef& t);
+const TypeRef& CommonType(target::TypeTable& types, const TypeRef& a, const TypeRef& b);
+
+// The type an lvalue of declared type `t` has as an rvalue: arrays decay to
+// a pointer to their element, functions to a pointer to themselves.
+const TypeRef& RvalueType(target::TypeTable& types, const TypeRef& t);
+// The same for a value: lvalues decay, rvalues keep their type.
+const TypeRef& RvalueTypeOf(target::TypeTable& types, const Value& v);
+
+// kIntConst (int, long or unsigned by suffix and magnitude), kCharConst,
+// kFloatConst, kStringConst.
+const TypeRef& LiteralType(target::TypeTable& types, const Node& n);
+
+// An operand read as an integer or an address (EvalContext::ToI64): any
+// scalar; yields its own type.
+Typing IntegerType(const TypeRef& t);
+
+// kNeg kPos kBitNot kNot kDeref.
+Typing UnaryType(target::TypeTable& types, Op op, const TypeRef& t);
+// &e over the declared type of e.
+Typing AddressType(target::TypeTable& types, const TypeRef& t, bool lvalue, bool bitfield);
+// Arithmetic, bitwise, shift and comparison operators; comparisons yield int.
+Typing BinaryType(target::TypeTable& types, Op op, const TypeRef& a, const TypeRef& b);
+// The type a comparison compares in: the pointer operand's type for address
+// comparisons, double for floating ones, else the common integer type.
+Typing ComparisonType(target::TypeTable& types, Op op, const TypeRef& a, const TypeRef& b);
+// e1[e2], including C's commutative 2[x]; yields the element type.
+Typing IndexType(const TypeRef& base, const TypeRef& index);
+// ++/-- over the declared type of an lvalue, including storing the result.
+Typing IncDecType(target::TypeTable& types, const TypeRef& t, bool lvalue);
+// `target = source` (EvalContext::Store's rule) or a compound `target op=
+// source`, for an lvalue of declared type `target` and a value of rvalue type
+// `source`; yields the assignment's value type.
+Typing AssignType(target::TypeTable& types, Op op, const TypeRef& target, bool lvalue,
+                  const TypeRef& source);
+// A value tested for truth must be a scalar (EvalContext::Truthy); yields int.
+Typing ConditionType(target::TypeTable& types, const TypeRef& t);
+
+// --- values ------------------------------------------------------------------
 
 // Arithmetic / bitwise / comparison binary operators (kMul..kNe and the
 // bit ops). Logical &&/|| and the ?-filters are generator-level and live in

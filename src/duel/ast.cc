@@ -47,7 +47,6 @@ const char* OpName(Op op) {
     case Op::kSizeofType: return "sizeof-type";
     case Op::kSizeofExpr: return "sizeof";
     case Op::kDecl: return "decl";
-    case Op::kFrames: return "frames";
     case Op::kIndex: return "index";
     case Op::kDeref: return "indirect";
     case Op::kAddrOf: return "address";
@@ -123,6 +122,37 @@ std::string TypeSpec::ToString() const {
     s += StrPrintf("[%zu]", d);
   }
   return s;
+}
+
+bool MutatesTarget(const Node& n) {
+  switch (n.op) {
+    case Op::kAssign:
+    case Op::kMulEq:
+    case Op::kDivEq:
+    case Op::kModEq:
+    case Op::kAddEq:
+    case Op::kSubEq:
+    case Op::kShlEq:
+    case Op::kShrEq:
+    case Op::kAndEq:
+    case Op::kXorEq:
+    case Op::kOrEq:
+    case Op::kPreInc:
+    case Op::kPreDec:
+    case Op::kPostInc:
+    case Op::kPostDec:
+    case Op::kCall:
+    case Op::kDecl:
+      return true;
+    default:
+      break;
+  }
+  for (const NodePtr& k : n.kids) {
+    if (k != nullptr && MutatesTarget(*k)) {
+      return true;
+    }
+  }
+  return false;
 }
 
 std::string DumpAst(const Node& n) {

@@ -64,7 +64,6 @@ enum class Op {
   kSizeofType,  // sizeof(type)
   kSizeofExpr,  // sizeof e
   kDecl,        // int i, *p;  (declares debugger variables as aliases)
-  kFrames,      // frames() builtin: generates the active frames (extension)
 
   // C unary operators.
   kIndex,    // e1[e2]
@@ -179,6 +178,13 @@ struct Node {
 };
 
 using NodePtr = std::unique_ptr<Node>;
+
+// True when any node in the tree can write target state: assignment in all
+// its spellings, ++/--, target calls (which can write anywhere) and
+// declarations (which allocate target space). Session-local effects — alias
+// definition with `:=` and `#` — do not count. The serve layer's read/write
+// classification and the checker's side-effect-reeval warning both ask this.
+bool MutatesTarget(const Node& n);
 
 // Renders the AST in the paper's LISP-like notation, e.g.
 //   (plus (multiply (name "a") (constant 5)) (indirect (name "b")))

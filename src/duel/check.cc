@@ -16,13 +16,6 @@ namespace {
 using target::TypeKind;
 using target::TypeRef;
 
-bool IsPtrish(const TypeRef& t) {
-  return t->kind() == TypeKind::kPointer || t->kind() == TypeKind::kArray;
-}
-
-// Pointee for pointers, element type for arrays (the decayed view).
-const TypeRef& PointeeOf(const TypeRef& t) { return t->target(); }
-
 // The record a with-scope over `t` exposes members of: a record directly,
 // or through one pointer (LookupInScope accepts both for '.' and '->').
 TypeRef RecordOf(const TypeRef& t) {
@@ -54,54 +47,6 @@ std::optional<int64_t> ConstIntOf(const Node& n) {
   }
 }
 
-Op CompoundBase(Op op) {
-  switch (op) {
-    case Op::kMulEq: return Op::kMul;
-    case Op::kDivEq: return Op::kDiv;
-    case Op::kModEq: return Op::kMod;
-    case Op::kAddEq: return Op::kAdd;
-    case Op::kSubEq: return Op::kSub;
-    case Op::kShlEq: return Op::kShl;
-    case Op::kShrEq: return Op::kShr;
-    case Op::kAndEq: return Op::kBitAnd;
-    case Op::kXorEq: return Op::kBitXor;
-    case Op::kOrEq: return Op::kBitOr;
-    default: return op;
-  }
-}
-
-bool IsArithBinary(Op op) {
-  switch (op) {
-    case Op::kMul:
-    case Op::kDiv:
-    case Op::kMod:
-    case Op::kAdd:
-    case Op::kSub:
-    case Op::kShl:
-    case Op::kShr:
-    case Op::kBitAnd:
-    case Op::kBitXor:
-    case Op::kBitOr:
-      return true;
-    default:
-      return false;
-  }
-}
-
-bool IsComparison(Op op) {
-  switch (op) {
-    case Op::kLt:
-    case Op::kGt:
-    case Op::kLe:
-    case Op::kGe:
-    case Op::kEq:
-    case Op::kNe:
-      return true;
-    default:
-      return false;
-  }
-}
-
 // Pure subtrees: literals combined by C's arithmetic/bitwise/comparison
 // operators. Generators, filters, short-circuit and control ops are excluded
 // — they shape the value *sequence*, and folding must never change how many
@@ -114,15 +59,15 @@ bool FoldableUnary(Op op) {
   return op == Op::kNeg || op == Op::kPos || op == Op::kBitNot || op == Op::kNot;
 }
 
-bool FoldableBinary(Op op) { return IsArithBinary(op) || IsComparison(op); }
+bool FoldableBinary(Op op) { return IsArithOp(op) || IsComparisonOp(op); }
 
 // What the inference walk knows about one subexpression. `type == nullptr`
 // means unknown, and unknown silences every rule that consumes it.
 struct Inf {
   TypeRef type;
   enum class Lv { kNo, kYes, kUnknown } lv = Lv::kUnknown;
-  bool many = false;          // can yield more than one value
-  bool side_effects = false;  // assignment / ++ / -- / target call inside
+  bool bitfield = false;  // a bit-field member
+  bool many = false;      // can yield more than one value
 };
 
 using Lv = Inf::Lv;
@@ -158,6 +103,24 @@ class Analyzer {
   void Warn(const Node& n, const char* rule, std::string message, std::string fixit = "") {
     notes_->check.diags.push_back(
         {Severity::kWarning, rule, n.range, std::move(message), std::move(fixit)});
+  }
+
+  // The engine's typing rules (apply.h) decide every operator's type; a rule
+  // that fails is a definite error with the engine's own text.
+  TypeRef Rule(const Node& n, const Typing& t) {
+    if (t) {
+      return t.type();
+    }
+    Error(n, t.rule(), t.Message(),
+          t.fault() == TypeFault::kDerefVoidPointer
+              ? "cast to a concrete pointer type first, e.g. (char *)"
+              : "");
+    return nullptr;
+  }
+
+  // The rvalue view of a known operand: lvalue arrays and functions decay.
+  const TypeRef& Rv(const Inf& a) {
+    return a.lv == Lv::kNo ? a.type : RvalueType(ctx_->types(), a.type);
   }
 
   // Anything the query itself can (re)define — `:=` and `#` aliases,
@@ -197,6 +160,7 @@ class Analyzer {
           Inf r;
           r.type = m->type;
           r.lv = Lv::kYes;
+          r.bitfield = m->is_bitfield;
           return r;
         }
       }
@@ -213,6 +177,7 @@ class Analyzer {
       Inf r;
       r.type = a->type();
       r.lv = a->is_lvalue() ? Lv::kYes : Lv::kNo;
+      r.bitfield = a->is_bitfield();
       return r;
     }
     if (auto v = ctx_->backend().GetTargetVariable(n.text)) {
@@ -309,8 +274,8 @@ class Analyzer {
 
   // The right operand of a product-style operator restarts for every value
   // of the left; a side effect in it runs once per left value.
-  void WarnSideEffectReEval(const Node& n, const Inf& left, const Inf& right) {
-    if (left.many && right.side_effects) {
+  void WarnSideEffectReEval(const Node& n, const Inf& left) {
+    if (left.many && MutatesTarget(*n.kids[1])) {
       Warn(*n.kids[1], "side-effect-reeval",
            StrPrintf("the right operand of '%s' is re-evaluated for every value of the "
                      "left operand and has side effects",
@@ -319,111 +284,59 @@ class Analyzer {
     }
   }
 
-  // Statically mirrors ApplyBinary's type dispatch for an arithmetic binary
-  // op. Returns the result type (null = unknown).
-  TypeRef CheckArith(const Node& n, Op op, const Inf& a, const Inf& b) {
+  // Integer `/`, `%`, `/=` or `%=` by a literal zero faults whenever it
+  // runs. Reports it and returns true. The operands are well-typed.
+  bool DividesByZero(const Node& n, const TypeRef& ta, const TypeRef& tb) {
+    bool div = n.op == Op::kDiv || n.op == Op::kDivEq;
+    bool mod = n.op == Op::kMod || n.op == Op::kModEq;
+    std::optional<int64_t> z = ConstIntOf(*n.kids[1]);
+    if ((!div && !mod) || !z.has_value() || *z != 0 || ta->IsFloating() || tb->IsFloating()) {
+      return false;
+    }
+    Error(n, "div-by-zero", std::string(div ? "division" : "modulo") + " by zero");
+    return true;
+  }
+
+  // Types `a op b` for an arithmetic, bitwise, shift or comparison operator,
+  // plus the lints that ride on the verdict: a literal zero divisor, and
+  // pointers to different types compared (legal, so a warning, as in GCC).
+  // Returns the result type (null = unknown or ill-typed).
+  TypeRef CheckBinary(const Node& n, Op op, const Inf& a, const Inf& b) {
     if (a.type == nullptr || b.type == nullptr) {
       return nullptr;
     }
-    TypeRef ta = a.type->kind() == TypeKind::kArray
-                     ? ctx_->types().PointerTo(PointeeOf(a.type))
-                     : a.type;
-    TypeRef tb = b.type->kind() == TypeKind::kArray
-                     ? ctx_->types().PointerTo(PointeeOf(b.type))
-                     : b.type;
-    auto invalid = [&]() {
-      Error(n, "invalid-operands",
-            StrPrintf("invalid operands to '%s' (%s and %s)", BinOpText(op),
-                      ta->ToString().c_str(), tb->ToString().c_str()));
-      return TypeRef();
-    };
-    if (ta->kind() == TypeKind::kPointer || tb->kind() == TypeKind::kPointer) {
-      if (op == Op::kAdd && ta->kind() == TypeKind::kPointer && tb->IsInteger()) {
-        return ta;
-      }
-      if (op == Op::kAdd && tb->kind() == TypeKind::kPointer && ta->IsInteger()) {
-        return tb;
-      }
-      if (op == Op::kSub && ta->kind() == TypeKind::kPointer && tb->IsInteger()) {
-        return ta;
-      }
-      if (op == Op::kSub && ta->kind() == TypeKind::kPointer &&
-          tb->kind() == TypeKind::kPointer) {
-        if (ta->target()->size() == 0) {
-          return invalid();
-        }
-        return ctx_->types().Long();
-      }
-      return invalid();
+    const TypeRef& ta = Rv(a);
+    const TypeRef& tb = Rv(b);
+    TypeRef r = Rule(n, BinaryType(ctx_->types(), op, ta, tb));
+    if (r == nullptr || DividesByZero(n, ta, tb)) {
+      return nullptr;
     }
-    if (!ta->IsArithmetic() || !tb->IsArithmetic()) {
-      return invalid();
+    if (IsComparisonOp(op) && ta->kind() == TypeKind::kPointer &&
+        tb->kind() == TypeKind::kPointer && ta->target()->kind() != TypeKind::kVoid &&
+        tb->target()->kind() != TypeKind::kVoid && !target::TypeEquals(ta, tb)) {
+      Warn(n, "ptr-compare-incompatible",
+           StrPrintf("incompatible pointer comparison (%s and %s)", ta->ToString().c_str(),
+                     tb->ToString().c_str()),
+           "cast one operand so both sides point at the same type");
     }
-    bool floating = ta->IsFloating() || tb->IsFloating();
-    switch (op) {
-      case Op::kMod:
-      case Op::kShl:
-      case Op::kShr:
-      case Op::kBitAnd:
-      case Op::kBitXor:
-      case Op::kBitOr:
-        if (floating) {
-          return invalid();
-        }
-        break;
-      default:
-        break;
-    }
-    if (op == Op::kDiv || op == Op::kMod) {
-      if (std::optional<int64_t> z = ConstIntOf(*n.kids[1]);
-          z.has_value() && *z == 0 && !floating) {
-        Error(n, "div-by-zero",
-              std::string(op == Op::kDiv ? "division" : "modulo") + " by zero");
-        return nullptr;
-      }
-    }
-    if (floating) {
-      return ctx_->types().Double();
-    }
-    return ta->size() >= tb->size() ? ta : tb;  // rank approximation
+    return r;
   }
 
-  void CheckComparison(const Node& n, Op op, const Inf& a, const Inf& b) {
-    if (a.type == nullptr || b.type == nullptr) {
-      return;
+  // Walks a condition: the engine tests each of its values with Truthy.
+  Inf WalkCondition(const Node& cond) {
+    Inf c = Walk(cond);
+    if (c.type != nullptr) {
+      Rule(cond, ConditionType(ctx_->types(), Rv(c)));
     }
-    TypeRef ta = a.type->kind() == TypeKind::kArray
-                     ? ctx_->types().PointerTo(PointeeOf(a.type))
-                     : a.type;
-    TypeRef tb = b.type->kind() == TypeKind::kArray
-                     ? ctx_->types().PointerTo(PointeeOf(b.type))
-                     : b.type;
-    if (ta->kind() == TypeKind::kPointer && tb->kind() == TypeKind::kPointer) {
-      if (ta->target()->kind() != TypeKind::kVoid &&
-          tb->target()->kind() != TypeKind::kVoid && !target::TypeEquals(ta, tb)) {
-        Error(n, "ptr-compare-incompatible",
-              StrPrintf("incompatible pointer comparison (%s and %s)",
-                        ta->ToString().c_str(), tb->ToString().c_str()),
-              "cast one operand so both sides point at the same type");
-      }
-      return;
-    }
-    if (ta->kind() == TypeKind::kPointer || tb->kind() == TypeKind::kPointer) {
-      return;  // pointer vs integer compares addresses at run time
-    }
-    if (!ta->IsArithmetic() || !tb->IsArithmetic()) {
-      Error(n, "invalid-operands",
-            StrPrintf("invalid operands to '%s' (%s and %s)", BinOpText(op),
-                      ta->ToString().c_str(), tb->ToString().c_str()));
-    }
+    return c;
   }
 
   // Walks a subtree the runtime only reaches conditionally; definite errors
   // found inside demote to warnings (see Error above).
-  Inf WalkConditional(const Node& n) {
+  Inf WalkConditional(const Node& n, bool condition = false) {
     bool saved = conditional_;
     conditional_ = true;
-    Inf r = Walk(n);
+    Inf r = condition ? WalkCondition(n) : Walk(n);
     conditional_ = saved;
     return r;
   }
@@ -484,32 +397,15 @@ class Analyzer {
     return std::nullopt;
   }
 
-  Inf Infer(const Node& n) {  // NOLINT(readability-function-size)
+  Inf Infer(const Node& n) {
     switch (n.op) {
       // --- leaves ----------------------------------------------------------
-      case Op::kIntConst: {
-        Inf r;
-        r.type = n.is_unsigned ? ctx_->types().ULong()
-                 : n.is_long   ? ctx_->types().Long()
-                               : ctx_->types().Int();
-        r.lv = Lv::kNo;
-        return r;
-      }
-      case Op::kCharConst: {
-        Inf r;
-        r.type = ctx_->types().Char();
-        r.lv = Lv::kNo;
-        return r;
-      }
-      case Op::kFloatConst: {
-        Inf r;
-        r.type = ctx_->types().Double();
-        r.lv = Lv::kNo;
-        return r;
-      }
+      case Op::kIntConst:
+      case Op::kCharConst:
+      case Op::kFloatConst:
       case Op::kStringConst: {
         Inf r;
-        r.type = ctx_->types().PointerTo(ctx_->types().Char());
+        r.type = LiteralType(ctx_->types(), n);
         r.lv = Lv::kNo;
         return r;
       }
@@ -526,53 +422,34 @@ class Analyzer {
         r.type = s.known ? s.subject : nullptr;
         return r;
       }
-      case Op::kFrames: {
-        Inf r;
-        r.many = true;  // one value per active frame
-        return r;
-      }
 
       // --- generators ------------------------------------------------------
       case Op::kTo:
       case Op::kToOpen:
       case Op::kToPrefix: {
-        Inf se;
         for (const NodePtr& k : n.kids) {
-          Inf i = Walk(*k);
-          se.side_effects |= i.side_effects;
+          if (Inf bound = Walk(*k); bound.type != nullptr) {
+            Rule(*k, IntegerType(Rv(bound)));
+          }
         }
         Inf r;
         r.type = ctx_->types().Int();
         r.lv = Lv::kNo;
         r.many = true;
-        r.side_effects = se.side_effects;
         return r;
       }
       case Op::kAlternate: {
         Inf a = Walk(*n.kids[0]);
         Inf b = Walk(*n.kids[1]);
-        Inf r;
-        if (a.type != nullptr && b.type != nullptr && target::TypeEquals(a.type, b.type)) {
-          r.type = a.type;
-        }
-        r.lv = a.lv == b.lv ? a.lv : Lv::kUnknown;
-        r.many = true;
-        r.side_effects = a.side_effects || b.side_effects;
-        return r;
+        return Either(a, b);
       }
-      case Op::kSequence: {
-        Inf a = Walk(*n.kids[0]);  // drained for its side effects
-        Inf b = Walk(*n.kids[1]);
-        Inf r = b;
-        r.side_effects = a.side_effects || b.side_effects;
-        return r;
-      }
+      case Op::kSequence:
+        Walk(*n.kids[0]);  // drained for its side effects
+        return Walk(*n.kids[1]);
       case Op::kImply: {
         Inf a = Walk(*n.kids[0]);
-        Inf b = Walk(*n.kids[1]);
-        Inf r = b;
-        r.many = a.many || b.many;
-        r.side_effects = a.side_effects || b.side_effects;
+        Inf r = Walk(*n.kids[1]);
+        r.many = a.many || r.many;
         return r;
       }
       case Op::kIfGt:
@@ -583,29 +460,24 @@ class Analyzer {
       case Op::kIfNe: {
         Inf a = Walk(*n.kids[0]);
         Inf b = WalkConditional(*n.kids[1]);  // runs only while the left yields
-        CheckComparison(n, FilterToComparison(n.op), a, b);
-        WarnSideEffectReEval(n, a, b);
+        CheckBinary(n, FilterToComparison(n.op), a, b);
+        WarnSideEffectReEval(n, a);
         Inf r = a;  // the filter passes its left operand through
         r.many = a.many || b.many;
-        r.side_effects = a.side_effects || b.side_effects;
         return r;
       }
       case Op::kSeqEq: {
         Inf a = Walk(*n.kids[0]);
         Inf b = Walk(*n.kids[1]);
-        CheckComparison(n, Op::kEq, a, b);
+        CheckBinary(n, Op::kEq, a, b);
         Inf r;
         r.type = ctx_->types().Int();
         r.lv = Lv::kNo;
-        r.side_effects = a.side_effects || b.side_effects;
         return r;
       }
-      case Op::kDiscard: {
-        Inf a = Walk(*n.kids[0]);
-        Inf r;
-        r.side_effects = a.side_effects;
-        return r;
-      }
+      case Op::kDiscard:
+        Walk(*n.kids[0]);
+        return {};
       case Op::kDefine: {
         if (ctx_->backend().GetTargetVariable(n.text).has_value() ||
             ctx_->backend().GetTargetFunction(n.text).has_value()) {
@@ -624,11 +496,9 @@ class Analyzer {
       case Op::kArrowWith: {
         Inf a = Walk(*n.kids[0]);
         scopes_.push_back({a.type, a.type != nullptr});
-        Inf b = Walk(*n.kids[1]);
+        Inf r = Walk(*n.kids[1]);
         scopes_.pop_back();
-        Inf r = b;
-        r.many = a.many || b.many;
-        r.side_effects = a.side_effects || b.side_effects;
+        r.many = a.many || r.many;
         return r;
       }
       case Op::kDfs:
@@ -642,11 +512,9 @@ class Analyzer {
                "turn cycle detection on, or bound the walk with '@' / '[[..n]]'");
         }
         scopes_.push_back({a.type, a.type != nullptr});
-        Inf b = Walk(*n.kids[1]);
+        Inf r = Walk(*n.kids[1]);
         scopes_.pop_back();
-        Inf r = b;
         r.many = true;
-        r.side_effects = a.side_effects || b.side_effects;
         return r;
       }
       case Op::kUntil: {
@@ -656,18 +524,14 @@ class Analyzer {
         }
         WarnAssignInCondition(*n.kids[1]);
         scopes_.push_back({a.type, a.type != nullptr});
-        Inf p = WalkConditional(*n.kids[1]);  // runs only while the left yields
+        WalkConditional(*n.kids[1], true);  // runs only while the left yields
         scopes_.pop_back();
-        Inf r = a;
-        r.side_effects = a.side_effects || p.side_effects;
-        return r;
+        return a;
       }
       case Op::kSelect: {
-        Inf a = Walk(*n.kids[0]);
-        Inf b = Walk(*n.kids[1]);
-        Inf r = a;
+        Inf r = Walk(*n.kids[0]);
+        Walk(*n.kids[1]);
         r.many = true;
-        r.side_effects = a.side_effects || b.side_effects;
         return r;
       }
 
@@ -675,25 +539,28 @@ class Analyzer {
       case Op::kCount:
       case Op::kAll:
       case Op::kAny: {
-        Inf a = Walk(*n.kids[0]);
+        if (n.op == Op::kCount) {
+          Walk(*n.kids[0]);
+        } else {
+          WalkCondition(*n.kids[0]);
+        }
         Inf r;
         r.type = ctx_->types().Int();
         r.lv = Lv::kNo;
-        r.side_effects = a.side_effects;
         return r;
       }
       case Op::kSum: {
-        Inf a = Walk(*n.kids[0]);
+        Walk(*n.kids[0]);
         Inf r;
         r.lv = Lv::kNo;
-        r.side_effects = a.side_effects;
         return r;
       }
 
       // --- control ---------------------------------------------------------
-      case Op::kIf: {
+      case Op::kIf:
+      case Op::kCond: {
         WarnAssignInCondition(*n.kids[0]);
-        Inf c = Walk(*n.kids[0]);
+        Inf c = WalkCondition(*n.kids[0]);
         Inf t = WalkConditional(*n.kids[1]);
         Inf e = n.kids.size() > 2 ? WalkConditional(*n.kids[2]) : Inf{};
         Inf r;
@@ -702,41 +569,32 @@ class Analyzer {
           r.type = t.type;
         }
         r.many = c.many || t.many || e.many;
-        r.side_effects = c.side_effects || t.side_effects || e.side_effects;
-        return r;
-      }
-      case Op::kCond: {
-        WarnAssignInCondition(*n.kids[0]);
-        Inf c = Walk(*n.kids[0]);
-        Inf t = WalkConditional(*n.kids[1]);
-        Inf e = WalkConditional(*n.kids[2]);
-        Inf r;
-        if (t.type != nullptr && e.type != nullptr && target::TypeEquals(t.type, e.type)) {
-          r.type = t.type;
-        }
-        r.many = c.many || t.many || e.many;
-        r.side_effects = c.side_effects || t.side_effects || e.side_effects;
         return r;
       }
       case Op::kWhile: {
         WarnAssignInCondition(*n.kids[0]);
-        Inf c = Walk(*n.kids[0]);
-        Inf b = WalkConditional(*n.kids[1]);
-        Inf r = b;
+        WalkCondition(*n.kids[0]);
+        Inf r = WalkConditional(*n.kids[1]);
         r.many = true;
-        r.side_effects = c.side_effects || b.side_effects;
         return r;
       }
       case Op::kFor: {
-        Inf i = Walk(*n.kids[0]);
+        Walk(*n.kids[0]);
         WarnAssignInCondition(*n.kids[1]);
-        Inf c = Walk(*n.kids[1]);
-        Inf s = WalkConditional(*n.kids[2]);
-        Inf b = WalkConditional(*n.kids[3]);
-        Inf r = b;
+        WalkCondition(*n.kids[1]);
+        WalkConditional(*n.kids[2]);
+        Inf r = WalkConditional(*n.kids[3]);
         r.many = true;
-        r.side_effects =
-            i.side_effects || c.side_effects || s.side_effects || b.side_effects;
+        return r;
+      }
+      case Op::kAndAnd:
+      case Op::kOrOr: {
+        Inf a = WalkCondition(*n.kids[0]);
+        Inf b = WalkConditional(*n.kids[1]);  // short-circuit may skip the right side
+        // `&&` yields the right operand's values; `||` yields a true left
+        // value or the right operand's values.
+        Inf r = n.op == Op::kAndAnd ? b : Either(a, b);
+        r.many = a.many || b.many;
         return r;
       }
 
@@ -745,7 +603,6 @@ class Analyzer {
         const Node& callee = *n.kids[0];
         Inf r;
         r.lv = Lv::kNo;
-        r.side_effects = true;  // a target call can mutate anything
         for (size_t i = 1; i < n.kids.size(); ++i) {
           Inf a = Walk(*n.kids[i]);
           r.many |= a.many;
@@ -761,7 +618,6 @@ class Analyzer {
           // function of that name as the stack-frame generator builtin.
           if (callee.text == "frames" && n.kids.size() == 1) {
             r.many = true;
-            r.side_effects = false;  // reads frames, mutates nothing
             return r;
           }
           Error(callee, "unknown-function", "unknown function '" + callee.text + "'");
@@ -791,22 +647,18 @@ class Analyzer {
         r.type = ResolveSpec(n);
         r.lv = Lv::kNo;
         r.many = a.many;
-        r.side_effects = a.side_effects;
         return r;
       }
-      case Op::kSizeofType: {
-        ResolveSpec(n);
-        Inf r;
-        r.type = ctx_->types().ULong();
-        r.lv = Lv::kNo;
-        return r;
-      }
+      case Op::kSizeofType:
       case Op::kSizeofExpr: {
-        Inf a = Walk(*n.kids[0]);
+        if (n.op == Op::kSizeofType) {
+          ResolveSpec(n);
+        } else {
+          Walk(*n.kids[0]);
+        }
         Inf r;
         r.type = ctx_->types().ULong();
         r.lv = Lv::kNo;
-        r.side_effects = a.side_effects;
         return r;
       }
       case Op::kDecl: {
@@ -827,101 +679,43 @@ class Analyzer {
             Error(n, "unknown-type", e.what());
           }
         }
-        Inf r;
-        r.side_effects = true;  // allocates and aliases
-        return r;
+        return {};
       }
 
       // --- C unary operators ----------------------------------------------
       case Op::kBrace:
         return Walk(*n.kids[0]);
-      case Op::kDeref: {
-        Inf a = Walk(*n.kids[0]);
-        Inf r;
-        r.lv = Lv::kYes;
-        r.side_effects = a.side_effects;
-        r.many = a.many;
-        if (a.type == nullptr) {
-          return r;
-        }
-        if (!IsPtrish(a.type)) {
-          Error(n, "deref-non-pointer", "'*' needs a pointer operand");
-          return r;
-        }
-        if (PointeeOf(a.type)->kind() == TypeKind::kVoid) {
-          Error(n, "deref-void-pointer", "cannot dereference void *",
-                "cast to a concrete pointer type first, e.g. (char *)");
-          return r;
-        }
-        r.type = PointeeOf(a.type);
-        return r;
-      }
-      case Op::kAddrOf: {
-        Inf a = Walk(*n.kids[0]);
-        Inf r;
-        r.lv = Lv::kNo;
-        r.side_effects = a.side_effects;
-        r.many = a.many;
-        if (a.lv == Lv::kNo) {
-          Error(n, "addrof-rvalue", "'&' needs an lvalue");
-          return r;
-        }
-        if (a.type != nullptr) {
-          r.type = ctx_->types().PointerTo(a.type);
-        }
-        return r;
-      }
+      case Op::kDeref:
+      case Op::kAddrOf:
       case Op::kNeg:
-      case Op::kPos: {
-        Inf a = Walk(*n.kids[0]);
-        Inf r;
-        r.lv = Lv::kNo;
-        r.side_effects = a.side_effects;
-        r.many = a.many;
-        if (a.type != nullptr && !a.type->IsArithmetic()) {
-          Error(n, "unary-non-arithmetic",
-                StrPrintf("unary '%s' needs an arithmetic operand",
-                          n.op == Op::kNeg ? "-" : "+"));
-          return r;
-        }
-        r.type = a.type;
-        return r;
-      }
-      case Op::kBitNot: {
-        Inf a = Walk(*n.kids[0]);
-        Inf r;
-        r.lv = Lv::kNo;
-        r.side_effects = a.side_effects;
-        r.many = a.many;
-        if (a.type != nullptr && !a.type->IsInteger() &&
-            a.type->kind() != TypeKind::kEnum) {
-          Error(n, "unary-non-integer", "'~' needs an integer operand");
-          return r;
-        }
-        r.type = a.type;
-        return r;
-      }
-      case Op::kNot: {
-        Inf a = Walk(*n.kids[0]);
-        Inf r;
-        r.type = ctx_->types().Int();
-        r.lv = Lv::kNo;
-        r.side_effects = a.side_effects;
-        r.many = a.many;
-        return r;
-      }
+      case Op::kPos:
+      case Op::kBitNot:
+      case Op::kNot:
       case Op::kPreInc:
       case Op::kPreDec:
       case Op::kPostInc:
       case Op::kPostDec: {
         Inf a = Walk(*n.kids[0]);
         Inf r;
-        r.lv = Lv::kNo;
-        r.side_effects = true;
+        r.lv = n.op == Op::kDeref ? Lv::kYes : Lv::kNo;
         r.many = a.many;
-        r.type = a.type;
-        if (a.lv == Lv::kNo) {
-          Error(n, "incdec-rvalue", "'++'/'--' need an lvalue");
+        if (a.type == nullptr) {
+          return r;
+        }
+        bool lvalue = a.lv != Lv::kNo;  // unknown lvalue-ness passes
+        switch (n.op) {
+          case Op::kAddrOf:
+            r.type = Rule(n, AddressType(ctx_->types(), a.type, lvalue, a.bitfield));
+            break;
+          case Op::kPreInc:
+          case Op::kPreDec:
+          case Op::kPostInc:
+          case Op::kPostDec:
+            r.type = Rule(n, IncDecType(ctx_->types(), a.type, lvalue));
+            break;
+          default:
+            r.type = Rule(n, UnaryType(ctx_->types(), n.op, Rv(a)));
+            break;
         }
         return r;
       }
@@ -931,24 +725,19 @@ class Analyzer {
         Inf r;
         r.lv = Lv::kYes;
         r.many = a.many || b.many;
-        r.side_effects = a.side_effects || b.side_effects;
         if (a.type != nullptr && a.type->kind() == TypeKind::kArray) {
           CheckArrayBounds(n, a.type);
         }
-        // C's commutative subscripting: either side may be the pointer.
-        const TypeRef& base = a.type != nullptr && IsPtrish(a.type)   ? a.type
-                              : b.type != nullptr && IsPtrish(b.type) ? b.type
-                                                                      : a.type;
-        if (a.type != nullptr && b.type != nullptr && !IsPtrish(a.type) &&
-            !IsPtrish(b.type)) {
-          TypeRef shown = a.type;
-          Error(n, "index-non-pointer",
-                "subscript needs an array or pointer, got " + shown->ToString());
+        if (a.type == nullptr) {
           return r;
         }
-        if (base != nullptr && IsPtrish(base)) {
-          r.type = PointeeOf(base);
+        // An unknown index still subscripts a known pointer: if the query
+        // runs at all, the index read as an integer.
+        const TypeRef& base = Rv(a);
+        if (b.type == nullptr && base->kind() != TypeKind::kPointer) {
+          return r;
         }
+        r.type = Rule(n, IndexType(base, b.type != nullptr ? Rv(b) : ctx_->types().Int()));
         return r;
       }
 
@@ -966,16 +755,16 @@ class Analyzer {
       case Op::kOrEq: {
         Inf a = Walk(*n.kids[0]);
         Inf b = Walk(*n.kids[1]);
-        if (a.lv == Lv::kNo) {
-          Error(n, "assign-to-rvalue", "assignment requires an lvalue");
-        } else if (n.op != Op::kAssign) {
-          CheckArith(n, CompoundBase(n.op), a, b);
-        }
         Inf r;
-        r.type = a.type;
         r.lv = Lv::kNo;
         r.many = a.many || b.many;
-        r.side_effects = true;
+        if (a.type == nullptr || b.type == nullptr) {
+          return r;
+        }
+        r.type = Rule(n, AssignType(ctx_->types(), n.op, a.type, a.lv != Lv::kNo, Rv(b)));
+        if (r.type != nullptr && DividesByZero(n, Rv(a), Rv(b))) {
+          r.type = nullptr;
+        }
         return r;
       }
 
@@ -983,47 +772,44 @@ class Analyzer {
         break;
     }
 
-    if (IsComparison(n.op)) {
+    if (IsComparisonOp(n.op)) {
       Inf a = Walk(*n.kids[0]);
       Inf b = Walk(*n.kids[1]);
-      CheckComparison(n, n.op, a, b);
-      WarnSideEffectReEval(n, a, b);
       Inf r;
-      r.type = ctx_->types().Int();
+      r.type = CheckBinary(n, n.op, a, b);
+      WarnSideEffectReEval(n, a);
       r.lv = Lv::kNo;
       r.many = a.many || b.many;
-      r.side_effects = a.side_effects || b.side_effects;
       return r;
     }
-    if (IsArithBinary(n.op)) {
+    if (IsArithOp(n.op)) {
       Inf a = Walk(*n.kids[0]);
       Inf b = Walk(*n.kids[1]);
-      WarnSideEffectReEval(n, a, b);
+      WarnSideEffectReEval(n, a);
       Inf r;
-      r.type = CheckArith(n, n.op, a, b);
+      r.type = CheckBinary(n, n.op, a, b);
       r.lv = Lv::kNo;
       r.many = a.many || b.many;
-      r.side_effects = a.side_effects || b.side_effects;
-      return r;
-    }
-    if (n.op == Op::kAndAnd || n.op == Op::kOrOr) {
-      Inf a = Walk(*n.kids[0]);
-      Inf b = WalkConditional(*n.kids[1]);  // short-circuit may skip the right side
-      Inf r;
-      r.type = ctx_->types().Int();
-      r.lv = Lv::kNo;
-      r.many = a.many || b.many;
-      r.side_effects = a.side_effects || b.side_effects;
       return r;
     }
 
     // Unhandled shape: walk the kids for their diagnostics, claim nothing.
     Inf r;
     for (const NodePtr& k : n.kids) {
-      Inf i = Walk(*k);
-      r.side_effects |= i.side_effects;
-      r.many |= i.many;
+      r.many |= Walk(*k).many;
     }
+    return r;
+  }
+
+  // A node that yields either operand's values (`,` and `||`): the type and
+  // value category both share, if they agree.
+  static Inf Either(const Inf& a, const Inf& b) {
+    Inf r;
+    if (a.type != nullptr && b.type != nullptr && target::TypeEquals(a.type, b.type)) {
+      r.type = a.type;
+    }
+    r.lv = a.lv == b.lv ? a.lv : Lv::kUnknown;
+    r.many = true;
     return r;
   }
 

@@ -10,7 +10,11 @@
 // lookup could be done at compile time using type-inference techniques."
 // The walk uses that observation twice: to reject doomed queries in
 // microseconds instead of after seconds of backend round trips, and to bind
-// each name once per plan instead of once per produced value.
+// each name once per plan instead of once per produced value. It holds no
+// operator rules of its own: every literal, unary, binary, comparison,
+// subscript, condition, ++/-- and assignment type comes from the engine's
+// typing functions (apply.h), so an operator error is reported with exactly
+// the rule and text the engine would raise.
 //
 // Soundness contract: the walk must never reject a query the engine would
 // evaluate successfully, nor bind a name the engine could resolve

@@ -42,7 +42,7 @@ void Charge(EvalContext& ctx, const Node& n) {
 
 }  // namespace
 
-std::optional<Value> EvalEngine::Eval(const Node& n) {  // NOLINT(readability-function-size)
+std::optional<Value> EvalEngine::Eval(const Node& n) {
   EvalContext& ctx = *ctx_;
   Charge(ctx, n);
   NodeState& st = StateOf(n);
@@ -711,16 +711,6 @@ std::optional<Value> EvalEngine::Eval(const Node& n) {  // NOLINT(readability-fu
       }
       st.phase = 0;
       st.extra.reset();
-      return std::nullopt;
-    }
-
-    case Op::kFrames: {
-      size_t frames = ctx.backend().NumFrames();
-      if (st.counter < frames) {
-        size_t i = st.counter++;
-        return Value::FrameHandle(i, ctx.MakeSym(StrPrintf("frame(%zu)", i), kPrecPostfix));
-      }
-      st.counter = 0;
       return std::nullopt;
     }
 

@@ -11,31 +11,22 @@ namespace duel {
 using target::TypeKind;
 
 Value ConstValue(EvalContext& ctx, const Node& n) {
+  const TypeRef& t = LiteralType(ctx.types(), n);
   switch (n.op) {
     case Op::kIntConst: {
-      TypeRef t;
-      if (n.is_unsigned) {
-        t = n.is_long || n.int_value > std::numeric_limits<uint32_t>::max()
-                ? ctx.types().ULong()
-                : ctx.types().UInt();
-      } else if (n.is_long || n.int_value > std::numeric_limits<int32_t>::max()) {
-        t = ctx.types().Long();
-      } else {
-        t = ctx.types().Int();
-      }
       Sym sym = ctx.MakeSym(
           n.is_unsigned ? StrPrintf("%llu", static_cast<unsigned long long>(n.int_value))
                         : StrPrintf("%lld", static_cast<long long>(n.int_value)));
-      return Value::Int(std::move(t), static_cast<int64_t>(n.int_value), std::move(sym));
+      return Value::Int(t, static_cast<int64_t>(n.int_value), std::move(sym));
     }
     case Op::kCharConst: {
       Sym sym = ctx.MakeSym(
           StrPrintf("'%s'", EscapeChar(static_cast<char>(n.int_value)).c_str()));
-      return Value::Int(ctx.types().Char(), static_cast<int64_t>(n.int_value), std::move(sym));
+      return Value::Int(t, static_cast<int64_t>(n.int_value), std::move(sym));
     }
     case Op::kFloatConst: {
       Sym sym = ctx.MakeSym(FormatDouble(n.float_value));
-      return Value::Double(ctx.types().Double(), n.float_value, std::move(sym));
+      return Value::Double(t, n.float_value, std::move(sym));
     }
     default:
       throw DuelError(ErrorKind::kInternal, "ConstValue on non-constant node");
@@ -45,7 +36,7 @@ Value ConstValue(EvalContext& ctx, const Node& n) {
 Value StringValue(EvalContext& ctx, const Node& n) {
   Addr addr = ctx.InternString(n.text);
   Sym sym = ctx.MakeSym("\"" + EscapeString(n.text) + "\"");
-  return Value::Pointer(ctx.types().PointerTo(ctx.types().Char()), addr, std::move(sym));
+  return Value::Pointer(LiteralType(ctx.types(), n), addr, std::move(sym));
 }
 
 Value NameValue(EvalContext& ctx, const Node& n) {
@@ -165,24 +156,13 @@ Value ApplyUnaryClass(EvalContext& ctx, const Node& n, const Value& u) {
 }
 
 Value ApplyBinaryClass(EvalContext& ctx, const Node& n, const Value& u, const Value& v) {
-  switch (n.op) {
-    case Op::kAssign:
-    case Op::kMulEq:
-    case Op::kDivEq:
-    case Op::kModEq:
-    case Op::kAddEq:
-    case Op::kSubEq:
-    case Op::kShlEq:
-    case Op::kShrEq:
-    case Op::kAndEq:
-    case Op::kXorEq:
-    case Op::kOrEq:
-      return ApplyAssign(ctx, n.op, u, v, n.range);
-    case Op::kIndex:
-      return ApplyIndex(ctx, u, v, n.range);
-    default:
-      return ApplyBinary(ctx, n.op, u, v, n.range);
+  if (n.op == Op::kAssign || CompoundBase(n.op) != n.op) {
+    return ApplyAssign(ctx, n.op, u, v, n.range);
   }
+  if (n.op == Op::kIndex) {
+    return ApplyIndex(ctx, u, v, n.range);
+  }
+  return ApplyBinary(ctx, n.op, u, v, n.range);
 }
 
 namespace {

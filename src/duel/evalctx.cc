@@ -2,6 +2,7 @@
 
 #include <cstring>
 
+#include "src/duel/apply.h"
 #include "src/support/strings.h"
 
 namespace duel {
@@ -31,12 +32,9 @@ Value EvalContext::Rvalue(const Value& v) {
       break;
   }
   const TypeRef& t = v.type();
-  if (t->kind() == TypeKind::kArray) {
-    // Array-to-pointer decay.
-    return Value::Pointer(types().PointerTo(t->target()), v.addr(), v.sym());
-  }
-  if (t->kind() == TypeKind::kFunction) {
-    return Value::Pointer(types().PointerTo(t), v.addr(), v.sym());
+  if (t->kind() == TypeKind::kArray || t->kind() == TypeKind::kFunction) {
+    // Array-to-pointer and function-to-pointer decay.
+    return Value::Pointer(RvalueType(types(), t), v.addr(), v.sym());
   }
   if (v.is_bitfield()) {
     // Load the storage unit and extract the field.
@@ -88,15 +86,12 @@ uint64_t RawBitsOf(std::span<const uint8_t> bytes) {
 
 int64_t EvalContext::ToI64(const Value& value) {
   Value v = Rvalue(value);
-  const TypeRef& t = v.type();
-  if (t == nullptr) {
-    throw DuelError(ErrorKind::kType, "value has no type");
+  if (Typing rule = IntegerType(v.type()); !rule) {
+    rule.Throw();
   }
+  const TypeRef& t = v.type();
   if (t->IsFloating()) {
     return static_cast<int64_t>(ToF64(v));
-  }
-  if (!t->IsInteger() && t->kind() != TypeKind::kEnum && t->kind() != TypeKind::kPointer) {
-    throw DuelError(ErrorKind::kType, "cannot convert " + t->ToString() + " to an integer");
   }
   uint64_t bits = RawBitsOf(v.bytes());
   size_t size = t->size();
@@ -146,25 +141,28 @@ Addr EvalContext::ToPtr(const Value& value) {
 
 bool EvalContext::Truthy(const Value& value) {
   Value v = Rvalue(value);
-  const TypeRef& t = v.type();
-  if (t->IsFloating()) {
+  if (Typing t = ConditionType(types(), v.type()); !t) {
+    t.Throw();
+  }
+  if (v.type()->IsFloating()) {
     return ToF64(v) != 0.0;
   }
-  if (t->IsInteger() || t->kind() == TypeKind::kEnum || t->kind() == TypeKind::kPointer) {
-    for (uint8_t b : v.bytes()) {
-      if (b != 0) {
-        return true;
-      }
+  for (uint8_t b : v.bytes()) {
+    if (b != 0) {
+      return true;
     }
-    return false;
   }
-  throw DuelError(ErrorKind::kType, "value of type " + t->ToString() + " is not a condition");
+  return false;
 }
 
 void EvalContext::Store(const Value& lv, const Value& rv) {
-  if (!lv.is_lvalue()) {
-    throw DuelError(ErrorKind::kType, "assignment requires an lvalue" +
-                                          (lv.sym().empty() ? "" : ": " + lv.sym().Text()));
+  if (Typing t = AssignType(types(), Op::kAssign, lv.type(), lv.is_lvalue(),
+                                RvalueTypeOf(types(), rv)); !t) {
+    std::string message = t.Message();
+    if (t.fault() == TypeFault::kAssignRvalue && !lv.sym().empty()) {
+      message += ": " + lv.sym().Text();
+    }
+    throw DuelError(ErrorKind::kType, message);
   }
   const TypeRef& t = lv.type();
   if (lv.is_bitfield()) {
@@ -178,31 +176,23 @@ void EvalContext::Store(const Value& lv, const Value& rv) {
     access_.PutBytes(lv.addr(), &unit, n);
     return;
   }
-  // Scalar conversions; records require matching types.
   if (t->IsRecord() || t->kind() == TypeKind::kArray) {
     Value v = Rvalue(rv);
-    if (!target::TypeEquals(t, v.type())) {
-      throw DuelError(ErrorKind::kType, "cannot assign " + v.type()->ToString() + " to " +
-                                            t->ToString());
-    }
     access_.PutBytes(lv.addr(), v.bytes().data(), v.bytes().size());
     return;
   }
+  // Scalar conversions.
   uint8_t buf[8];
   size_t n = t->size();
-  if (t->IsFloating()) {
-    if (t->kind() == TypeKind::kFloat) {
-      float f = static_cast<float>(ToF64(rv));
-      std::memcpy(buf, &f, sizeof(f));
-    } else {
-      double d = ToF64(rv);
-      std::memcpy(buf, &d, sizeof(d));
-    }
-  } else if (t->IsInteger() || t->kind() == TypeKind::kEnum || t->kind() == TypeKind::kPointer) {
+  if (t->kind() == TypeKind::kFloat) {
+    float f = static_cast<float>(ToF64(rv));
+    std::memcpy(buf, &f, sizeof(f));
+  } else if (t->kind() == TypeKind::kDouble) {
+    double d = ToF64(rv);
+    std::memcpy(buf, &d, sizeof(d));
+  } else {
     int64_t x = t->kind() == TypeKind::kPointer ? static_cast<int64_t>(ToU64(rv)) : ToI64(rv);
     std::memcpy(buf, &x, 8);
-  } else {
-    throw DuelError(ErrorKind::kType, "cannot assign to " + t->ToString());
   }
   access_.PutBytes(lv.addr(), buf, n);
 }

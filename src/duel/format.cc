@@ -235,8 +235,6 @@ std::string Render(const Node& n) {
       }
       return out + ")";
     }
-    case Op::kFrames:
-      return "frames()";
     case Op::kCast:
       return "(" + RenderTypeSpec(n.type_spec) + ")" + Operand(*n.kids[0], kPrecUnary);
     case Op::kSizeofType:

@@ -7,12 +7,13 @@
 // classify read-only (it would race every concurrent reader), while
 // classifying a read-only query as mutating merely serialises it.
 //
-// The verdict is a conservative AST scan for the syntactic mutators:
-// assignment in all its spellings, ++/--, target calls, and declarations
-// (which allocate target space). Every operation the analyze stage's per-node
-// side-effect inference flags is one of these, so the scan alone is the
-// whole verdict — and unlike the checker, which swallows internal errors
-// and returns partial results, it cannot stop early.
+// The verdict is duel::MutatesTarget (ast.h), a conservative AST scan for
+// the syntactic mutators: assignment in all its spellings, ++/--, target
+// calls, and declarations (which allocate target space). The checker's
+// side-effect-reeval warning asks the same predicate, so the two can never
+// disagree about what writes the target — and unlike the checker, which
+// swallows internal errors and returns partial results, the scan cannot
+// stop early.
 
 #ifndef DUEL_SERVE_CLASSIFY_H_
 #define DUEL_SERVE_CLASSIFY_H_
@@ -27,12 +28,9 @@ enum class QueryClass {
   kMutating,  // may write/alloc/call into the target: takes the writer lock
 };
 
-// The syntactic half: true when any node in the tree can mutate target
-// state. Session-local effects (alias definition via `:=`, `#`) do not
-// count — each session is single-threaded, so its alias table is private.
-bool AstMutatesTarget(const Node& n);
-
-// The verdict for a compiled plan: the AST scan over its parsed tree.
+// The verdict for a compiled plan: MutatesTarget over its parsed tree.
+// Session-local effects (alias definition via `:=`, `#`) do not count — each
+// session is single-threaded, so its alias table is private.
 QueryClass Classify(const CompiledQuery& plan);
 
 }  // namespace duel::serve

@@ -227,7 +227,7 @@ const TypeRef& TypeTable::Basic(TypeKind k) const {
   return basics_[static_cast<int>(k)];
 }
 
-TypeRef TypeTable::PointerTo(const TypeRef& t) {
+const TypeRef& TypeTable::PointerTo(const TypeRef& t) {
   std::lock_guard<std::mutex> lock(derived_mu_);
   auto it = pointers_.find(t.get());
   if (it != pointers_.end()) {
@@ -237,9 +237,7 @@ TypeRef TypeTable::PointerTo(const TypeRef& t) {
   p->size_ = 8;
   p->align_ = 8;
   p->target_ = t;
-  TypeRef ref(p);
-  pointers_.emplace(t.get(), ref);
-  return ref;
+  return pointers_.emplace(t.get(), TypeRef(p)).first->second;
 }
 
 TypeRef TypeTable::ArrayOf(const TypeRef& elem, size_t count) {

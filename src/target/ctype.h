@@ -169,8 +169,9 @@ class TypeTable {
   // so they are the only ones that are thread-safe: concurrent read-only
   // queries of the serve layer intern pointer/array types while sharing one
   // image under a reader lock. Everything else (Declare/Define/Complete)
-  // still requires external exclusion.
-  TypeRef PointerTo(const TypeRef& t);
+  // still requires external exclusion. PointerTo returns the table's own
+  // interned reference, valid for the table's lifetime.
+  const TypeRef& PointerTo(const TypeRef& t);
   TypeRef ArrayOf(const TypeRef& elem, size_t count);
   TypeRef Function(const TypeRef& ret, std::vector<Param> params, bool variadic);
 

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include "src/duel/parser.h"
+#include "src/support/strings.h"
 #include "tests/duel_test_util.h"
 
 namespace duel {
@@ -93,7 +95,7 @@ TEST_F(CheckTest, CallNonFunction) {
 
 TEST_F(CheckTest, IncompatiblePointerComparison) {
   Diag d = One("p == q");
-  EXPECT_EQ(d.severity, Severity::kError);
+  EXPECT_EQ(d.severity, Severity::kWarning);
   EXPECT_EQ(d.rule, "ptr-compare-incompatible");
   // Same pointee type or void* stays legal.
   EXPECT_TRUE(Diags("p == p2").empty());
@@ -213,6 +215,98 @@ TEST_F(CheckTest, UnknownTypesStaySilent) {
   EXPECT_TRUE(Diags("x := i; *x != 0").empty() || true);  // alias-typed: no crash
   EXPECT_TRUE(Diags("frames() >? 0").empty());
   EXPECT_TRUE(Diags("arr[..10] >? 0").empty());
+}
+
+// --- one set of operator rules: the checker agrees with the engine ---------
+
+// One global per type kind. Every value is nonzero, so no query divides by
+// zero at run time.
+void BuildTypeMatrix(DuelFixture& fx) {
+  target::ImageBuilder b(fx.image());
+  target::TypeRef pt = b.Struct("pt").Field("a", b.Int()).Field("b", b.Int()).Build();
+  target::TypeRef color =
+      fx.image().types().DefineEnum("color", {{"RED", 0}, {"GREEN", 1}, {"BLUE", 2}});
+  b.PokeI8(b.Global("ch", b.Char()), 3);
+  b.PokeI32(b.Global("i", b.Int()), 5);
+  b.PokeI32(b.Global("u", b.UInt()), 7);
+  b.PokeI64(b.Global("l", b.Long()), 9);
+  b.PokeFloat(b.Global("f", b.Float()), 1.5f);
+  b.PokeDouble(b.Global("d", b.Double()), 2.5);
+  b.PokeScalar(b.Global("c", color), color, 2);
+  target::Addr s = b.Global("s", pt);
+  b.PokeI32(s, 1);
+  b.PokeI32(s + 4, 2);
+  b.PokePtr(b.Global("p", b.Ptr(pt)), s);
+  b.PokePtr(b.Global("vp", b.Ptr(fx.image().types().Void())), s);
+  scenarios::BuildIntArray(fx.image(), "x", {1, 2, 3, 4});
+}
+
+// The engine's verdict over a bare parse: its type-error text, or "" when
+// the query evaluates (or fails in some other way).
+std::string EngineTypeError(DuelFixture& fx, const std::string& query) {
+  EvalContext ctx(fx.backend(), EvalOptions{});
+  Parser parser(query);
+  ParseResult parsed = parser.Parse();
+  EvalEngine engine(ctx);
+  try {
+    engine.Start(*parsed.root, parsed.num_nodes);
+    while (engine.Next().has_value()) {
+    }
+  } catch (const DuelError& e) {
+    if (e.kind() == ErrorKind::kType) {
+      return e.what();
+    }
+  }
+  return "";
+}
+
+// The checker's verdict: its first hard error's text, or "".
+std::string CheckerError(DuelFixture& fx, const std::string& query) {
+  for (const Diag& d : fx.session().Check(query).diags) {
+    if (d.severity == Severity::kError) {
+      return d.message;
+    }
+  }
+  return "";
+}
+
+TEST_F(CheckTest, VerdictMatchesEngineOnTypeMatrix) {
+  const std::vector<std::string> operands = {"ch", "i", "u",  "l", "f", "d",
+                                             "c",  "p", "vp", "x", "s"};
+  std::vector<std::string> queries;
+  for (const std::string& a : operands) {
+    for (const char* form : {"-%s", "+%s", "~%s", "!%s", "*%s", "&%s", "%s++", "--%s",
+                             "%s && 1", "%s || 1", "if (%s) 1", "%s ? 1 : 2", "&&/%s"}) {
+      queries.push_back(StrPrintf(form, a.c_str()));
+    }
+    for (const std::string& b : operands) {
+      for (const char* op : {"+", "-", "*", "%", "<<", "&", "<", "==", "=", "+="}) {
+        queries.push_back(a + " " + op + " " + b);
+      }
+      queries.push_back(a + "[" + b + "]");
+    }
+  }
+  // Adding a struct makes both sides name the left operand's type, so these
+  // pin the inferred result types of literals and operators.
+  for (const char* e : {"1u", "4000000000", "'a'", "2.5", "-ch", "+ch", "~c", "!d", "ch + ch",
+                        "f * f", "u + l", "i + u", "l << i", "p - p", "x + 1", "&x", "c[x]",
+                        "i && d", "i = f", "ch++"}) {
+    queries.push_back(StrPrintf("(%s) + s", e));
+  }
+
+  std::vector<std::string> mismatches;
+  for (const std::string& q : queries) {
+    DuelFixture fx;  // fresh per query: assignments and ++ write the globals
+    BuildTypeMatrix(fx);
+    std::string checker = CheckerError(fx, q);
+    std::string engine = EngineTypeError(fx, q);
+    if (checker != engine) {
+      mismatches.push_back("`" + q + "`: checker \"" + checker + "\", engine \"" + engine + "\"");
+    }
+  }
+  EXPECT_TRUE(mismatches.empty()) << mismatches.size() << " of " << queries.size()
+                                  << " queries disagree:\n"
+                                  << Join(mismatches, "\n");
 }
 
 // --- reject before BeginQuery: no target data is ever touched --------------

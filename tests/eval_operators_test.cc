@@ -71,6 +71,19 @@ TEST_P(OperatorTest, PaperSyntaxSectionExamples) {
   EXPECT_EQ(values, (std::vector<std::string>{"8", "9", "10", "16", "17", "18"}));
 }
 
+// Enum operands promote like the C integers they are, for `~` and as the
+// integer side of C's commutative subscript.
+TEST_P(OperatorTest, EnumOperandsPromoteLikeIntegers) {
+  target::TypeRef color =
+      fx_.image().types().DefineEnum("color", {{"RED", 0}, {"GREEN", 1}, {"BLUE", 2}});
+  target::ImageBuilder b(fx_.image());
+  b.PokeScalar(b.Global("c", color), color, 2);
+  scenarios::BuildIntArray(fx_.image(), "x", {4, 9, 2, 8});
+  EXPECT_EQ(fx_.One("~c"), "~c = -3");
+  EXPECT_EQ(fx_.One("c[x]"), "c[x] = 2");
+  EXPECT_EQ(fx_.One("GREEN[x]"), "GREEN[x] = 9");
+}
+
 TEST_P(OperatorTest, FilterYieldsLeftOperand) {
   scenarios::BuildIntArray(fx_.image(), "x", {4, 9, 2, 8});
   EXPECT_EQ(fx_.Lines("x[..4] >? 5"), (std::vector<std::string>{"x[1] = 9", "x[3] = 8"}));
