@@ -85,7 +85,7 @@ Sym BinSym(EvalContext& ctx, Op op, const Value& a, const Value& b) {
     return Sym::None();
   }
   ctx.counters().symbolic_builds++;
-  return ComposeBinary(a.sym(), BinOpText(op), b.sym(), BinOpPrec(op));
+  return ComposeBinary(a.sym(), op, b.sym());
 }
 
 }  // namespace
@@ -126,7 +126,7 @@ std::string Typing::Message() const {
     if (*p != '%') {
       out += *p;
     } else if (*++p == 'o') {
-      out += BinOpText(op_);
+      out += Info(op_).spelling;
     } else {
       out += TypeText(*p == 'a' ? a_ : b_);
     }
@@ -136,54 +136,6 @@ std::string Typing::Message() const {
 
 void Typing::Throw(SourceRange range) const {
   throw DuelError(ErrorKind::kType, Message(), range);
-}
-
-bool IsArithOp(Op op) {
-  switch (op) {
-    case Op::kMul:
-    case Op::kDiv:
-    case Op::kMod:
-    case Op::kAdd:
-    case Op::kSub:
-    case Op::kShl:
-    case Op::kShr:
-    case Op::kBitAnd:
-    case Op::kBitXor:
-    case Op::kBitOr:
-      return true;
-    default:
-      return false;
-  }
-}
-
-bool IsComparisonOp(Op op) {
-  switch (op) {
-    case Op::kLt:
-    case Op::kGt:
-    case Op::kLe:
-    case Op::kGe:
-    case Op::kEq:
-    case Op::kNe:
-      return true;
-    default:
-      return false;
-  }
-}
-
-Op CompoundBase(Op op) {
-  switch (op) {
-    case Op::kMulEq: return Op::kMul;
-    case Op::kDivEq: return Op::kDiv;
-    case Op::kModEq: return Op::kMod;
-    case Op::kAddEq: return Op::kAdd;
-    case Op::kSubEq: return Op::kSub;
-    case Op::kShlEq: return Op::kShl;
-    case Op::kShrEq: return Op::kShr;
-    case Op::kAndEq: return Op::kBitAnd;
-    case Op::kXorEq: return Op::kBitXor;
-    case Op::kOrEq: return Op::kBitOr;
-    default: return op;
-  }
 }
 
 const TypeRef& Promote(target::TypeTable& types, const TypeRef& t) {
@@ -393,7 +345,7 @@ Typing AssignType(target::TypeTable& types, Op op, const TypeRef& target, bool l
                   const TypeRef& source) {
   if (op != Op::kAssign) {
     // op= applies its operator, then stores the result like `=`.
-    Typing t = BinaryType(types, CompoundBase(op), RvalueType(types, target), source);
+    Typing t = BinaryType(types, Info(op).base, RvalueType(types, target), source);
     if (!t) {
       return t;
     }
@@ -424,92 +376,6 @@ Typing ConditionType(target::TypeTable& types, const TypeRef& t) {
 }
 
 // --- values --------------------------------------------------------------------
-
-const char* BinOpText(Op op) {
-  switch (op) {
-    case Op::kMul: return "*";
-    case Op::kDiv: return "/";
-    case Op::kMod: return "%";
-    case Op::kAdd: return "+";
-    case Op::kSub: return "-";
-    case Op::kShl: return "<<";
-    case Op::kShr: return ">>";
-    case Op::kLt: return "<";
-    case Op::kGt: return ">";
-    case Op::kLe: return "<=";
-    case Op::kGe: return ">=";
-    case Op::kEq: return "==";
-    case Op::kNe: return "!=";
-    case Op::kBitAnd: return "&";
-    case Op::kBitXor: return "^";
-    case Op::kBitOr: return "|";
-    case Op::kAndAnd: return "&&";
-    case Op::kOrOr: return "||";
-    case Op::kAssign: return "=";
-    case Op::kMulEq: return "*=";
-    case Op::kDivEq: return "/=";
-    case Op::kModEq: return "%=";
-    case Op::kAddEq: return "+=";
-    case Op::kSubEq: return "-=";
-    case Op::kShlEq: return "<<=";
-    case Op::kShrEq: return ">>=";
-    case Op::kAndEq: return "&=";
-    case Op::kXorEq: return "^=";
-    case Op::kOrEq: return "|=";
-    case Op::kIfGt: return ">?";
-    case Op::kIfLt: return "<?";
-    case Op::kIfGe: return ">=?";
-    case Op::kIfLe: return "<=?";
-    case Op::kIfEq: return "==?";
-    case Op::kIfNe: return "!=?";
-    case Op::kSeqEq: return "===";
-    default: return "?";
-  }
-}
-
-int BinOpPrec(Op op) {
-  switch (op) {
-    case Op::kMul:
-    case Op::kDiv:
-    case Op::kMod: return kPrecMul;
-    case Op::kAdd:
-    case Op::kSub: return kPrecAdd;
-    case Op::kShl:
-    case Op::kShr: return kPrecShift;
-    case Op::kLt:
-    case Op::kGt:
-    case Op::kLe:
-    case Op::kGe:
-    case Op::kIfLt:
-    case Op::kIfGt:
-    case Op::kIfLe:
-    case Op::kIfGe: return kPrecRel;
-    case Op::kEq:
-    case Op::kNe:
-    case Op::kIfEq:
-    case Op::kIfNe:
-    case Op::kSeqEq: return kPrecEq;
-    case Op::kBitAnd: return kPrecBitAnd;
-    case Op::kBitXor: return kPrecBitXor;
-    case Op::kBitOr: return kPrecBitOr;
-    case Op::kAndAnd: return kPrecAndAnd;
-    case Op::kOrOr: return kPrecOrOr;
-    default: return kPrecAssign;
-  }
-}
-
-Op FilterToComparison(Op op) {
-  switch (op) {
-    case Op::kIfGt: return Op::kGt;
-    case Op::kIfLt: return Op::kLt;
-    case Op::kIfGe: return Op::kGe;
-    case Op::kIfLe: return Op::kLe;
-    case Op::kIfEq: return Op::kEq;
-    case Op::kIfNe: return Op::kNe;
-    default:
-      throw DuelError(ErrorKind::kInternal, "FilterToComparison on non-filter");
-  }
-}
 
 bool ApplyComparisonImpl(EvalContext& ctx, Op op, const Value& va, const Value& vb,
                          SourceRange range) {
@@ -632,23 +498,23 @@ Value ApplyBinaryImpl(EvalContext& ctx, Op op, const Value& va, const Value& vb,
 
 Value ApplyUnaryImpl(EvalContext& ctx, Op op, const Value& v, SourceRange range) {
   ctx.counters().applies++;
-  auto usym = [&](const char* text) {
+  auto usym = [&] {
     if (!ctx.sym_on()) {
       return Sym::None();
     }
     ctx.counters().symbolic_builds++;
-    return ComposeUnary(text, v.sym());
+    return ComposeUnary(op, v.sym());
   };
   if (op == Op::kNot) {
     bool truth = ctx.Truthy(v);  // applies ConditionType
-    return Value::Int(ctx.types().Int(), truth ? 0 : 1, usym("!"));
+    return Value::Int(ctx.types().Int(), truth ? 0 : 1, usym());
   }
   if (op == Op::kAddrOf) {
     Typing t = AddressType(ctx.types(), v.type(), v.is_lvalue(), v.is_bitfield());
     if (!t) {
       t.Throw(range);
     }
-    return Value::Pointer(t.type(), v.addr(), usym("&"));
+    return Value::Pointer(t.type(), v.addr(), usym());
   }
   Value r = ctx.Rvalue(v);
   Typing t = UnaryType(ctx.types(), op, r.type());
@@ -658,21 +524,21 @@ Value ApplyUnaryImpl(EvalContext& ctx, Op op, const Value& v, SourceRange range)
   const TypeRef& rt = t.type();
   switch (op) {
     case Op::kPos:
-      r.set_sym(usym("+"));
+      r.set_sym(usym());
       return r;
     case Op::kNeg: {
       if (rt->IsFloating()) {
-        return Value::Double(rt, -ctx.ToF64(r), usym("-"));
+        return Value::Double(rt, -ctx.ToF64(r), usym());
       }
       uint64_t x = MaskTo(static_cast<uint64_t>(ctx.ToI64(r)), rt->size());
-      return Value::Int(rt, static_cast<int64_t>(MaskTo(0 - x, rt->size())), usym("-"));
+      return Value::Int(rt, static_cast<int64_t>(MaskTo(0 - x, rt->size())), usym());
     }
     case Op::kBitNot: {
       uint64_t x = static_cast<uint64_t>(ctx.ToI64(r));
-      return Value::Int(rt, static_cast<int64_t>(MaskTo(~x, rt->size())), usym("~"));
+      return Value::Int(rt, static_cast<int64_t>(MaskTo(~x, rt->size())), usym());
     }
     default:  // kDeref
-      return Value::LV(rt, ctx.ToPtr(r), usym("*"));
+      return Value::LV(rt, ctx.ToPtr(r), usym());
   }
 }
 
@@ -694,10 +560,7 @@ Value ApplyIndexImpl(EvalContext& ctx, const Value& base, const Value& index, So
 
 Value ApplyCastImpl(EvalContext& ctx, const TypeRef& type, const Value& v, SourceRange range) {
   ctx.counters().applies++;
-  Sym sym = ctx.sym_on()
-                ? Sym::Plain("(" + type->ToString() + ")" + v.sym().TextAsOperand(kPrecUnary),
-                             kPrecUnary)
-                : Sym::None();
+  Sym sym = ctx.sym_on() ? ComposeCast(type->ToString(), v.sym()) : Sym::None();
   if (type->kind() == TypeKind::kVoid) {
     return Value::RV(type, nullptr, 0, std::move(sym));
   }
@@ -736,7 +599,7 @@ Value ApplyAssignImpl(EvalContext& ctx, Op op, const Value& lhs, const Value& rh
   if (op == Op::kAssign) {
     ctx.Store(lhs, rhs);
   } else {
-    Op base = CompoundBase(op);
+    Op base = Info(op).base;
     if (!IsArithOp(base)) {
       throw DuelError(ErrorKind::kInternal, "ApplyAssign: unexpected operator");
     }
@@ -772,14 +635,8 @@ Value ApplyIncDecImpl(EvalContext& ctx, Op op, const Value& v, SourceRange range
   }
   ctx.Store(v, next);
   bool pre = op == Op::kPreInc || op == Op::kPreDec;
-  const char* text = inc ? "++" : "--";
-  Sym sym = Sym::None();
-  if (ctx.sym_on()) {
-    sym = pre ? ComposeUnary(text, v.sym())
-              : Sym::Plain(v.sym().TextAsOperand(kPrecPostfix) + text, kPrecPostfix);
-  }
   Value result = pre ? next : old;
-  result.set_sym(std::move(sym));
+  result.set_sym(ctx.sym_on() ? ComposeUnary(op, v.sym()) : Sym::None());
   return result;
 }
 

@@ -5,6 +5,9 @@
 // with inferred types. The Value half (Apply*) implements the single-value C
 // semantics; it asks the typing half first and then computes, and the
 // evaluation engine drives it once per combination of operand values.
+// Operator facts — which ops are arithmetic or comparisons, the operator a
+// compound assignment or filter applies, how an op is spelled — are reads of
+// the operator table in ast.h.
 
 #ifndef DUEL_DUEL_APPLY_H_
 #define DUEL_DUEL_APPLY_H_
@@ -76,13 +79,6 @@ class Typing {
   const target::Type* b_ = nullptr;
 };
 
-// Operator families: * / % + - << >> & ^ |, and < > <= >= == !=.
-bool IsArithOp(Op op);
-bool IsComparisonOp(Op op);
-// The operator a compound assignment applies (kAddEq -> kAdd); `op` itself
-// for every other operator.
-Op CompoundBase(Op op);
-
 // Integer promotion and the usual arithmetic conversions (LP64).
 const TypeRef& Promote(target::TypeTable& types, const TypeRef& t);
 const TypeRef& CommonType(target::TypeTable& types, const TypeRef& a, const TypeRef& b);
@@ -148,14 +144,6 @@ Value ApplyAssign(EvalContext& ctx, Op op, const Value& lhs, const Value& rhs,
 
 // kPreInc kPreDec kPostInc kPostDec.
 Value ApplyIncDec(EvalContext& ctx, Op op, const Value& v, SourceRange range);
-
-// Concrete-syntax spelling of a binary operator ("+", "=="), for symbolic
-// values; nullptr if the op has none.
-const char* BinOpText(Op op);
-int BinOpPrec(Op op);
-
-// Maps a filter operator (kIfGt...) to its underlying comparison (kGt...).
-Op FilterToComparison(Op op);
 
 }  // namespace duel
 

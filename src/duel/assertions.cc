@@ -9,22 +9,24 @@ AssertionOutcome CheckAssertion(Session& session, const std::string& name,
   AssertionOutcome out;
   out.name = name;
   out.expr = expr;
-  QueryResult r = session.Query(expr);
+  // Which values are false, by C's rule (EvalContext::Truthy).
+  std::vector<size_t> falsy;
+  size_t index = 0;
+  QueryResult r = session.Query(expr, [&](const Value& v) {
+    if (!session.context().Truthy(v)) {
+      falsy.push_back(index);
+    }
+    ++index;
+  });
   if (!r.ok) {
     out.holds = false;
     out.failures.push_back(r.error);
     return out;
   }
-  out.holds = true;
+  out.holds = falsy.empty();
   out.values_checked = r.value_count;
-  for (size_t i = 0; i < r.entries.size(); ++i) {
-    const ResultEntry& e = r.entries[i];
-    if (e.value == "0" || e.value == "false" || e.value == "0x0" || e.value == "'\\0'") {
-      out.holds = false;
-      if (out.failures.size() < max_failures) {
-        out.failures.push_back(r.lines[i]);
-      }
-    }
+  for (size_t i = 0; i < falsy.size() && i < max_failures; ++i) {
+    out.failures.push_back(r.lines[falsy[i]]);
   }
   return out;
 }

@@ -8,7 +8,8 @@
 // their use."
 //
 // An assertion is a named DUEL expression. It HOLDS when evaluation succeeds
-// and every produced value is non-zero (the universal reading: an empty
+// and every produced value is true by C's rule, EvalContext::Truthy: not
+// zero, not a null pointer, not -0.0 (the universal reading: an empty
 // sequence holds vacuously — write `#/e != 0` to demand existence). The
 // paper's example is simply:   x[..n+1] > 0
 

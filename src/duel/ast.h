@@ -6,14 +6,23 @@
 // while), aliases, and all of C's operators. The paper specifies ASTs in a
 // LISP-like notation — DumpAst() renders exactly that, and the parser tests
 // golden-match it.
+//
+// Every fact about an operator lives in one row of the operator table
+// (Info(op)): its DumpAst name, its DUEL spelling and source token, its
+// precedence, its evaluation family and its base operator. The parser, the
+// symbolic-value composers (value.h), the typing rules (apply.h) and the
+// engine's dispatch all read that row; none keeps its own list.
 
 #ifndef DUEL_DUEL_AST_H_
 #define DUEL_DUEL_AST_H_
 
+#include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "src/duel/token.h"
 #include "src/support/error.h"
 #include "src/target/ctype.h"
 
@@ -113,7 +122,83 @@ enum class Op {
   kOrEq,
 };
 
-const char* OpName(Op op);
+// The number of operators: Op::kOrEq is the last enumerator.
+inline constexpr size_t kNumOps = static_cast<size_t>(Op::kOrEq) + 1;
+
+// Precedence levels of the concrete syntax, loosest first (higher binds
+// tighter). The parser's binary levels are kPrecOrOr..kPrecMul, with the
+// range level between relational and shift; symbolic values parenthesize by
+// the same numbers.
+enum Prec : uint8_t {
+  kPrecSeq = 0,
+  kPrecAlt = 1,
+  kPrecImply = 2,
+  kPrecAssign = 3,
+  kPrecCond = 4,
+  kPrecOrOr = 5,
+  kPrecAndAnd = 6,
+  kPrecBitOr = 7,
+  kPrecBitXor = 8,
+  kPrecBitAnd = 9,
+  kPrecEq = 10,
+  kPrecRel = 11,
+  kPrecRange = 12,
+  kPrecShift = 13,
+  kPrecAdd = 14,
+  kPrecMul = 15,
+  kPrecUnary = 16,
+  kPrecPostfix = 17,
+  kPrecPrimary = 18,
+};
+
+// How the engine sequences an operator's operands (eval_sm.cc pre-dispatches
+// on the family; only structured operators reach its per-op switch).
+enum class OpFamily : uint8_t {
+  kMapUnary,       // one operand; one output per input
+  kBinaryProduct,  // nested product over two operands
+  kFilter,         // product; yields the LEFT operand when the comparison holds
+  kStructured,     // operator-specific sequencing (generators, control, scopes)
+};
+
+struct OpInfo {
+  Op op;                 // the row's own operator (the table is indexed by it)
+  const char* name;      // DumpAst name, e.g. "multiply"
+  const char* spelling;  // DUEL spelling, e.g. "*" ("" for leaves and casts)
+  Tok tok;               // the token the parser reads it from (kEnd: none)
+  Prec prec;             // the precedence an expression with this root has
+  OpFamily family;
+  Op base;  // the operator it applies: kAddEq -> kAdd, kIfGt -> kGt; else itself
+};
+
+extern const OpInfo kOpTable[kNumOps];
+
+inline const OpInfo& Info(Op op) { return kOpTable[static_cast<size_t>(op)]; }
+inline const char* OpName(Op op) { return Info(op).name; }
+
+// Families read off the row: C's arithmetic/bitwise/shift operators and its
+// comparisons are the binary products at those precedence levels, and the
+// assignments (plain and compound) are the ones at assignment level.
+inline bool IsComparisonOp(Op op) {
+  const OpInfo& i = Info(op);
+  return i.family == OpFamily::kBinaryProduct && (i.prec == kPrecRel || i.prec == kPrecEq);
+}
+inline bool IsArithOp(Op op) {
+  const OpInfo& i = Info(op);
+  return i.family == OpFamily::kBinaryProduct && i.prec >= kPrecBitOr && i.prec <= kPrecMul &&
+         !IsComparisonOp(op);
+}
+inline bool IsAssignOp(Op op) {
+  const OpInfo& i = Info(op);
+  return i.family == OpFamily::kBinaryProduct && i.prec == kPrecAssign;
+}
+
+// Where the parser finds an operator: the one whose row has token `t` in
+// infix (kPrecOrOr..kPrecMul, the range level aside), assignment, prefix or
+// postfix position. nullopt when `t` is no such operator.
+std::optional<Op> InfixOp(Tok t);
+std::optional<Op> AssignOp(Tok t);
+std::optional<Op> PrefixOp(Tok t);
+std::optional<Op> PostfixOp(Tok t);
 
 // A syntactic type name, resolved against the debugger's type tables at
 // evaluation time (DUEL type-checks during evaluation, not compilation).

@@ -279,7 +279,7 @@ class Analyzer {
       Warn(*n.kids[1], "side-effect-reeval",
            StrPrintf("the right operand of '%s' is re-evaluated for every value of the "
                      "left operand and has side effects",
-                     BinOpText(n.op)),
+                     Info(n.op).spelling),
            "hoist the side effect into an alias (name := expr) before the operator");
     }
   }
@@ -460,7 +460,7 @@ class Analyzer {
       case Op::kIfNe: {
         Inf a = Walk(*n.kids[0]);
         Inf b = WalkConditional(*n.kids[1]);  // runs only while the left yields
-        CheckBinary(n, FilterToComparison(n.op), a, b);
+        CheckBinary(n, Info(n.op).base, a, b);
         WarnSideEffectReEval(n, a);
         Inf r = a;  // the filter passes its left operand through
         r.many = a.many || b.many;
@@ -506,9 +506,9 @@ class Analyzer {
         Inf a = Walk(*n.kids[0]);
         if (!ctx_->opts().cycle_detect) {
           Warn(n, "unbounded-walk",
-               std::string("'") + (n.op == Op::kDfs ? "-->" : "-->>") +
-                   "' expansion with cycle detection off may not terminate on cyclic "
-                   "structures",
+               StrPrintf("'%s' expansion with cycle detection off may not terminate on "
+                         "cyclic structures",
+                         Info(n.op).spelling),
                "turn cycle detection on, or bound the walk with '@' / '[[..n]]'");
         }
         scopes_.push_back({a.type, a.type != nullptr});

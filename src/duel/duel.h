@@ -18,7 +18,6 @@
 #include "src/dbg/backend.h"
 #include "src/duel/ast.h"
 #include "src/duel/eval.h"
-#include "src/duel/format.h"
 #include "src/duel/output.h"
 #include "src/duel/parser.h"
 #include "src/duel/session.h"

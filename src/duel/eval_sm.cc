@@ -40,6 +40,17 @@ void Charge(EvalContext& ctx, const Node& n) {
   }
 }
 
+// The `{e}` display override: the value's formatted text becomes its
+// symbolic. Reductions and `sizeof e` give their results the same symbolic,
+// so an expression built on one still re-parses: `#/x[..10] + 1` prints as
+// `10+1 = 11`, not `+1 = 11`.
+Value ValueAsSym(EvalContext& ctx, Value v) {
+  if (ctx.sym_on()) {
+    v.set_sym(Sym::Plain(FormatValue(ctx, v)));
+  }
+  return v;
+}
+
 }  // namespace
 
 std::optional<Value> EvalEngine::Eval(const Node& n) {
@@ -58,17 +69,17 @@ std::optional<Value> EvalEngine::Eval(const Node& n) {
     return std::nullopt;
   }
 
-  // Generic operator families are sequenced by one block per family
-  // (ClassifyOp, eval_util.h); only structured operators reach the op switch
-  // below.
-  switch (ClassifyOp(n.op)) {
-    case OpClass::kMapUnary: {
+  // Generic operator families are sequenced by one block per family (the
+  // operator table's OpFamily, ast.h); only structured operators reach the op
+  // switch below.
+  switch (Info(n.op).family) {
+    case OpFamily::kMapUnary: {
       if (auto u = Eval(*n.kids[0])) {
         return ApplyUnaryClass(ctx, n, *u);
       }
       return std::nullopt;
     }
-    case OpClass::kBinaryProduct: {
+    case OpFamily::kBinaryProduct: {
       for (;;) {
         if (st.phase == 0) {
           auto u = Eval(*n.kids[0]);
@@ -84,8 +95,8 @@ std::optional<Value> EvalEngine::Eval(const Node& n) {
         st.phase = 0;
       }
     }
-    case OpClass::kFilter: {
-      Op cmp = FilterToComparison(n.op);
+    case OpFamily::kFilter: {
+      Op cmp = Info(n.op).base;
       for (;;) {
         if (st.phase == 0) {
           auto u = Eval(*n.kids[0]);
@@ -103,7 +114,7 @@ std::optional<Value> EvalEngine::Eval(const Node& n) {
         st.phase = 0;
       }
     }
-    case OpClass::kStructured:
+    case OpFamily::kStructured:
       break;
   }
 
@@ -153,11 +164,7 @@ std::optional<Value> EvalEngine::Eval(const Node& n) {
     // --- one-operand passthroughs ------------------------------------------
     case Op::kBrace: {
       if (auto u = Eval(*n.kids[0])) {
-        Value v = *u;
-        if (ctx.sym_on()) {
-          v.set_sym(Sym::Plain(FormatValue(ctx, v)));
-        }
-        return v;
+        return ValueAsSym(ctx, std::move(*u));
       }
       return std::nullopt;
     }
@@ -188,9 +195,9 @@ std::optional<Value> EvalEngine::Eval(const Node& n) {
         ResetSubtree(*n.kids[0]);  // only the first value's type matters
         // No decay: sizeof of an array lvalue is the whole array size.
         st.phase = 1;
-        return Value::Int(ctx.types().ULong(),
-                          static_cast<int64_t>(u->type() ? u->type()->size() : 0),
-                          Sym::None());
+        return ValueAsSym(ctx, Value::Int(ctx.types().ULong(),
+                                          static_cast<int64_t>(u->type() ? u->type()->size() : 0),
+                                          Sym::None()));
       }
       st.phase = 0;
       return std::nullopt;
@@ -579,7 +586,7 @@ std::optional<Value> EvalEngine::Eval(const Node& n) {
           ++count;
         }
         st.phase = 1;
-        return Value::Int(ctx.types().Int(), count, Sym::None());
+        return ValueAsSym(ctx, Value::Int(ctx.types().Int(), count, Sym::None()));
       }
       st.phase = 0;
       return std::nullopt;
@@ -595,11 +602,8 @@ std::optional<Value> EvalEngine::Eval(const Node& n) {
           }
         }
         st.phase = 1;
-        if (acc.has_value()) {
-          acc->set_sym(Sym::None());
-          return *acc;
-        }
-        return Value::Int(ctx.types().Int(), 0, Sym::None());
+        return ValueAsSym(ctx, acc.has_value() ? std::move(*acc)
+                                               : Value::Int(ctx.types().Int(), 0, Sym::None()));
       }
       st.phase = 0;
       return std::nullopt;
@@ -623,7 +627,7 @@ std::optional<Value> EvalEngine::Eval(const Node& n) {
           }
         }
         st.phase = 1;
-        return Value::Int(ctx.types().Int(), result, Sym::None());
+        return ValueAsSym(ctx, Value::Int(ctx.types().Int(), result, Sym::None()));
       }
       st.phase = 0;
       return std::nullopt;
@@ -649,7 +653,7 @@ std::optional<Value> EvalEngine::Eval(const Node& n) {
           }
         }
         st.phase = 1;
-        return Value::Int(ctx.types().Int(), equal, Sym::None());
+        return ValueAsSym(ctx, Value::Int(ctx.types().Int(), equal, Sym::None()));
       }
       st.phase = 0;
       return std::nullopt;
@@ -715,7 +719,7 @@ std::optional<Value> EvalEngine::Eval(const Node& n) {
     }
 
     default:
-      break;  // generic families were handled by the ClassifyOp dispatch
+      break;  // generic families were handled by the OpFamily dispatch
   }
   throw DuelError(ErrorKind::kInternal, StrPrintf("unhandled op %s", OpName(n.op)));
 }

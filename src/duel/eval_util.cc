@@ -86,61 +86,6 @@ TypeRef ResolvedTypeOf(EvalContext& ctx, const Node& n) {
   return ctx.ResolveTypeSpec(n.type_spec, n.range);
 }
 
-OpClass ClassifyOp(Op op) {
-  switch (op) {
-    case Op::kNeg:
-    case Op::kPos:
-    case Op::kBitNot:
-    case Op::kNot:
-    case Op::kDeref:
-    case Op::kAddrOf:
-    case Op::kPreInc:
-    case Op::kPreDec:
-    case Op::kPostInc:
-    case Op::kPostDec:
-    case Op::kCast:
-      return OpClass::kMapUnary;
-    case Op::kMul:
-    case Op::kDiv:
-    case Op::kMod:
-    case Op::kAdd:
-    case Op::kSub:
-    case Op::kShl:
-    case Op::kShr:
-    case Op::kLt:
-    case Op::kGt:
-    case Op::kLe:
-    case Op::kGe:
-    case Op::kEq:
-    case Op::kNe:
-    case Op::kBitAnd:
-    case Op::kBitXor:
-    case Op::kBitOr:
-    case Op::kAssign:
-    case Op::kMulEq:
-    case Op::kDivEq:
-    case Op::kModEq:
-    case Op::kAddEq:
-    case Op::kSubEq:
-    case Op::kShlEq:
-    case Op::kShrEq:
-    case Op::kAndEq:
-    case Op::kXorEq:
-    case Op::kOrEq:
-    case Op::kIndex:
-      return OpClass::kBinaryProduct;
-    case Op::kIfGt:
-    case Op::kIfLt:
-    case Op::kIfGe:
-    case Op::kIfLe:
-    case Op::kIfEq:
-    case Op::kIfNe:
-      return OpClass::kFilter;
-    default:
-      return OpClass::kStructured;
-  }
-}
-
 Value ApplyUnaryClass(EvalContext& ctx, const Node& n, const Value& u) {
   switch (n.op) {
     case Op::kPreInc:
@@ -156,7 +101,7 @@ Value ApplyUnaryClass(EvalContext& ctx, const Node& n, const Value& u) {
 }
 
 Value ApplyBinaryClass(EvalContext& ctx, const Node& n, const Value& u, const Value& v) {
-  if (n.op == Op::kAssign || CompoundBase(n.op) != n.op) {
+  if (IsAssignOp(n.op)) {
     return ApplyAssign(ctx, n.op, u, v, n.range);
   }
   if (n.op == Op::kIndex) {
@@ -196,10 +141,7 @@ Value ComposeWithResult(EvalContext& ctx, const Value& subject, bool arrow, cons
     out.set_sym(subject.sym().WithMember(inner_text, arrow));
     return out;
   }
-  const char* sep = arrow ? "->" : ".";
-  out.set_sym(Sym::Plain(
-      subject.sym().TextAsOperand(kPrecPostfix) + sep + "(" + inner_text + ")",
-      kPrecPostfix));
+  out.set_sym(ComposeWith(subject.sym(), arrow, inner_text));
   return out;
 }
 

@@ -38,20 +38,10 @@ TypeRef ResolvedTypeOf(EvalContext& ctx, const Node& n);
 
 // --- shared operator dispatch ------------------------------------------------
 //
-// Every operator whose child sequencing is generic is classified here, and
-// the engine pre-dispatches on the class with one generic block per family.
-// Its own switch keeps only the structured operators, so adding an operator
-// to one of these families is a single edit in ClassifyOp plus its apply
-// case.
-
-enum class OpClass {
-  kMapUnary,       // one operand; one output per input (ApplyUnaryClass)
-  kBinaryProduct,  // nested product over two operands (ApplyBinaryClass)
-  kFilter,         // product; yields the LEFT operand when the comparison holds
-  kStructured,     // operator-specific sequencing (generators, control, scopes)
-};
-
-OpClass ClassifyOp(Op op);
+// The engine pre-dispatches on each operator's family (OpFamily, read from
+// the operator table in ast.h) with one generic block per family; its own
+// switch keeps only the structured operators. Adding an operator to one of
+// these families is its table row plus its apply case.
 
 // The apply step for kMapUnary ops (unary operators, ++/--, casts).
 Value ApplyUnaryClass(EvalContext& ctx, const Node& n, const Value& u);

@@ -7,44 +7,6 @@ namespace duel {
 
 namespace {
 
-// Binary operator levels for the generic left-associative chain parser,
-// loosest first. The range level (..) sits between relational and shift and
-// is handled by ParseRange; unary and postfix levels are handled specially.
-struct BinOp {
-  Tok tok;
-  Op op;
-};
-
-const std::vector<std::vector<BinOp>>& BinaryLevels() {
-  static const std::vector<std::vector<BinOp>> kLevels = {
-      {{Tok::kOrOr, Op::kOrOr}},
-      {{Tok::kAndAnd, Op::kAndAnd}},
-      {{Tok::kPipe, Op::kBitOr}},
-      {{Tok::kCaret, Op::kBitXor}},
-      {{Tok::kAmp, Op::kBitAnd}},
-      {{Tok::kEq, Op::kEq},
-       {Tok::kNe, Op::kNe},
-       {Tok::kIfEq, Op::kIfEq},
-       {Tok::kIfNe, Op::kIfNe},
-       {Tok::kSeqEq, Op::kSeqEq}},
-      {{Tok::kLt, Op::kLt},
-       {Tok::kGt, Op::kGt},
-       {Tok::kLe, Op::kLe},
-       {Tok::kGe, Op::kGe},
-       {Tok::kIfLt, Op::kIfLt},
-       {Tok::kIfGt, Op::kIfGt},
-       {Tok::kIfLe, Op::kIfLe},
-       {Tok::kIfGe, Op::kIfGe}},
-      {{Tok::kShl, Op::kShl}, {Tok::kShr, Op::kShr}},
-      {{Tok::kPlus, Op::kAdd}, {Tok::kMinus, Op::kSub}},
-      {{Tok::kStar, Op::kMul}, {Tok::kSlash, Op::kDiv}, {Tok::kPercent, Op::kMod}},
-  };
-  return kLevels;
-}
-
-constexpr int kRelationalLevel = 6;
-constexpr int kShiftLevel = 7;
-
 // Bottom-up pass growing every node's range over its kids, so an operator
 // node spans its whole subexpression (NewNode gives it only the operator
 // token). Diagnostics rely on this to underline operands, not just sigils.
@@ -134,23 +96,10 @@ bool Parser::StartsExpr(Tok t) const {
     case Tok::kKwIf:
     case Tok::kKwWhile:
     case Tok::kKwFor:
-    case Tok::kKwSizeof:
-    case Tok::kBang:
-    case Tok::kTilde:
-    case Tok::kPlus:
-    case Tok::kMinus:
-    case Tok::kStar:
-    case Tok::kAmp:
-    case Tok::kInc:
-    case Tok::kDec:
-    case Tok::kCountOf:
-    case Tok::kSumOf:
-    case Tok::kAllOf:
-    case Tok::kAnyOf:
     case Tok::kDotDot:
       return true;
     default:
-      return false;
+      return PrefixOp(t).has_value();
   }
 }
 
@@ -252,23 +201,11 @@ NodePtr Parser::ParseImply() {
 
 NodePtr Parser::ParseAssign() {
   NodePtr left = ParseTernary();
-  Op op;
-  switch (Cur().kind) {
-    case Tok::kAssign: op = Op::kAssign; break;
-    case Tok::kDefine: op = Op::kDefine; break;
-    case Tok::kStarEq: op = Op::kMulEq; break;
-    case Tok::kSlashEq: op = Op::kDivEq; break;
-    case Tok::kPercentEq: op = Op::kModEq; break;
-    case Tok::kPlusEq: op = Op::kAddEq; break;
-    case Tok::kMinusEq: op = Op::kSubEq; break;
-    case Tok::kShlEq: op = Op::kShlEq; break;
-    case Tok::kShrEq: op = Op::kShrEq; break;
-    case Tok::kAmpEq: op = Op::kAndEq; break;
-    case Tok::kCaretEq: op = Op::kXorEq; break;
-    case Tok::kPipeEq: op = Op::kOrEq; break;
-    default:
-      return left;
+  std::optional<Op> assign = AssignOp(Cur().kind);
+  if (!assign) {
+    return left;
   }
+  Op op = *assign;
   SourceRange r = Cur().range;
   Advance();
   NodePtr right = ParseAssign();  // right-associative
@@ -289,7 +226,7 @@ NodePtr Parser::ParseAssign() {
 }
 
 NodePtr Parser::ParseTernary() {
-  NodePtr cond = ParseBinaryLevel(0);
+  NodePtr cond = ParseBinaryLevel(kPrecOrOr);
   if (!At(Tok::kQuestion)) {
     return cond;
   }
@@ -305,36 +242,27 @@ NodePtr Parser::ParseTernary() {
   return n;
 }
 
-NodePtr Parser::ParseBinaryLevel(int level) {
+NodePtr Parser::ParseBinaryLevel(int prec) {
   DepthGuard guard(this);
-  const auto& levels = BinaryLevels();
   auto parse_operand = [&]() -> NodePtr {
-    if (level == kRelationalLevel) {
+    if (prec == kPrecRel) {
       return ParseRange();  // the range level sits just below relational
     }
-    if (level + 1 == static_cast<int>(levels.size())) {
-      // The operand of the tightest binary level is a unary expression —
-      // except one step above shift, where operands are ranges.
-      return ParseUnary();
+    if (prec == kPrecMul) {
+      return ParseUnary();  // the tightest binary level's operands are unary
     }
-    return ParseBinaryLevel(level + 1);
+    return ParseBinaryLevel(prec + 1);
   };
   NodePtr left = parse_operand();
   for (;;) {
-    const BinOp* hit = nullptr;
-    for (const BinOp& b : levels[level]) {
-      if (At(b.tok)) {
-        hit = &b;
-        break;
-      }
-    }
-    if (hit == nullptr) {
+    std::optional<Op> op = InfixOp(Cur().kind);
+    if (!op || Info(*op).prec != prec) {
       return left;
     }
     SourceRange r = Cur().range;
     Advance();
     NodePtr right = parse_operand();
-    NodePtr n = NewNode(hit->op, r);
+    NodePtr n = NewNode(*op, r);
     n->kids.push_back(std::move(left));
     n->kids.push_back(std::move(right));
     left = std::move(n);
@@ -345,19 +273,19 @@ NodePtr Parser::ParseRange() {
   if (At(Tok::kDotDot)) {  // ..e  ==  0 .. e-1
     SourceRange r = Cur().range;
     Advance();
-    NodePtr operand = ParseBinaryLevel(kShiftLevel);
+    NodePtr operand = ParseBinaryLevel(kPrecShift);
     NodePtr n = NewNode(Op::kToPrefix, r);
     n->kids.push_back(std::move(operand));
     return n;
   }
-  NodePtr left = ParseBinaryLevel(kShiftLevel);
+  NodePtr left = ParseBinaryLevel(kPrecShift);
   if (!At(Tok::kDotDot)) {
     return left;
   }
   SourceRange r = Cur().range;
   Advance();
   if (StartsExpr(Cur().kind)) {
-    NodePtr right = ParseBinaryLevel(kShiftLevel);
+    NodePtr right = ParseBinaryLevel(kPrecShift);
     NodePtr n = NewNode(Op::kTo, r);
     n->kids.push_back(std::move(left));
     n->kids.push_back(std::move(right));
@@ -372,39 +300,6 @@ NodePtr Parser::ParseUnary() {
   DepthGuard guard(this);
   SourceRange r = Cur().range;
   switch (Cur().kind) {
-    case Tok::kBang:
-    case Tok::kTilde:
-    case Tok::kMinus:
-    case Tok::kPlus:
-    case Tok::kStar:
-    case Tok::kAmp:
-    case Tok::kInc:
-    case Tok::kDec:
-    case Tok::kCountOf:
-    case Tok::kSumOf:
-    case Tok::kAllOf:
-    case Tok::kAnyOf: {
-      Op op;
-      switch (Cur().kind) {
-        case Tok::kBang: op = Op::kNot; break;
-        case Tok::kTilde: op = Op::kBitNot; break;
-        case Tok::kMinus: op = Op::kNeg; break;
-        case Tok::kPlus: op = Op::kPos; break;
-        case Tok::kStar: op = Op::kDeref; break;
-        case Tok::kAmp: op = Op::kAddrOf; break;
-        case Tok::kInc: op = Op::kPreInc; break;
-        case Tok::kDec: op = Op::kPreDec; break;
-        case Tok::kCountOf: op = Op::kCount; break;
-        case Tok::kSumOf: op = Op::kSum; break;
-        case Tok::kAllOf: op = Op::kAll; break;
-        default: op = Op::kAny; break;
-      }
-      Advance();
-      NodePtr operand = ParseUnary();
-      NodePtr n = NewNode(op, r);
-      n->kids.push_back(std::move(operand));
-      return n;
-    }
     case Tok::kKwSizeof: {
       Advance();
       if (At(Tok::kLParen)) {
@@ -444,8 +339,16 @@ NodePtr Parser::ParseUnary() {
       return ParsePostfix();
     }
     default:
-      return ParsePostfix();
+      break;
   }
+  if (std::optional<Op> op = PrefixOp(Cur().kind)) {
+    Advance();
+    NodePtr operand = ParseUnary();
+    NodePtr n = NewNode(*op, r);
+    n->kids.push_back(std::move(operand));
+    return n;
+  }
+  return ParsePostfix();
 }
 
 NodePtr Parser::ParsePostfix() {
@@ -492,10 +395,7 @@ NodePtr Parser::ParsePostfix() {
       case Tok::kArrow:
       case Tok::kExpand:
       case Tok::kExpandBfs: {
-        Op op = Cur().kind == Tok::kDot      ? Op::kWith
-                : Cur().kind == Tok::kArrow  ? Op::kArrowWith
-                : Cur().kind == Tok::kExpand ? Op::kDfs
-                                             : Op::kBfs;
+        Op op = *PostfixOp(Cur().kind);
         Advance();
         NodePtr member = ParseWithOperand();
         NodePtr n = NewNode(op, r);
@@ -539,7 +439,7 @@ NodePtr Parser::ParsePostfix() {
       }
       case Tok::kInc:
       case Tok::kDec: {
-        Op op = Cur().kind == Tok::kInc ? Op::kPostInc : Op::kPostDec;
+        Op op = *PostfixOp(Cur().kind);
         Advance();
         NodePtr n = NewNode(op, r);
         n->kids.push_back(std::move(left));

@@ -17,6 +17,10 @@
 //
 // Declarations (`int i; ...`) are allowed at the start of the input and
 // after any ';'.
+//
+// Operators are found by token in the operator table (ast.h): an infix
+// operator's row gives its level, so the grammar above and the symbolic
+// printer's parenthesization read the same precedences.
 
 #ifndef DUEL_DUEL_PARSER_H_
 #define DUEL_DUEL_PARSER_H_
@@ -81,7 +85,7 @@ class Parser {
   NodePtr ParseImply();
   NodePtr ParseAssign();
   NodePtr ParseTernary();
-  NodePtr ParseBinaryLevel(int level);
+  NodePtr ParseBinaryLevel(int prec);  // one infix level, kPrecOrOr..kPrecMul
   NodePtr ParseRange();
   NodePtr ParseUnary();
   NodePtr ParsePostfix();

@@ -227,7 +227,8 @@ CompiledQuery* Session::AcquirePlan(const std::string& expr,
   return plan;
 }
 
-uint64_t Session::DriveCore(const std::string& expr, QueryResult* result) {
+uint64_t Session::DriveCore(const std::string& expr, QueryResult* result,
+                           const ValueHook& on_value) {
   const bool collect = opts_.collect_stats || opts_.profile;
   obs::BackendInstr& instr = backend_->instr();
   instr.set_tracer(&tracer_);
@@ -303,8 +304,11 @@ uint64_t Session::DriveCore(const std::string& expr, QueryResult* result) {
     engine.Start(root, plan->parsed.num_nodes);
     while (auto v = engine.Next()) {
       ++count;
+      ctx_.counters().values_produced++;
+      if (on_value) {
+        on_value(*v);
+      }
       if (result != nullptr) {
-        ctx_.counters().values_produced++;
         result->value_count++;
         ResultEntry entry;
         entry.value = FormatValue(ctx_, *v);
@@ -369,12 +373,12 @@ uint64_t Session::DriveCore(const std::string& expr, QueryResult* result) {
   return count;
 }
 
-QueryResult Session::Query(const std::string& expr) {
+QueryResult Session::Query(const std::string& expr, const ValueHook& on_value) {
   QueryResult result;
   Remember(expr);
   ctx_.opts() = opts_.eval;  // pick up option changes between queries
   try {
-    DriveCore(expr, &result);
+    DriveCore(expr, &result, on_value);
   } catch (const DuelError& e) {
     result.ok = false;
     result.error = FormatError(e);

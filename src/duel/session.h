@@ -8,6 +8,7 @@
 #ifndef DUEL_DUEL_SESSION_H_
 #define DUEL_DUEL_SESSION_H_
 
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -71,7 +72,7 @@ struct SessionOptions {
 
 // One produced value, in structured form (used by the MI front end).
 struct ResultEntry {
-  std::string sym;    // symbolic value ("" when none, e.g. reductions)
+  std::string sym;    // symbolic value ("" when none, e.g. with symbolics off)
   std::string value;  // formatted actual value
 };
 
@@ -102,12 +103,18 @@ struct QueryResult {
   std::string Text() const;
 };
 
+// Called with each value a query produces, inside the drive loop while the
+// query's data epoch is live (so it may read through the session's context,
+// e.g. EvalContext::Truthy). A DuelError it throws fails the query.
+using ValueHook = std::function<void(const Value&)>;
+
 class Session {
  public:
   explicit Session(dbg::DebuggerBackend& backend, SessionOptions opts = {});
 
-  // Evaluates one DUEL query, returning everything it printed.
-  QueryResult Query(const std::string& expr);
+  // Evaluates one DUEL query, returning everything it printed; `on_value`,
+  // when set, sees every produced value.
+  QueryResult Query(const std::string& expr, const ValueHook& on_value = {});
 
   // Runs only the front half of the pipeline (lex → parse → analyze) and
   // returns the diagnostics without executing anything. The
@@ -158,10 +165,12 @@ class Session {
   void Remember(const std::string& expr);
 
   // The staged pipeline: plan lookup/build (lex → parse → analyze), then
-  // execute. With a non-null `result`, values are formatted into it (the
-  // `duel expr` command); otherwise they are counted and discarded
-  // (benchmarks). Collects stats/profile per opts_.
-  uint64_t DriveCore(const std::string& expr, QueryResult* result);
+  // execute. Every value is counted and handed to `on_value`; with a
+  // non-null `result` it is also formatted into it (the `duel expr`
+  // command), otherwise discarded (benchmarks). Collects stats/profile per
+  // opts_.
+  uint64_t DriveCore(const std::string& expr, QueryResult* result,
+                     const ValueHook& on_value = {});
 
   // Builds a CompiledQuery for `expr` (the text-dependent half of the work).
   std::unique_ptr<CompiledQuery> BuildPlan(const std::string& expr, uint64_t fingerprint);

@@ -1,6 +1,7 @@
 #include "src/duel/value.h"
 
 #include <cstring>
+#include <string_view>
 
 #include "src/support/strings.h"
 
@@ -71,16 +72,69 @@ Sym Sym::SelectedAt(uint64_t index) const {
   return s;
 }
 
-Sym ComposeBinary(const Sym& lhs, const std::string& op, const Sym& rhs, int prec) {
-  return Sym::Plain(lhs.TextAsOperand(prec) + op + rhs.TextAsOperand(prec + 1), prec);
+namespace {
+
+// True when the lexer would read the token that `left` ends with and the
+// character `next` as one longer token, so the two need a space between
+// them: `-` `-` reads as `--`, `+` `+` as `++`, `&` `&` as `&&`, and a
+// postfix `--` followed by `>` as `-->`. A doubled `--`, `++` or `&&` is
+// already a whole token and takes no more of its character. Operands begin
+// with a name, a literal, `(`, `{` or a prefix operator, and operators with
+// punctuation, so these are the only boundaries a composer can fuse. Reads
+// the boundary characters only.
+bool Fuses(std::string_view left, char next) {
+  if (left.empty()) {
+    return false;
+  }
+  char last = left.back();
+  if (last == '-' && next == '>') {
+    return true;
+  }
+  bool doubled = left.size() >= 2 && left[left.size() - 2] == last;
+  return next == last && !doubled && (last == '-' || last == '+' || last == '&');
 }
 
-Sym ComposeUnary(const std::string& op, const Sym& operand) {
-  return Sym::Plain(op + operand.TextAsOperand(kPrecUnary), kPrecUnary);
+// Appends `text` to `out`, whose last token is `left`.
+void Append(std::string& out, std::string_view left, std::string_view text) {
+  if (!text.empty() && Fuses(left, text.front())) {
+    out += ' ';
+  }
+  out += text;
+}
+
+}  // namespace
+
+Sym ComposeBinary(const Sym& lhs, Op op, const Sym& rhs) {
+  const OpInfo& row = Info(op);
+  std::string out = lhs.TextAsOperand(row.prec);
+  Append(out, out, row.spelling);
+  Append(out, row.spelling, rhs.TextAsOperand(row.prec + 1));
+  return Sym::Plain(std::move(out), row.prec);
+}
+
+Sym ComposeUnary(Op op, const Sym& operand) {
+  const OpInfo& row = Info(op);
+  if (row.prec == kPrecPostfix) {
+    std::string out = operand.TextAsOperand(kPrecPostfix);
+    Append(out, out, row.spelling);
+    return Sym::Plain(std::move(out), kPrecPostfix);
+  }
+  std::string out = row.spelling;
+  Append(out, row.spelling, operand.TextAsOperand(kPrecUnary));
+  return Sym::Plain(std::move(out), kPrecUnary);
 }
 
 Sym ComposeIndex(const Sym& base, const Sym& index) {
   return Sym::Plain(base.TextAsOperand(kPrecPostfix) + "[" + index.Text() + "]",
+                    kPrecPostfix);
+}
+
+Sym ComposeCast(const std::string& type_name, const Sym& operand) {
+  return Sym::Plain("(" + type_name + ")" + operand.TextAsOperand(kPrecUnary), kPrecUnary);
+}
+
+Sym ComposeWith(const Sym& subject, bool arrow, const std::string& inner) {
+  return Sym::Plain(subject.TextAsOperand(kPrecPostfix) + (arrow ? "->(" : ".(") + inner + ")",
                     kPrecPostfix);
 }
 

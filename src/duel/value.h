@@ -9,6 +9,12 @@
 // Sym tracks `->member` chains structurally so the display algorithm can
 // compress occurrences of ->a->a... into -->a[[n]], and so select can print
 // head-->member[[i]] for elements picked out of an expansion.
+//
+// The Compose* functions below are the only code that joins an operator's
+// spelling to operand text. They take spelling and precedence from the
+// operator table (ast.h), parenthesize by precedence, and put one space
+// where the two texts would otherwise lex as a different token (`- -x`,
+// `x[1] - -1`, `+ +x`, `& &x`, `x-- > 0`), so every symbolic re-parses.
 
 #ifndef DUEL_DUEL_VALUE_H_
 #define DUEL_DUEL_VALUE_H_
@@ -19,6 +25,7 @@
 #include <string>
 #include <vector>
 
+#include "src/duel/ast.h"
 #include "src/target/ctype.h"
 #include "src/target/memory.h"
 
@@ -27,30 +34,6 @@ namespace duel {
 using target::Addr;
 using target::TypeKind;
 using target::TypeRef;
-
-// Operator precedences used when composing symbolic expressions (higher
-// binds tighter). Mirrors the parser's grammar.
-enum SymPrec {
-  kPrecSeq = 0,
-  kPrecAlt = 1,
-  kPrecImply = 2,
-  kPrecAssign = 3,
-  kPrecCond = 4,
-  kPrecOrOr = 5,
-  kPrecAndAnd = 6,
-  kPrecBitOr = 7,
-  kPrecBitXor = 8,
-  kPrecBitAnd = 9,
-  kPrecEq = 10,
-  kPrecRel = 11,
-  kPrecRange = 12,
-  kPrecShift = 13,
-  kPrecAdd = 14,
-  kPrecMul = 15,
-  kPrecUnary = 16,
-  kPrecPostfix = 17,
-  kPrecPrimary = 18,
-};
 
 class Sym {
  public:
@@ -91,11 +74,17 @@ class Sym {
   int prec_ = kPrecPrimary;
 };
 
-// Composes "a op b" with parenthesization by precedence; the result binds at
-// `prec` (left operand allowed at same level: left-assoc).
-Sym ComposeBinary(const Sym& lhs, const std::string& op, const Sym& rhs, int prec);
-Sym ComposeUnary(const std::string& op, const Sym& operand);
+// "a op b" for a binary operator; left-associative, so the left operand may
+// sit at the operator's own level.
+Sym ComposeBinary(const Sym& lhs, Op op, const Sym& rhs);
+// "op a" for a prefix operator, "a op" for a postfix one (by the row's
+// precedence).
+Sym ComposeUnary(Op op, const Sym& operand);
 Sym ComposeIndex(const Sym& base, const Sym& index);
+Sym ComposeCast(const std::string& type_name, const Sym& operand);
+// subject.(inner) or subject->(inner): a with-scope whose inner expression
+// is not a plain member name.
+Sym ComposeWith(const Sym& subject, bool arrow, const std::string& inner);
 
 // Byte storage for rvalues with a small-buffer optimization: scalar values
 // (the overwhelming majority) stay inline; whole-struct rvalues spill to the

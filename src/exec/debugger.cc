@@ -66,16 +66,18 @@ bool Debugger::ConditionHolds(const std::string& condition) {
     return true;
   }
   guard_evals_++;
-  QueryResult r = session_.Query(condition);
+  // The condition holds when some value it produces is true by C's rule
+  // (EvalContext::Truthy): a null pointer, '\0' and -0.0 are all false.
+  bool holds = false;
+  QueryResult r = session_.Query(condition, [&](const Value& v) {
+    if (session_.context().Truthy(v)) {
+      holds = true;
+    }
+  });
   if (!r.ok) {
     throw DuelError(ErrorKind::kTarget, "breakpoint condition failed: " + r.error);
   }
-  for (const ResultEntry& e : r.entries) {
-    if (e.value != "0" && e.value != "false") {
-      return true;
-    }
-  }
-  return false;
+  return holds;
 }
 
 std::string Debugger::EvalWatchpoint(Watchpoint& wp) {

@@ -1,38 +1,15 @@
 #include "src/rsp/socket_transport.h"
 
-#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <cerrno>
 #include <cstring>
 
+#include "src/rsp/framed_socket.h"
 #include "src/support/strings.h"
 
 namespace duel::rsp {
-
-namespace {
-
-// MSG_NOSIGNAL: a peer that closed early (e.g. a client that timed out and
-// tore down the transport) must surface as EPIPE, not a process-killing
-// SIGPIPE from the server thread.
-void WriteAll(int fd, const void* data, size_t n) {
-  const char* p = static_cast<const char*>(data);
-  while (n > 0) {
-    ssize_t written = ::send(fd, p, n, MSG_NOSIGNAL);
-    if (written < 0) {
-      if (errno == EINTR) {
-        continue;
-      }
-      throw DuelError(ErrorKind::kProtocol,
-                      StrPrintf("socket write failed: %s", strerror(errno)));
-    }
-    p += written;
-    n -= static_cast<size_t>(written);
-  }
-}
-
-}  // namespace
 
 SocketTransport::SocketTransport(RspServer& server) {
   int fds[2];
@@ -43,25 +20,8 @@ SocketTransport::SocketTransport(RspServer& server) {
   client_fd_ = fds[0];
   server_fd_ = fds[1];
   server_thread_ = std::thread([this, &server] {
-    PacketDecoder rx;
-    char buf[512];
-    for (;;) {
-      ssize_t n = ::read(server_fd_, buf, sizeof(buf));
-      if (n <= 0) {
-        return;  // peer closed: shut down
-      }
-      rx.Feed(buf, static_cast<size_t>(n));
-      try {
-        while (auto request = rx.NextPacket()) {
-          const char ack = '+';
-          WriteAll(server_fd_, &ack, 1);
-          std::string response = EncodePacket(server.Handle(*request));
-          WriteAll(server_fd_, response.data(), response.size());
-        }
-      } catch (const DuelError&) {
-        return;  // peer gone mid-response: nothing left to serve
-      }
-    }
+    ServeFramedPackets(server_fd_,
+                       [&server](const std::string& request) { return server.Handle(request); });
   });
 }
 
@@ -82,42 +42,10 @@ std::string SocketTransport::RoundTrip(const std::string& request) {
   round_trips_++;
   std::string wire = EncodePacket(request);
   bytes_on_wire_ += wire.size() + 1;  // +1 for the server's ack
-  WriteAll(client_fd_, wire.data(), wire.size());
-  char buf[512];
-  for (;;) {
-    if (auto response = client_rx_.NextPacket()) {
-      bytes_on_wire_ += response->size();
-      return *response;
-    }
-    if (receive_timeout_ms_ > 0) {
-      // A wedged or dead server must not block the client forever: wait for
-      // readable bytes with a deadline and fail the round trip cleanly.
-      struct pollfd pfd;
-      pfd.fd = client_fd_;
-      pfd.events = POLLIN;
-      pfd.revents = 0;
-      int ready;
-      do {
-        ready = ::poll(&pfd, 1, static_cast<int>(receive_timeout_ms_));
-      } while (ready < 0 && errno == EINTR);
-      if (ready < 0) {
-        throw DuelError(ErrorKind::kProtocol,
-                        StrPrintf("socket poll failed: %s", strerror(errno)));
-      }
-      if (ready == 0) {
-        throw DuelError(
-            ErrorKind::kProtocol,
-            StrPrintf("timed out after %llu ms waiting for the remote debugger",
-                      static_cast<unsigned long long>(receive_timeout_ms_)));
-      }
-    }
-    ssize_t n = ::read(client_fd_, buf, sizeof(buf));
-    if (n <= 0) {
-      throw DuelError(ErrorKind::kProtocol, "remote debugger closed the connection");
-    }
-    client_rx_.Feed(buf, static_cast<size_t>(n));
-    client_rx_.TakeAcks();
-  }
+  WriteAll(client_fd_, wire);
+  std::string response = ReadPacket(client_fd_, client_rx_, receive_timeout_ms_, "remote debugger");
+  bytes_on_wire_ += response.size();
+  return response;
 }
 
 }  // namespace duel::rsp

@@ -36,8 +36,6 @@ class SocketTransport final : public Transport {
   static constexpr uint64_t kDefaultReceiveTimeoutMs = 30'000;
 
  private:
-  void ServeLoop();
-
   int client_fd_ = -1;
   int server_fd_ = -1;
   uint64_t receive_timeout_ms_ = kDefaultReceiveTimeoutMs;

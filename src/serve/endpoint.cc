@@ -6,29 +6,13 @@
 #include <cerrno>
 #include <cstring>
 
+#include "src/rsp/framed_socket.h"
+#include "src/rsp/socket_transport.h"
 #include "src/support/strings.h"
 
 namespace duel::serve {
 
 namespace {
-
-// MSG_NOSIGNAL: a client that disconnected with a response still in flight
-// must surface as EPIPE on this thread, not a process-killing SIGPIPE.
-void WriteAll(int fd, const void* data, size_t n) {
-  const char* p = static_cast<const char*>(data);
-  while (n > 0) {
-    ssize_t written = ::send(fd, p, n, MSG_NOSIGNAL);
-    if (written < 0) {
-      if (errno == EINTR) {
-        continue;
-      }
-      throw DuelError(ErrorKind::kProtocol,
-                      StrPrintf("socket write failed: %s", strerror(errno)));
-    }
-    p += written;
-    n -= static_cast<size_t>(written);
-  }
-}
 
 std::string HexText(std::string_view s) { return HexEncode(s.data(), s.size()); }
 
@@ -79,25 +63,7 @@ int SocketEndpoint::Connect() {
 }
 
 void SocketEndpoint::ConnectionLoop(int fd) {
-  rsp::PacketDecoder rx;
-  char buf[512];
-  for (;;) {
-    ssize_t n = ::read(fd, buf, sizeof(buf));
-    if (n <= 0) {
-      return;  // peer closed (or endpoint shutting down)
-    }
-    rx.Feed(buf, static_cast<size_t>(n));
-    try {
-      while (auto request = rx.NextPacket()) {
-        const char ack = '+';
-        WriteAll(fd, &ack, 1);
-        std::string response = rsp::EncodePacket(Handle(*request));
-        WriteAll(fd, response.data(), response.size());
-      }
-    } catch (const DuelError&) {
-      return;  // peer disconnected mid-response
-    }
-  }
+  rsp::ServeFramedPackets(fd, [this](const std::string& request) { return Handle(request); });
 }
 
 std::string SocketEndpoint::Handle(const std::string& request) {
@@ -160,20 +126,9 @@ EndpointClient::~EndpointClient() {
 }
 
 std::string EndpointClient::RoundTrip(const std::string& request) {
-  std::string wire = rsp::EncodePacket(request);
-  WriteAll(fd_, wire.data(), wire.size());
-  char buf[512];
-  for (;;) {
-    if (auto response = rx_.NextPacket()) {
-      return *response;
-    }
-    ssize_t n = ::read(fd_, buf, sizeof(buf));
-    if (n <= 0) {
-      throw DuelError(ErrorKind::kProtocol, "query service closed the connection");
-    }
-    rx_.Feed(buf, static_cast<size_t>(n));
-    rx_.TakeAcks();
-  }
+  rsp::WriteAll(fd_, rsp::EncodePacket(request));
+  return rsp::ReadPacket(fd_, rx_, rsp::SocketTransport::kDefaultReceiveTimeoutMs,
+                         "query service");
 }
 
 uint64_t EndpointClient::Open() {

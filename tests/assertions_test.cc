@@ -31,6 +31,13 @@ TEST_F(AssertionsTest, FailureListsOffendingValues) {
   ASSERT_EQ(o.failures.size(), 2u);
   EXPECT_EQ(o.failures[0], "x[1]>0 = 0");
   EXPECT_EQ(o.failures[1], "x[3]>0 = 0");
+
+  // Falsity is C's, whatever the value prints as.
+  for (const char* expr : {"-0.0", "(int*)0", "(char)0", "x[3]"}) {
+    AssertionOutcome z = CheckAssertion(fx_.session(), "zero", expr);
+    EXPECT_FALSE(z.holds) << expr;
+    EXPECT_EQ(z.failures.size(), 1u) << expr;
+  }
 }
 
 TEST_F(AssertionsTest, EmptySequenceHoldsVacuously) {

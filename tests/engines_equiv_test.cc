@@ -94,9 +94,32 @@ void ExpectReferenceAgrees(const std::string& expr) {
   ExpectSameResult(r.dflt_warm, r.ref_warm, expr + " (warm)");
 }
 
+// The paper's symbolic value is "a symbolic expression (i.e., a legal Duel
+// expression) that indicates how the value was computed": every non-empty
+// symbolic a query prints must lex and parse.
+void ExpectSymbolicsReparse(const std::string& expr) {
+  DuelFixture fx;
+  BuildRichImage(fx.image());
+  QueryResult r = fx.session().Query(expr);
+  for (const ResultEntry& e : r.entries) {
+    if (e.sym.empty()) {
+      continue;
+    }
+    try {
+      Parser(e.sym, [&fx](const std::string& name) {
+        return fx.backend().GetTargetTypedef(name) != nullptr;
+      }).Parse();
+    } catch (const DuelError& err) {
+      ADD_FAILURE() << expr << ": symbolic `" << e.sym << "` does not parse: " << err.what();
+    }
+  }
+}
+
 class CorpusTest : public ::testing::TestWithParam<const char*> {};
 
 TEST_P(CorpusTest, EnginesAgree) { ExpectReferenceAgrees(GetParam()); }
+
+TEST_P(CorpusTest, SymbolicsReparse) { ExpectSymbolicsReparse(GetParam()); }
 
 const char* kCorpus[] = {
     "1+2*3",
@@ -273,7 +296,87 @@ TEST_P(RandomExprTest, EnginesAgreeOnGeneratedExpressions) {
   }
 }
 
+TEST_P(RandomExprTest, SymbolicsReparse) {
+  RandomExprGen gen(GetParam());
+  for (int i = 0; i < 20; ++i) {
+    ExpectSymbolicsReparse(gen.Gen(3));
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomExprTest, ::testing::Range(1u, 17u));
+
+// --- symbolic round trip -----------------------------------------------------
+
+// The paper's queries (the Syntax and Semantics sections' examples) that
+// evaluate against the rich image.
+TEST(SymbolicRoundTripTest, PaperQueriesReparse) {
+  const char* kQueries[] = {
+      "1 + (double)3/2",
+      "(1,2,5)*4+(10,200)",
+      "x[1..4,8,12..50] >? 5 <? 10",
+      "x[1..3] == 7",
+      "(hash[..1024] !=? 0)->scope >? 5",
+      "int i; for (i = 0; i < 9; i++) 4 + if (i%3==0) {i}*5",
+      "i := 1..3; i + 4",
+      "hash[..1024]->(if (_ && scope > 5) name)",
+      "y:= x[j := ..10] => if (y < 0 || y > 100) x[{j}]",
+      "hash[0]-->next->scope",
+      "L-->next->(value ==? next-->next->value)",
+      "root-->(if (key > 5) left else if (key < 5) right)->key",
+      "hash[..1024]-->next-> if (next) scope <? next->scope",
+      "((1..9)*(1..9))[[52,74]]",
+      "L-->next#i->value ==? L-->next#j->value => if (i < j) L-->next[[i,j]]->value",
+      "argv[0..]@0",
+      "printf(\"%d %d, \", (3,4), 5..7) ;",
+      "#/(root-->(left,right)->key)",
+      "(1..3) === (1,2,3)",
+      "frames().x >? 5",
+      "sizeof(struct symbol *)",
+      "sizeof x",
+      "List *p; p",
+      "int a[10]; a[0]",
+      "root-->>(left,right)->key",
+  };
+  for (const char* q : kQueries) {
+    ExpectSymbolicsReparse(q);
+  }
+}
+
+std::vector<uint8_t> GlobalBytes(target::TargetImage& image) {
+  std::vector<uint8_t> out;
+  for (const target::Variable& v : image.symbols().globals()) {
+    size_t at = out.size();
+    out.resize(at + v.type->size());
+    image.memory().Read(v.addr, out.data() + at, v.type->size());
+  }
+  return out;
+}
+
+// Where an operator's last character meets its operand's first (`- -x`,
+// `x - -1`, `+ +x`), the printed symbolic keeps them apart: re-running it
+// yields the printed value and symbolic again, and writes nothing. Run
+// together they would read as `--`/`++`, which decrements x[0] or fails to
+// parse.
+TEST(SymbolicRoundTripTest, FusedOperatorsReevaluate) {
+  for (const char* q :
+       {"- -x[0]", "x[1] - -x[0]", "x[..3] - -1", "+ +x[0]", "x[..2] + +1", "-(-1)"}) {
+    DuelFixture fx;
+    BuildRichImage(fx.image());
+    QueryResult r = fx.session().Query(q);
+    ASSERT_TRUE(r.ok) << q << ": " << r.error;
+    ASSERT_FALSE(r.entries.empty()) << q;
+    for (const ResultEntry& e : r.entries) {
+      ASSERT_FALSE(e.sym.empty()) << q;
+      std::vector<uint8_t> before = GlobalBytes(fx.image());
+      QueryResult again = fx.session().Query(e.sym);
+      ASSERT_TRUE(again.ok) << q << ": `" << e.sym << "` failed: " << again.error;
+      ASSERT_EQ(again.entries.size(), 1u) << e.sym;
+      EXPECT_EQ(again.entries[0].value, e.value) << q << " printed `" << e.sym << "`";
+      EXPECT_EQ(again.entries[0].sym, e.sym) << q;
+      EXPECT_EQ(GlobalBytes(fx.image()), before) << "`" << e.sym << "` wrote target memory";
+    }
+  }
+}
 
 // --- algebraic laws ------------------------------------------------------------
 

@@ -80,6 +80,13 @@ TEST_F(ExecTest, ConditionalBreakpointWithGeneratorOneLiner) {
   });
   dbg.AddBreakpoint(2, "x[..10] <? 0");  // any negative element?
   dbg.AddBreakpoint(3, "x[..10] <? 0");
+  // Conditions whose every value is false by C's rule never fire, however
+  // the value prints: a null pointer, '\0', -0.0, a list's null tail.
+  scenarios::BuildList(fx_.image(), "L", {5, 3, 8});
+  const char* kFalse[] = {"(int*)0", "(char)0", "-0.0", "L-->next->next ==? 0"};
+  for (const char* cond : kFalse) {
+    dbg.AddBreakpoint(2, cond);
+  }
   StopInfo s = dbg.Continue();
   // Line 2's breakpoint doesn't fire (no negatives yet)...
   EXPECT_EQ(s.reason, StopReason::kBreakpoint);
@@ -87,6 +94,9 @@ TEST_F(ExecTest, ConditionalBreakpointWithGeneratorOneLiner) {
   EXPECT_EQ(dbg.duel().Query("x[..10] <? 0").lines[0], "x[7] = -3");
   EXPECT_EQ(dbg.BreakpointHits(0), 0u);
   EXPECT_EQ(dbg.BreakpointHits(1), 1u);
+  for (size_t i = 0; i < std::size(kFalse); ++i) {
+    EXPECT_EQ(dbg.BreakpointHits(static_cast<int>(2 + i)), 0u) << kFalse[i];
+  }
 }
 
 TEST_F(ExecTest, WatchpointFiresOnScalarChange) {

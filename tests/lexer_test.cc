@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "src/duel/ast.h"
+
 namespace duel {
 namespace {
 
@@ -19,6 +21,12 @@ TEST(LexerTest, DuelOperators) {
                               Tok::kIfEq, Tok::kIfNe, Tok::kSeqEq, Tok::kImply, Tok::kDefine,
                               Tok::kCountOf, Tok::kSumOf, Tok::kAllOf, Tok::kAnyOf, Tok::kAt,
                               Tok::kHash, Tok::kExpand, Tok::kExpandBfs, Tok::kEnd}));
+  // Every operator's spelling in the operator table lexes as its token.
+  for (const OpInfo& row : kOpTable) {
+    if (*row.spelling != '\0') {
+      EXPECT_EQ(Kinds(row.spelling), (std::vector<Tok>{row.tok, Tok::kEnd})) << row.name;
+    }
+  }
 }
 
 TEST(LexerTest, MaximalMunchOfArrowFamilies) {

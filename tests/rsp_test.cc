@@ -3,10 +3,13 @@
 // byte-identical to the in-process SimBackend.
 
 #include <gtest/gtest.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <condition_variable>
 #include <mutex>
 
+#include "src/rsp/framed_socket.h"
 #include "src/rsp/packet.h"
 #include "src/target/ctype_io.h"
 #include "src/rsp/remote_backend.h"
@@ -307,6 +310,25 @@ TEST(SocketTransportTest, ReceiveTimeoutFailsCleanlyWhenServerHangs) {
   }
   // Unwedge the server so the transport destructor can join its thread.
   server.Release();
+}
+
+// The shared receive loop, against a socketpair peer that never answers:
+// the deadline turns the wait into a kProtocol error instead of a hang.
+TEST(RspFramedSocketTest, ReadPacketTimesOutOnSilentPeer) {
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  PacketDecoder rx;
+  try {
+    ReadPacket(fds[0], rx, 20, "silent peer");
+    FAIL() << "ReadPacket must give up on a peer that never answers";
+  } catch (const DuelError& e) {
+    EXPECT_EQ(e.kind(), ErrorKind::kProtocol);
+    EXPECT_NE(std::string(e.what()).find("timed out after 20 ms waiting for the silent peer"),
+              std::string::npos)
+        << e.what();
+  }
+  ::close(fds[0]);
+  ::close(fds[1]);
 }
 
 }  // namespace

@@ -39,6 +39,8 @@ TEST_F(SessionTest, OutputTruncationGuard) {
 TEST_F(SessionTest, DriveSkipsFormatting) {
   scenarios::BuildIntArray(fx_.image(), "x", {1, 2, 3});
   EXPECT_EQ(fx_.session().Drive("x[..3]"), 3u);
+  // The one drive loop counts values on this path too.
+  EXPECT_EQ(fx_.session().context().counters().values_produced, 3u);
   // Drive throws on errors rather than returning a QueryResult.
   EXPECT_THROW(fx_.session().Drive("nosuch"), DuelError);
 }
@@ -70,7 +72,8 @@ TEST_F(SessionTest, CountersAccumulate) {
   fx_.session().Drive("#/(1..100)");
   EXPECT_GT(fx_.session().context().counters().eval_steps, 100u);
   fx_.session().Query("1..5");
-  EXPECT_EQ(fx_.session().context().counters().values_produced, 5u);
+  // Drive's one value plus Query's five: both paths count.
+  EXPECT_EQ(fx_.session().context().counters().values_produced, 6u);
 }
 
 TEST_F(SessionTest, HistoryRecordsQueries) {

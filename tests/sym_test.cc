@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "src/duel/value.h"
 
 namespace duel {
@@ -19,26 +21,56 @@ TEST(SymTest, PlainAndEmpty) {
 TEST(SymTest, BinaryComposition) {
   Sym a = Sym::Plain("a");
   Sym b = Sym::Plain("b");
-  Sym sum = ComposeBinary(a, "+", b, kPrecAdd);
+  Sym sum = ComposeBinary(a, Op::kAdd, b);
   EXPECT_EQ(sum.Text(), "a+b");
   // A looser operand on the tight side gets parenthesized.
-  Sym prod = ComposeBinary(sum, "*", b, kPrecMul);
+  Sym prod = ComposeBinary(sum, Op::kMul, b);
   EXPECT_EQ(prod.Text(), "(a+b)*b");
   // Left-associativity: same precedence on the left needs no parens.
-  Sym chain = ComposeBinary(sum, "+", b, kPrecAdd);
+  Sym chain = ComposeBinary(sum, Op::kAdd, b);
   EXPECT_EQ(chain.Text(), "a+b+b");
   // ...but on the right it does.
-  Sym right = ComposeBinary(b, "-", sum, kPrecAdd);
+  Sym right = ComposeBinary(b, Op::kSub, sum);
   EXPECT_EQ(right.Text(), "b-(a+b)");
 }
 
 TEST(SymTest, UnaryAndIndexComposition) {
   Sym x = Sym::Plain("x");
-  EXPECT_EQ(ComposeUnary("-", x).Text(), "-x");
-  Sym sum = ComposeBinary(x, "+", x, kPrecAdd);
-  EXPECT_EQ(ComposeUnary("*", sum).Text(), "*(x+x)");
+  EXPECT_EQ(ComposeUnary(Op::kNeg, x).Text(), "-x");
+  Sym sum = ComposeBinary(x, Op::kAdd, x);
+  EXPECT_EQ(ComposeUnary(Op::kDeref, sum).Text(), "*(x+x)");
   EXPECT_EQ(ComposeIndex(x, Sym::Plain("3")).Text(), "x[3]");
   EXPECT_EQ(ComposeIndex(sum, Sym::Plain("3")).Text(), "(x+x)[3]");
+  EXPECT_EQ(ComposeUnary(Op::kPostInc, x).Text(), "x++");
+
+  // Where two spellings meet as characters that lex as one longer token, a
+  // space keeps them apart; elsewhere the texts join directly.
+  Sym neg = ComposeUnary(Op::kNeg, x);          // -x
+  Sym pos = ComposeUnary(Op::kPos, x);          // +x
+  Sym addr = ComposeUnary(Op::kAddrOf, x);      // &x
+  Sym predec = ComposeUnary(Op::kPreDec, x);    // --x
+  Sym postdec = ComposeUnary(Op::kPostDec, x);  // x--
+  Sym minus_one = Sym::Plain("-1");
+  const std::pair<Sym, const char*> kCases[] = {
+      {ComposeUnary(Op::kNeg, neg), "- -x"},
+      {ComposeUnary(Op::kNeg, minus_one), "- -1"},
+      {ComposeUnary(Op::kPos, pos), "+ +x"},
+      {ComposeUnary(Op::kAddrOf, addr), "& &x"},
+      {ComposeUnary(Op::kNeg, predec), "- --x"},
+      {ComposeUnary(Op::kPreDec, minus_one), "---1"},  // `--` is whole: reads -- -1
+      {ComposeUnary(Op::kNot, neg), "!-x"},
+      {ComposeBinary(x, Op::kSub, neg), "x- -x"},
+      {ComposeBinary(x, Op::kSub, minus_one), "x- -1"},
+      {ComposeBinary(x, Op::kAdd, pos), "x+ +x"},
+      {ComposeBinary(x, Op::kBitAnd, addr), "x& &x"},
+      {ComposeBinary(x, Op::kAdd, neg), "x+-x"},
+      {ComposeBinary(postdec, Op::kGt, x), "x-- >x"},  // not x-->x
+      {ComposeBinary(postdec, Op::kSub, x), "x---x"},  // reads x-- - x
+      {ComposeBinary(postdec, Op::kSub, neg), "x--- -x"},
+  };
+  for (const auto& [sym, want] : kCases) {
+    EXPECT_EQ(sym.Text(), want);
+  }
 }
 
 TEST(SymTest, ArrowChainsExpandThenCompress) {
