@@ -18,8 +18,7 @@ using namespace duel;
 namespace {
 
 // Mirrors a parsed AST into target memory; returns the root node's address.
-target::Addr MirrorAst(target::ImageBuilder& b, const target::TypeRef& ast_type,
-                       const Node& n) {
+target::Addr MirrorAst(target::ImageBuilder& b, target::TypeRef ast_type, const Node& n) {
   target::Addr kids[4] = {0, 0, 0, 0};
   size_t nkids = std::min<size_t>(n.kids.size(), 4);
   for (size_t i = 0; i < nkids; ++i) {

@@ -41,25 +41,25 @@ struct ReadRange {
 
 struct VariableInfo {
   std::string name;
-  TypeRef type;
+  TypeRef type = nullptr;
   Addr addr = 0;
 };
 
 struct FunctionInfo {
   std::string name;
-  TypeRef type;
+  TypeRef type = nullptr;
   Addr addr = 0;
 };
 
 struct FrameVariable {
   std::string name;
-  TypeRef type;
+  TypeRef type = nullptr;
   Addr addr = 0;
 };
 
 // An enumeration constant (e.g. BLUE) resolved by name.
 struct EnumeratorInfo {
-  TypeRef type;  // the enum type
+  TypeRef type = nullptr;  // the enum type
   int64_t value = 0;
 };
 

@@ -40,12 +40,12 @@ TypeKind UnsignedOf(TypeKind k) {
   }
 }
 
-bool IsPointer(const TypeRef& t) { return t != nullptr && t->kind() == TypeKind::kPointer; }
+bool IsPointer(TypeRef t) { return t != nullptr && t->kind() == TypeKind::kPointer; }
 
-std::string TypeText(const target::Type* t) { return t != nullptr ? t->ToString() : "<frame>"; }
+std::string TypeText(TypeRef t) { return t != nullptr ? t->ToString() : "<frame>"; }
 
-Typing Invalid(Op op, const TypeRef& a, const TypeRef& b) {
-  return {TypeFault::kInvalidOperands, a.get(), b.get(), op};
+Typing Invalid(Op op, TypeRef a, TypeRef b) {
+  return {TypeFault::kInvalidOperands, a, b, op};
 }
 
 uint64_t MaskTo(uint64_t v, size_t size) {
@@ -138,7 +138,7 @@ void Typing::Throw(SourceRange range) const {
   throw DuelError(ErrorKind::kType, Message(), range);
 }
 
-const TypeRef& Promote(target::TypeTable& types, const TypeRef& t) {
+TypeRef Promote(target::TypeTable& types, TypeRef t) {
   if (t->kind() == TypeKind::kEnum) {
     return types.Int();
   }
@@ -148,15 +148,15 @@ const TypeRef& Promote(target::TypeTable& types, const TypeRef& t) {
   return t;
 }
 
-const TypeRef& CommonType(target::TypeTable& types, const TypeRef& ta, const TypeRef& tb) {
+TypeRef CommonType(target::TypeTable& types, TypeRef ta, TypeRef tb) {
   if (ta->kind() == TypeKind::kDouble || tb->kind() == TypeKind::kDouble) {
     return types.Double();
   }
   if (ta->kind() == TypeKind::kFloat || tb->kind() == TypeKind::kFloat) {
     return types.Float();
   }
-  const TypeRef& a = Promote(types, ta);
-  const TypeRef& b = Promote(types, tb);
+  TypeRef a = Promote(types, ta);
+  TypeRef b = Promote(types, tb);
   if (a->kind() == b->kind()) {
     return a;
   }
@@ -167,8 +167,8 @@ const TypeRef& CommonType(target::TypeTable& types, const TypeRef& ta, const Typ
   if (ua == ub) {
     return ra >= rb ? a : b;
   }
-  const TypeRef& u = ua ? a : b;
-  const TypeRef& s = ua ? b : a;
+  TypeRef u = ua ? a : b;
+  TypeRef s = ua ? b : a;
   if (IntRank(u->kind()) >= IntRank(s->kind())) {
     return u;
   }
@@ -178,7 +178,7 @@ const TypeRef& CommonType(target::TypeTable& types, const TypeRef& ta, const Typ
   return types.Basic(UnsignedOf(s->kind()));
 }
 
-const TypeRef& RvalueType(target::TypeTable& types, const TypeRef& t) {
+TypeRef RvalueType(target::TypeTable& types, TypeRef t) {
   if (t != nullptr && t->kind() == TypeKind::kArray) {
     return types.PointerTo(t->target());
   }
@@ -188,11 +188,11 @@ const TypeRef& RvalueType(target::TypeTable& types, const TypeRef& t) {
   return t;
 }
 
-const TypeRef& RvalueTypeOf(target::TypeTable& types, const Value& v) {
+TypeRef RvalueTypeOf(target::TypeTable& types, const Value& v) {
   return v.is_lvalue() ? RvalueType(types, v.type()) : v.type();
 }
 
-const TypeRef& LiteralType(target::TypeTable& types, const Node& n) {
+TypeRef LiteralType(target::TypeTable& types, const Node& n) {
   switch (n.op) {
     case Op::kIntConst:
       if (n.is_unsigned) {
@@ -209,17 +209,17 @@ const TypeRef& LiteralType(target::TypeTable& types, const Node& n) {
   }
 }
 
-Typing IntegerType(const TypeRef& t) {
+Typing IntegerType(TypeRef t) {
   if (t == nullptr) {
     return {TypeFault::kNoType, nullptr};
   }
   if (!t->IsScalar()) {
-    return {TypeFault::kNonInteger, t.get()};
+    return {TypeFault::kNonInteger, t};
   }
   return t;
 }
 
-Typing UnaryType(target::TypeTable& types, Op op, const TypeRef& t) {
+Typing UnaryType(target::TypeTable& types, Op op, TypeRef t) {
   switch (op) {
     case Op::kNot:
       return ConditionType(types, t);
@@ -227,22 +227,22 @@ Typing UnaryType(target::TypeTable& types, Op op, const TypeRef& t) {
     case Op::kNeg:
       if (t == nullptr || !t->IsArithmetic()) {
         // Spelled like the binary operator of the same sign.
-        return {TypeFault::kUnaryNonArithmetic, t.get(), nullptr,
+        return {TypeFault::kUnaryNonArithmetic, t, nullptr,
                 op == Op::kNeg ? Op::kSub : Op::kAdd};
       }
       return op == Op::kPos || t->IsFloating() ? t : Promote(types, t);
     case Op::kBitNot:
       // Enums promote like the C integers they are.
       if (t == nullptr || (!t->IsInteger() && t->kind() != TypeKind::kEnum)) {
-        return {TypeFault::kUnaryNonInteger, t.get()};
+        return {TypeFault::kUnaryNonInteger, t};
       }
       return Promote(types, t);
     case Op::kDeref:
       if (!IsPointer(t)) {
-        return {TypeFault::kDerefNonPointer, t.get()};
+        return {TypeFault::kDerefNonPointer, t};
       }
       if (t->target()->kind() == TypeKind::kVoid) {
-        return {TypeFault::kDerefVoidPointer, t.get()};
+        return {TypeFault::kDerefVoidPointer, t};
       }
       return t->target();
     default:
@@ -250,17 +250,17 @@ Typing UnaryType(target::TypeTable& types, Op op, const TypeRef& t) {
   }
 }
 
-Typing AddressType(target::TypeTable& types, const TypeRef& t, bool lvalue, bool bitfield) {
+Typing AddressType(target::TypeTable& types, TypeRef t, bool lvalue, bool bitfield) {
   if (!lvalue) {
-    return {TypeFault::kAddrOfRvalue, t.get()};
+    return {TypeFault::kAddrOfRvalue, t};
   }
   if (bitfield) {
-    return {TypeFault::kAddrOfBitfield, t.get()};
+    return {TypeFault::kAddrOfBitfield, t};
   }
   return types.PointerTo(t);
 }
 
-Typing BinaryType(target::TypeTable& types, Op op, const TypeRef& a, const TypeRef& b) {
+Typing BinaryType(target::TypeTable& types, Op op, TypeRef a, TypeRef b) {
   if (IsComparisonOp(op)) {
     if (Typing t = ComparisonType(types, op, a, b); !t) {
       return t;
@@ -296,7 +296,7 @@ Typing BinaryType(target::TypeTable& types, Op op, const TypeRef& a, const TypeR
   return CommonType(types, a, b);
 }
 
-Typing ComparisonType(target::TypeTable& types, Op op, const TypeRef& a, const TypeRef& b) {
+Typing ComparisonType(target::TypeTable& types, Op op, TypeRef a, TypeRef b) {
   if (a == nullptr || b == nullptr) {
     return Invalid(op, a, b);
   }
@@ -315,14 +315,14 @@ Typing ComparisonType(target::TypeTable& types, Op op, const TypeRef& a, const T
   return CommonType(types, a, b);
 }
 
-Typing IndexType(const TypeRef& base, const TypeRef& index) {
+Typing IndexType(TypeRef base, TypeRef index) {
   // C's commutative subscripting: 2[x] == x[2]. Enums subscript like the C
   // integers they are.
   bool swapped = base != nullptr && (base->IsInteger() || base->kind() == TypeKind::kEnum) &&
                  IsPointer(index);
-  const TypeRef& ptr = swapped ? index : base;
+  TypeRef ptr = swapped ? index : base;
   if (!IsPointer(ptr)) {
-    return {TypeFault::kIndexNonPointer, ptr.get()};
+    return {TypeFault::kIndexNonPointer, ptr};
   }
   if (Typing t = IntegerType(swapped ? base : index); !t) {
     return t;
@@ -330,19 +330,18 @@ Typing IndexType(const TypeRef& base, const TypeRef& index) {
   return ptr->target();
 }
 
-Typing IncDecType(target::TypeTable& types, const TypeRef& t, bool lvalue) {
+Typing IncDecType(target::TypeTable& types, TypeRef t, bool lvalue) {
   if (!lvalue) {
-    return {TypeFault::kIncDecRvalue, t.get()};
+    return {TypeFault::kIncDecRvalue, t};
   }
-  const TypeRef& rt = RvalueType(types, t);
+  TypeRef rt = RvalueType(types, t);
   if (!rt->IsScalar()) {
-    return {TypeFault::kIncDecNonScalar, rt.get()};
+    return {TypeFault::kIncDecNonScalar, rt};
   }
   return AssignType(types, Op::kAssign, t, true, rt);
 }
 
-Typing AssignType(target::TypeTable& types, Op op, const TypeRef& target, bool lvalue,
-                  const TypeRef& source) {
+Typing AssignType(target::TypeTable& types, Op op, TypeRef target, bool lvalue, TypeRef source) {
   if (op != Op::kAssign) {
     // op= applies its operator, then stores the result like `=`.
     Typing t = BinaryType(types, Info(op).base, RvalueType(types, target), source);
@@ -352,25 +351,25 @@ Typing AssignType(target::TypeTable& types, Op op, const TypeRef& target, bool l
     return AssignType(types, Op::kAssign, target, lvalue, t.type());
   }
   if (!lvalue) {
-    return {TypeFault::kAssignRvalue, target.get()};
+    return {TypeFault::kAssignRvalue, target};
   }
   if (target->IsRecord() || target->kind() == TypeKind::kArray) {
     if (source == nullptr || !target::TypeEquals(target, source)) {
-      return {TypeFault::kAssignMismatch, source.get(), target.get()};
+      return {TypeFault::kAssignMismatch, source, target};
     }
   } else if (target->IsScalar()) {
     if (Typing t = IntegerType(source); !t) {
       return t;  // floating sources convert too: every scalar does
     }
   } else {
-    return {TypeFault::kAssignNonScalar, target.get()};
+    return {TypeFault::kAssignNonScalar, target};
   }
   return RvalueType(types, target);
 }
 
-Typing ConditionType(target::TypeTable& types, const TypeRef& t) {
+Typing ConditionType(target::TypeTable& types, TypeRef t) {
   if (t == nullptr || !t->IsScalar()) {
-    return {TypeFault::kNotCondition, t.get()};
+    return {TypeFault::kNotCondition, t};
   }
   return types.Int();
 }
@@ -386,7 +385,7 @@ bool ApplyComparisonImpl(EvalContext& ctx, Op op, const Value& va, const Value& 
   if (!t) {
     t.Throw(range);
   }
-  const TypeRef& ct = t.type();
+  TypeRef ct = t.type();
   if (ct->kind() == TypeKind::kPointer) {
     uint64_t ua = a.type()->kind() == TypeKind::kPointer ? ctx.ToPtr(a) : ctx.ToU64(a);
     uint64_t ub = b.type()->kind() == TypeKind::kPointer ? ctx.ToPtr(b) : ctx.ToU64(b);
@@ -418,7 +417,7 @@ Value ApplyBinaryImpl(EvalContext& ctx, Op op, const Value& va, const Value& vb,
   if (!t) {
     t.Throw(range);
   }
-  const TypeRef& rt = t.type();
+  TypeRef rt = t.type();
   Sym sym = BinSym(ctx, op, va, vb);
 
   // Pointer arithmetic.
@@ -521,7 +520,7 @@ Value ApplyUnaryImpl(EvalContext& ctx, Op op, const Value& v, SourceRange range)
   if (!t) {
     t.Throw(range);
   }
-  const TypeRef& rt = t.type();
+  TypeRef rt = t.type();
   switch (op) {
     case Op::kPos:
       r.set_sym(usym());
@@ -558,14 +557,14 @@ Value ApplyIndexImpl(EvalContext& ctx, const Value& base, const Value& index, So
   return Value::LV(t.type(), addr, std::move(sym));
 }
 
-Value ApplyCastImpl(EvalContext& ctx, const TypeRef& type, const Value& v, SourceRange range) {
+Value ApplyCastImpl(EvalContext& ctx, TypeRef type, const Value& v, SourceRange range) {
   ctx.counters().applies++;
   Sym sym = ctx.sym_on() ? ComposeCast(type->ToString(), v.sym()) : Sym::None();
   if (type->kind() == TypeKind::kVoid) {
     return Value::RV(type, nullptr, 0, std::move(sym));
   }
   Value r = ctx.Rvalue(v);
-  const TypeRef& st = r.type();
+  TypeRef st = r.type();
   if (st == nullptr) {
     throw DuelError(ErrorKind::kType, "cannot cast a frame handle", range);
   }
@@ -618,7 +617,7 @@ Value ApplyIncDecImpl(EvalContext& ctx, Op op, const Value& v, SourceRange range
     t.Throw(range);
   }
   Value old = ctx.Rvalue(v);
-  const TypeRef& t = old.type();
+  TypeRef t = old.type();
   bool inc = op == Op::kPreInc || op == Op::kPostInc;
   Value next;
   Sym none = Sym::None();
@@ -681,7 +680,7 @@ Value ApplyIndex(EvalContext& ctx, const Value& base, const Value& index, Source
   return Stamped(range, [&] { return ApplyIndexImpl(ctx, base, index, range); });
 }
 
-Value ApplyCast(EvalContext& ctx, const TypeRef& type, const Value& v, SourceRange range) {
+Value ApplyCast(EvalContext& ctx, TypeRef type, const Value& v, SourceRange range) {
   return Stamped(range, [&] { return ApplyCastImpl(ctx, type, v, range); });
 }
 

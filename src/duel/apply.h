@@ -51,20 +51,17 @@ enum class TypeFault : uint8_t {
   kAssignNonScalar,  // a void or function lvalue
 };
 
-// A typing rule's verdict: the result type, or the fault. Success neither
-// allocates nor copies a TypeRef; the message is formatted only on demand.
-// The verdict points at its operand types (or at types the TypeTable owns),
-// so it must not outlive them.
+// A typing rule's verdict: the result type, or the fault. Success does not
+// allocate; the message is formatted only on demand.
 class Typing {
  public:
   // Implicit, so a rule can `return t;` its result type.
-  Typing(const TypeRef& type) : type_(&type) {}
-  Typing(TypeFault fault, const target::Type* a, const target::Type* b = nullptr,
-         Op op = Op::kAdd)
+  Typing(TypeRef type) : type_(type) {}
+  Typing(TypeFault fault, TypeRef a, TypeRef b = nullptr, Op op = Op::kAdd)
       : fault_(fault), op_(op), a_(a), b_(b) {}
 
-  explicit operator bool() const { return type_ != nullptr; }
-  const TypeRef& type() const { return *type_; }  // only when the rule held
+  explicit operator bool() const { return fault_ == TypeFault::kNone; }
+  TypeRef type() const { return type_; }  // only when the rule held
   TypeFault fault() const { return fault_; }
 
   const char* rule() const;
@@ -72,51 +69,50 @@ class Typing {
   [[noreturn]] void Throw(SourceRange range = {}) const;  // DuelError(kType, Message())
 
  private:
-  const TypeRef* type_ = nullptr;
+  TypeRef type_ = nullptr;
   TypeFault fault_ = TypeFault::kNone;
   Op op_ = Op::kAdd;
-  const target::Type* a_ = nullptr;  // the operand types the message names
-  const target::Type* b_ = nullptr;
+  TypeRef a_ = nullptr;  // the operand types the message names
+  TypeRef b_ = nullptr;
 };
 
 // Integer promotion and the usual arithmetic conversions (LP64).
-const TypeRef& Promote(target::TypeTable& types, const TypeRef& t);
-const TypeRef& CommonType(target::TypeTable& types, const TypeRef& a, const TypeRef& b);
+TypeRef Promote(target::TypeTable& types, TypeRef t);
+TypeRef CommonType(target::TypeTable& types, TypeRef a, TypeRef b);
 
 // The type an lvalue of declared type `t` has as an rvalue: arrays decay to
 // a pointer to their element, functions to a pointer to themselves.
-const TypeRef& RvalueType(target::TypeTable& types, const TypeRef& t);
+TypeRef RvalueType(target::TypeTable& types, TypeRef t);
 // The same for a value: lvalues decay, rvalues keep their type.
-const TypeRef& RvalueTypeOf(target::TypeTable& types, const Value& v);
+TypeRef RvalueTypeOf(target::TypeTable& types, const Value& v);
 
 // kIntConst (int, long or unsigned by suffix and magnitude), kCharConst,
 // kFloatConst, kStringConst.
-const TypeRef& LiteralType(target::TypeTable& types, const Node& n);
+TypeRef LiteralType(target::TypeTable& types, const Node& n);
 
 // An operand read as an integer or an address (EvalContext::ToI64): any
 // scalar; yields its own type.
-Typing IntegerType(const TypeRef& t);
+Typing IntegerType(TypeRef t);
 
 // kNeg kPos kBitNot kNot kDeref.
-Typing UnaryType(target::TypeTable& types, Op op, const TypeRef& t);
+Typing UnaryType(target::TypeTable& types, Op op, TypeRef t);
 // &e over the declared type of e.
-Typing AddressType(target::TypeTable& types, const TypeRef& t, bool lvalue, bool bitfield);
+Typing AddressType(target::TypeTable& types, TypeRef t, bool lvalue, bool bitfield);
 // Arithmetic, bitwise, shift and comparison operators; comparisons yield int.
-Typing BinaryType(target::TypeTable& types, Op op, const TypeRef& a, const TypeRef& b);
+Typing BinaryType(target::TypeTable& types, Op op, TypeRef a, TypeRef b);
 // The type a comparison compares in: the pointer operand's type for address
 // comparisons, double for floating ones, else the common integer type.
-Typing ComparisonType(target::TypeTable& types, Op op, const TypeRef& a, const TypeRef& b);
+Typing ComparisonType(target::TypeTable& types, Op op, TypeRef a, TypeRef b);
 // e1[e2], including C's commutative 2[x]; yields the element type.
-Typing IndexType(const TypeRef& base, const TypeRef& index);
+Typing IndexType(TypeRef base, TypeRef index);
 // ++/-- over the declared type of an lvalue, including storing the result.
-Typing IncDecType(target::TypeTable& types, const TypeRef& t, bool lvalue);
+Typing IncDecType(target::TypeTable& types, TypeRef t, bool lvalue);
 // `target = source` (EvalContext::Store's rule) or a compound `target op=
 // source`, for an lvalue of declared type `target` and a value of rvalue type
 // `source`; yields the assignment's value type.
-Typing AssignType(target::TypeTable& types, Op op, const TypeRef& target, bool lvalue,
-                  const TypeRef& source);
+Typing AssignType(target::TypeTable& types, Op op, TypeRef target, bool lvalue, TypeRef source);
 // A value tested for truth must be a scalar (EvalContext::Truthy); yields int.
-Typing ConditionType(target::TypeTable& types, const TypeRef& t);
+Typing ConditionType(target::TypeTable& types, TypeRef t);
 
 // --- values ------------------------------------------------------------------
 
@@ -136,7 +132,7 @@ Value ApplyUnary(EvalContext& ctx, Op op, const Value& v, SourceRange range);
 Value ApplyIndex(EvalContext& ctx, const Value& base, const Value& index, SourceRange range);
 
 // (type)e.
-Value ApplyCast(EvalContext& ctx, const TypeRef& type, const Value& v, SourceRange range);
+Value ApplyCast(EvalContext& ctx, TypeRef type, const Value& v, SourceRange range);
 
 // = and op=; returns the value of the assignment (the new lhs value).
 Value ApplyAssign(EvalContext& ctx, Op op, const Value& lhs, const Value& rhs,

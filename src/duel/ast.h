@@ -267,8 +267,16 @@ using NodePtr = std::unique_ptr<Node>;
 // True when any node in the tree can write target state: assignment in all
 // its spellings, ++/--, target calls (which can write anywhere) and
 // declarations (which allocate target space). Session-local effects — alias
-// definition with `:=` and `#` — do not count. The serve layer's read/write
-// classification and the checker's side-effect-reeval warning both ask this.
+// definition with `:=` and `#` — do not count: each session is
+// single-threaded, so its alias table is private.
+//
+// The serve layer runs a query under the shared (reader) target lock unless
+// this says it mutates, and the checker's side-effect-reeval warning asks
+// the same question, so the two never disagree about what writes the target.
+// The scan must be sound in one direction only: a mutating query must never
+// read as pure (it would race every concurrent reader), while a pure query
+// read as mutating is merely serialized. It is a syntactic scan of the whole
+// tree, so unlike the checker it cannot stop early.
 bool MutatesTarget(const Node& n);
 
 // Renders the AST in the paper's LISP-like notation, e.g.

@@ -18,7 +18,7 @@ using target::TypeRef;
 
 // The record a with-scope over `t` exposes members of: a record directly,
 // or through one pointer (LookupInScope accepts both for '.' and '->').
-TypeRef RecordOf(const TypeRef& t) {
+TypeRef RecordOf(TypeRef t) {
   if (t->IsRecord()) {
     return t;
   }
@@ -26,25 +26,6 @@ TypeRef RecordOf(const TypeRef& t) {
     return t->target();
   }
   return nullptr;
-}
-
-// Literal integer value of a node, through unary +/- (enough for the
-// div-by-zero and array-bound rules; folding proper is Analyzer::Fold).
-std::optional<int64_t> ConstIntOf(const Node& n) {
-  switch (n.op) {
-    case Op::kIntConst:
-    case Op::kCharConst:
-      return static_cast<int64_t>(n.int_value);
-    case Op::kNeg:
-      if (std::optional<int64_t> v = ConstIntOf(*n.kids[0])) {
-        return -*v;
-      }
-      return std::nullopt;
-    case Op::kPos:
-      return ConstIntOf(*n.kids[0]);
-    default:
-      return std::nullopt;
-  }
 }
 
 // Pure subtrees: literals combined by C's arithmetic/bitwise/comparison
@@ -64,7 +45,7 @@ bool FoldableBinary(Op op) { return IsArithOp(op) || IsComparisonOp(op); }
 // What the inference walk knows about one subexpression. `type == nullptr`
 // means unknown, and unknown silences every rule that consumes it.
 struct Inf {
-  TypeRef type;
+  TypeRef type = nullptr;
   enum class Lv { kNo, kYes, kUnknown } lv = Lv::kUnknown;
   bool bitfield = false;  // a bit-field member
   bool many = false;      // can yield more than one value
@@ -76,7 +57,7 @@ using Lv = Inf::Lv;
 // opaque (frames, aliases, anything dynamic) — every name below resolves to
 // unknown, because the scope could bind it at run time.
 struct ScopeInfo {
-  TypeRef subject;  // null when !known
+  TypeRef subject = nullptr;  // null when !known
   bool known = false;
 };
 
@@ -119,7 +100,7 @@ class Analyzer {
   }
 
   // The rvalue view of a known operand: lvalue arrays and functions decay.
-  const TypeRef& Rv(const Inf& a) {
+  TypeRef Rv(const Inf& a) {
     return a.lv == Lv::kNo ? a.type : RvalueType(ctx_->types(), a.type);
   }
 
@@ -232,16 +213,30 @@ class Analyzer {
     }
   }
 
-  // Bound checks for e1[e2] when e1's declared type is an array: literal
+  // The integer a constant operand stands for: a literal's own value, or the
+  // memoized Fold of a subtree the walk folded (`5+5`, `1-1`, `-1`). Only
+  // integer-typed constants count. Call after the walk reached `n`.
+  std::optional<int64_t> ConstInt(const Node& n) {
+    if (n.op == Op::kIntConst || n.op == Op::kCharConst) {
+      return static_cast<int64_t>(n.int_value);
+    }
+    auto it = memo_.find(n.id);
+    if (it == memo_.end() || !it->second.has_value() || !it->second->type()->IsInteger()) {
+      return std::nullopt;
+    }
+    return ctx_->ToI64(*it->second);
+  }
+
+  // Bound checks for e1[e2] when e1's declared type is an array: constant
   // indices, `[..n]` prefix ranges and `[lo..hi]` ranges past the end.
-  void CheckArrayBounds(const Node& n, const TypeRef& array) {
+  void CheckArrayBounds(const Node& n, TypeRef array) {
     const size_t count = array->array_count();
     if (count == 0) {
       return;
     }
     const Node& idx = *n.kids[1];
     auto past_end = [&](int64_t i) { return i < 0 || static_cast<uint64_t>(i) >= count; };
-    if (std::optional<int64_t> i = ConstIntOf(idx)) {
+    if (std::optional<int64_t> i = ConstInt(idx)) {
       if (past_end(*i)) {
         Warn(idx, "array-bound",
              StrPrintf("index %lld is past the end of %s (%zu elements)",
@@ -251,7 +246,7 @@ class Analyzer {
       return;
     }
     if (idx.op == Op::kToPrefix) {
-      if (std::optional<int64_t> hi = ConstIntOf(*idx.kids[0]);
+      if (std::optional<int64_t> hi = ConstInt(*idx.kids[0]);
           hi.has_value() && *hi > static_cast<int64_t>(count)) {
         Warn(idx, "array-bound",
              StrPrintf("[..%lld] reads %lld elements but %s has %zu",
@@ -262,7 +257,7 @@ class Analyzer {
       return;
     }
     if (idx.op == Op::kTo && idx.kids.size() == 2) {
-      if (std::optional<int64_t> hi = ConstIntOf(*idx.kids[1]);
+      if (std::optional<int64_t> hi = ConstInt(*idx.kids[1]);
           hi.has_value() && past_end(*hi)) {
         Warn(idx, "array-bound",
              StrPrintf("range ends at %lld, past the end of %s (%zu elements)",
@@ -284,12 +279,12 @@ class Analyzer {
     }
   }
 
-  // Integer `/`, `%`, `/=` or `%=` by a literal zero faults whenever it
+  // Integer `/`, `%`, `/=` or `%=` by a constant zero faults whenever it
   // runs. Reports it and returns true. The operands are well-typed.
-  bool DividesByZero(const Node& n, const TypeRef& ta, const TypeRef& tb) {
+  bool DividesByZero(const Node& n, TypeRef ta, TypeRef tb) {
     bool div = n.op == Op::kDiv || n.op == Op::kDivEq;
     bool mod = n.op == Op::kMod || n.op == Op::kModEq;
-    std::optional<int64_t> z = ConstIntOf(*n.kids[1]);
+    std::optional<int64_t> z = ConstInt(*n.kids[1]);
     if ((!div && !mod) || !z.has_value() || *z != 0 || ta->IsFloating() || tb->IsFloating()) {
       return false;
     }
@@ -305,8 +300,8 @@ class Analyzer {
     if (a.type == nullptr || b.type == nullptr) {
       return nullptr;
     }
-    const TypeRef& ta = Rv(a);
-    const TypeRef& tb = Rv(b);
+    TypeRef ta = Rv(a);
+    TypeRef tb = Rv(b);
     TypeRef r = Rule(n, BinaryType(ctx_->types(), op, ta, tb));
     if (r == nullptr || DividesByZero(n, ta, tb)) {
       return nullptr;
@@ -733,7 +728,7 @@ class Analyzer {
         }
         // An unknown index still subscripts a known pointer: if the query
         // runs at all, the index read as an integer.
-        const TypeRef& base = Rv(a);
+        TypeRef base = Rv(a);
         if (b.type == nullptr && base->kind() != TypeKind::kPointer) {
           return r;
         }

@@ -11,7 +11,7 @@ namespace duel {
 using target::TypeKind;
 
 Value ConstValue(EvalContext& ctx, const Node& n) {
-  const TypeRef& t = LiteralType(ctx.types(), n);
+  TypeRef t = LiteralType(ctx.types(), n);
   switch (n.op) {
     case Op::kIntConst: {
       Sym sym = ctx.MakeSym(
@@ -56,7 +56,7 @@ Value MakeIntValue(EvalContext& ctx, int64_t v) {
                   ? ctx.types().Long()
                   : ctx.types().Int();
   Sym sym = ctx.MakeSym(StrPrintf("%lld", static_cast<long long>(v)));
-  return Value::Int(std::move(t), v, std::move(sym));
+  return Value::Int(t, v, std::move(sym));
 }
 
 void ExecDecl(EvalContext& ctx, const Node& n) {
@@ -229,7 +229,7 @@ bool ExpandReadable(EvalContext& ctx, const Value& v) {
   if (v.type() == nullptr || v.type()->kind() != TypeKind::kPointer) {
     return true;
   }
-  const TypeRef& pointee = v.type()->target();
+  TypeRef pointee = v.type()->target();
   size_t size = pointee->size() == 0 ? 1 : pointee->size();
   return ctx.access().ValidBytes(ctx.ToPtr(v), size);
 }

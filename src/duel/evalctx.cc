@@ -31,7 +31,7 @@ Value EvalContext::Rvalue(const Value& v) {
     case Value::Kind::kLValue:
       break;
   }
-  const TypeRef& t = v.type();
+  TypeRef t = v.type();
   if (t->kind() == TypeKind::kArray || t->kind() == TypeKind::kFunction) {
     // Array-to-pointer and function-to-pointer decay.
     return Value::Pointer(RvalueType(types(), t), v.addr(), v.sym());
@@ -89,7 +89,7 @@ int64_t EvalContext::ToI64(const Value& value) {
   if (Typing rule = IntegerType(v.type()); !rule) {
     rule.Throw();
   }
-  const TypeRef& t = v.type();
+  TypeRef t = v.type();
   if (t->IsFloating()) {
     return static_cast<int64_t>(ToF64(v));
   }
@@ -114,7 +114,7 @@ uint64_t EvalContext::ToU64(const Value& value) {
 
 double EvalContext::ToF64(const Value& value) {
   Value v = Rvalue(value);
-  const TypeRef& t = v.type();
+  TypeRef t = v.type();
   if (t->kind() == TypeKind::kFloat) {
     float f;
     std::memcpy(&f, v.bytes().data(), sizeof(f));
@@ -164,7 +164,7 @@ void EvalContext::Store(const Value& lv, const Value& rv) {
     }
     throw DuelError(ErrorKind::kType, message);
   }
-  const TypeRef& t = lv.type();
+  TypeRef t = lv.type();
   if (lv.is_bitfield()) {
     uint64_t unit = 0;
     size_t n = t->size();
@@ -213,7 +213,7 @@ std::optional<Value> EvalContext::LookupInScope(const WithScope& scope, const st
     return std::nullopt;
   }
   if (t->kind() == TypeKind::kPointer && t->target()->IsRecord()) {
-    const TypeRef& rec = t->target();
+    TypeRef rec = t->target();
     const target::Member* m = rec->FindMember(name);
     if (m == nullptr) {
       return std::nullopt;
@@ -305,7 +305,7 @@ Value EvalContext::MemberAccess(const Value& subject, const std::string& name, b
 }
 
 TypeRef EvalContext::ResolveTypeSpec(const TypeSpec& spec, SourceRange range) {
-  TypeRef base;
+  TypeRef base = nullptr;
   switch (spec.base) {
     case TypeSpec::Base::kVoid: base = types().Void(); break;
     case TypeSpec::Base::kBool: base = types().Bool(); break;

@@ -49,7 +49,7 @@ std::string FormatRecord(EvalContext& ctx, const Value& v, int depth) {
   if (depth >= kMaxDepth) {
     return "{...}";
   }
-  const TypeRef& t = v.type();
+  TypeRef t = v.type();
   std::vector<std::string> fields;
   for (const target::Member& m : t->members()) {
     Value mv;
@@ -70,8 +70,8 @@ std::string FormatArray(EvalContext& ctx, const Value& v, int depth) {
   if (depth >= kMaxDepth) {
     return "{...}";
   }
-  const TypeRef& t = v.type();
-  const TypeRef& elem = t->target();
+  TypeRef t = v.type();
+  TypeRef elem = t->target();
   size_t n = t->array_count();
   // char arrays display as strings (one chunked valid-prefix read).
   if (elem->kind() == TypeKind::kChar && v.is_lvalue()) {
@@ -107,7 +107,7 @@ std::string FormatRecursive(EvalContext& ctx, const Value& v, int depth) {
     return StrPrintf("frame #%zu %s", v.frame_index(),
                      ctx.backend().FrameFunction(v.frame_index()).c_str());
   }
-  const TypeRef& t = v.type();
+  TypeRef t = v.type();
   if (t == nullptr) {
     return "<no value>";
   }

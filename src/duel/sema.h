@@ -41,7 +41,7 @@ namespace duel {
 struct NodeInfo {
   // kName resolved to a target variable at analysis time.
   bool prebound = false;
-  target::TypeRef bound_type;
+  target::TypeRef bound_type = nullptr;
   uint64_t bound_addr = 0;
 
   // Root of a maximal constant-folded subtree. The engine treats the node as a
@@ -50,7 +50,7 @@ struct NodeInfo {
   Value folded_value;
 
   // kCast / kSizeofType with the syntactic type resolved once.
-  target::TypeRef resolved_type;
+  target::TypeRef resolved_type = nullptr;
 };
 
 struct SemaStats {

@@ -141,7 +141,7 @@ Sym ComposeWith(const Sym& subject, bool arrow, const std::string& inner) {
 Value Value::RV(TypeRef type, const void* bytes, size_t n, Sym sym) {
   Value v;
   v.kind_ = Kind::kRValue;
-  v.type_ = std::move(type);
+  v.type_ = type;
   v.bytes_.Assign(bytes, n);
   v.sym_ = std::move(sym);
   return v;
@@ -154,25 +154,25 @@ Value Value::Int(TypeRef type, int64_t value, Sym sym) {
     throw DuelError(ErrorKind::kInternal, "Value::Int with oversized type");
   }
   std::memcpy(buf, &value, n);  // little-endian truncation
-  return RV(std::move(type), buf, n, std::move(sym));
+  return RV(type, buf, n, std::move(sym));
 }
 
 Value Value::Double(TypeRef type, double value, Sym sym) {
   if (type->kind() == TypeKind::kFloat) {
     float f = static_cast<float>(value);
-    return RV(std::move(type), &f, sizeof(f), std::move(sym));
+    return RV(type, &f, sizeof(f), std::move(sym));
   }
-  return RV(std::move(type), &value, sizeof(value), std::move(sym));
+  return RV(type, &value, sizeof(value), std::move(sym));
 }
 
 Value Value::Pointer(TypeRef type, Addr a, Sym sym) {
-  return RV(std::move(type), &a, sizeof(a), std::move(sym));
+  return RV(type, &a, sizeof(a), std::move(sym));
 }
 
 Value Value::LV(TypeRef type, Addr address, Sym sym) {
   Value v;
   v.kind_ = Kind::kLValue;
-  v.type_ = std::move(type);
+  v.type_ = type;
   v.addr_ = address;
   v.sym_ = std::move(sym);
   return v;
@@ -180,7 +180,7 @@ Value Value::LV(TypeRef type, Addr address, Sym sym) {
 
 Value Value::BitfieldLV(TypeRef type, Addr address, unsigned bit_offset, unsigned bit_width,
                         Sym sym) {
-  Value v = LV(std::move(type), address, std::move(sym));
+  Value v = LV(type, address, std::move(sym));
   v.bit_offset_ = bit_offset;
   v.bit_width_ = bit_width;
   return v;

@@ -138,7 +138,7 @@ class Value {
   Kind kind() const { return kind_; }
   bool is_lvalue() const { return kind_ == Kind::kLValue; }
   bool is_frame() const { return kind_ == Kind::kFrame; }
-  const TypeRef& type() const { return type_; }
+  TypeRef type() const { return type_; }
 
   Addr addr() const;                          // lvalue only
   bool is_bitfield() const { return bit_width_ != 0; }
@@ -154,7 +154,7 @@ class Value {
 
  private:
   Kind kind_ = Kind::kRValue;
-  TypeRef type_;
+  TypeRef type_ = nullptr;
   ByteStore bytes_;             // rvalue payload
   Addr addr_ = 0;               // lvalue payload
   unsigned bit_offset_ = 0;

@@ -132,7 +132,7 @@ std::string RspServer::HandleImpl(const std::string& request) {
       if (!DecodeName(std::string_view(request).substr(colon + 1), &name)) {
         return "E03";
       }
-      target::TypeRef t;
+      target::TypeRef t = nullptr;
       if (kind == "qTypedef") {
         t = backend_->GetTargetTypedef(name);
       } else if (kind == "qStruct") {

@@ -32,7 +32,7 @@ struct Init {
 
 struct PendingInit {
   Addr addr;
-  TypeRef type;
+  TypeRef type = nullptr;
   Init init;
 };
 
@@ -370,7 +370,7 @@ class ScenarioParser {
     }
   }
 
-  void Apply(Addr addr, const TypeRef& type, const Init& init) {
+  void Apply(Addr addr, TypeRef type, const Init& init) {
     switch (type->kind()) {
       case TypeKind::kPointer:
         ApplyPointer(addr, type, init);
@@ -388,7 +388,7 @@ class ScenarioParser {
     }
   }
 
-  void ApplyScalar(Addr addr, const TypeRef& type, const Init& init) {
+  void ApplyScalar(Addr addr, TypeRef type, const Init& init) {
     if (init.kind == Init::Kind::kFloat || type->IsFloating()) {
       double v = init.kind == Init::Kind::kFloat ? init.f
                  : init.kind == Init::Kind::kInt ? static_cast<double>(init.i)
@@ -412,7 +412,7 @@ class ScenarioParser {
     builder_.PokeScalar(addr, type, init.i);
   }
 
-  void ApplyPointer(Addr addr, const TypeRef& type, const Init& init) {
+  void ApplyPointer(Addr addr, TypeRef type, const Init& init) {
     switch (init.kind) {
       case Init::Kind::kInt:
         builder_.PokePtr(addr, static_cast<Addr>(init.i));
@@ -436,8 +436,8 @@ class ScenarioParser {
     }
   }
 
-  void ApplyArray(Addr addr, const TypeRef& type, const Init& init) {
-    const TypeRef& elem = type->target();
+  void ApplyArray(Addr addr, TypeRef type, const Init& init) {
+    TypeRef elem = type->target();
     if (init.kind == Init::Kind::kString && elem->kind() == TypeKind::kChar) {
       if (init.s.size() + 1 > type->array_count()) {
         FailInit(init, "string does not fit the char array");
@@ -460,7 +460,7 @@ class ScenarioParser {
     }
   }
 
-  void ApplyRecord(Addr addr, const TypeRef& type, const Init& init) {
+  void ApplyRecord(Addr addr, TypeRef type, const Init& init) {
     if (init.kind != Init::Kind::kList) {
       FailInit(init, "record initializer needs {...}");
     }
@@ -572,8 +572,7 @@ class ScenarioDumper {
       for (auto it = records.begin(); it != records.end();) {
         bool ready = true;
         for (const target::Member& m : it->second->members()) {
-          const target::Type* mt = m.type.get();
-          if (mt->IsRecord() && emitted.count(mt->tag()) == 0) {
+          if (m.type->IsRecord() && emitted.count(m.type->tag()) == 0) {
             ready = false;  // by-value member of a not-yet-emitted record
             break;
           }
@@ -590,7 +589,7 @@ class ScenarioDumper {
     }
   }
 
-  void EmitRecordDef(const std::string& tag, const TypeRef& t) {
+  void EmitRecordDef(const std::string& tag, TypeRef t) {
     out_ += (t->kind() == TypeKind::kUnion ? "union " : "struct ") + tag + " { ";
     for (const target::Member& m : t->members()) {
       out_ += m.type->Declare(m.name);
@@ -615,7 +614,7 @@ class ScenarioDumper {
     return nullptr;
   }
 
-  std::string InitFor(const TypeRef& t, Addr addr) {
+  std::string InitFor(TypeRef t, Addr addr) {
     const target::Memory& mem = image_->memory();
     switch (t->kind()) {
       case TypeKind::kPointer: {
@@ -636,7 +635,7 @@ class ScenarioDumper {
         return StrPrintf("%llu", static_cast<unsigned long long>(p));
       }
       case TypeKind::kArray: {
-        const TypeRef& elem = t->target();
+        TypeRef elem = t->target();
         if (elem->kind() == TypeKind::kChar) {
           std::string str;
           bool trunc = false;

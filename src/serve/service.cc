@@ -3,7 +3,7 @@
 #include <future>
 #include <utility>
 
-#include "src/serve/classify.h"
+#include "src/duel/ast.h"
 #include "src/support/strings.h"
 
 namespace duel::serve {
@@ -261,7 +261,8 @@ QueryResult QueryService::RunOne(Client& c, const std::string& expr, bool* was_m
   // names and types against shared tables. A plan that fails to lex/parse is
   // read-only — Query reproduces the error without touching target data.
   const CompiledQuery* plan = c.session->Prepare(expr);
-  bool mutating = plan != nullptr && Classify(*plan) == QueryClass::kMutating;
+  bool mutating = plan != nullptr && plan->parsed.root != nullptr &&
+                  MutatesTarget(*plan->parsed.root);
   *was_mutating = mutating;
   if (!mutating) {
     return c.session->Query(expr);

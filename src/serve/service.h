@@ -10,7 +10,7 @@
 //
 //   Submit ── admission ──> per-client FIFO ── round-robin ──> worker pool
 //                │                                                 │
-//                └ queue full -> SubmitStatus::kBusy       classify (read/write)
+//                └ queue full -> SubmitStatus::kBusy       MutatesTarget (read/write)
 //                                                                  │
 //                                      read-only: shared target lock, parallel
 //                                      mutating:  writer lock
@@ -24,7 +24,7 @@
 // Consistency: read-only queries from different sessions run truly in
 // parallel against the shared image (reads are const; the type table's
 // runtime interning is internally locked). Any query that can mutate the
-// target classifies as mutating (see classify.h) and runs exclusively. No
+// target is mutating (MutatesTarget, ast.h) and runs exclusively. No
 // session needs telling about another's writes: every query starts a fresh
 // data epoch (its block cache and backend lookup memo are dropped), and
 // cached plans hold no target bytes — they go stale only when the backend's

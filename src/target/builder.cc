@@ -2,7 +2,7 @@
 
 namespace duel::target {
 
-RecordBuilder& RecordBuilder::Field(const std::string& name, const TypeRef& type) {
+RecordBuilder& RecordBuilder::Field(const std::string& name, TypeRef type) {
   Member m;
   m.name = name;
   m.type = type;
@@ -10,8 +10,7 @@ RecordBuilder& RecordBuilder::Field(const std::string& name, const TypeRef& type
   return *this;
 }
 
-RecordBuilder& RecordBuilder::Bitfield(const std::string& name, const TypeRef& type,
-                                       unsigned width) {
+RecordBuilder& RecordBuilder::Bitfield(const std::string& name, TypeRef type, unsigned width) {
   Member m;
   m.name = name;
   m.type = type;
@@ -26,24 +25,24 @@ TypeRef RecordBuilder::Build() {
   return rec_;
 }
 
-Addr ImageBuilder::Global(const std::string& name, const TypeRef& type) {
+Addr ImageBuilder::Global(const std::string& name, TypeRef type) {
   Addr a = Alloc(type);
   image_->symbols().AddGlobal({name, type, a});
   return a;
 }
 
-Addr ImageBuilder::Alloc(const TypeRef& type) {
+Addr ImageBuilder::Alloc(TypeRef type) {
   size_t size = type->size() > 0 ? type->size() : 1;
   return memory().Allocate(size, type->align());
 }
 
-Addr ImageBuilder::FrameLocal(const std::string& name, const TypeRef& type) {
+Addr ImageBuilder::FrameLocal(const std::string& name, TypeRef type) {
   Addr a = Alloc(type);
   image_->symbols().AddFrameLocal({name, type, a});
   return a;
 }
 
-Addr ImageBuilder::FieldAddr(Addr base, const TypeRef& rec, const std::string& name) {
+Addr ImageBuilder::FieldAddr(Addr base, TypeRef rec, const std::string& name) {
   const Member* m = rec->FindMember(name);
   if (m == nullptr) {
     throw DuelError(ErrorKind::kName,
@@ -52,7 +51,7 @@ Addr ImageBuilder::FieldAddr(Addr base, const TypeRef& rec, const std::string& n
   return base + m->offset;
 }
 
-void ImageBuilder::PokeScalar(Addr a, const TypeRef& type, int64_t v) {
+void ImageBuilder::PokeScalar(Addr a, TypeRef type, int64_t v) {
   size_t size = type->size();
   if (size == 0 || size > 8) {
     throw DuelError(ErrorKind::kInternal,

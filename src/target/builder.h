@@ -17,16 +17,16 @@ class ImageBuilder;
 // Collects members for a tagged struct/union, then completes it.
 class RecordBuilder {
  public:
-  RecordBuilder& Field(const std::string& name, const TypeRef& type);
-  RecordBuilder& Bitfield(const std::string& name, const TypeRef& type, unsigned width);
+  RecordBuilder& Field(const std::string& name, TypeRef type);
+  RecordBuilder& Bitfield(const std::string& name, TypeRef type, unsigned width);
   TypeRef Build();
 
  private:
   friend class ImageBuilder;
-  RecordBuilder(TypeTable& types, TypeRef rec) : types_(&types), rec_(std::move(rec)) {}
+  RecordBuilder(TypeTable& types, TypeRef rec) : types_(&types), rec_(rec) {}
 
   TypeTable* types_;
-  TypeRef rec_;
+  TypeRef rec_ = nullptr;
   std::vector<Member> members_;
 };
 
@@ -45,8 +45,8 @@ class ImageBuilder {
   TypeRef Long() { return types().Long(); }
   TypeRef Float() { return types().Float(); }
   TypeRef Double() { return types().Double(); }
-  TypeRef Ptr(const TypeRef& t) { return types().PointerTo(t); }
-  TypeRef Arr(const TypeRef& t, size_t n) { return types().ArrayOf(t, n); }
+  TypeRef Ptr(TypeRef t) { return types().PointerTo(t); }
+  TypeRef Arr(TypeRef t, size_t n) { return types().ArrayOf(t, n); }
 
   // Declares (or fetches) a possibly-incomplete tagged struct.
   TypeRef StructRef(const std::string& tag) { return types().DeclareStruct(tag); }
@@ -60,17 +60,17 @@ class ImageBuilder {
 
   // Storage: allocates target memory (and registers a symbol for Global /
   // FrameLocal).
-  Addr Global(const std::string& name, const TypeRef& type);
-  Addr Alloc(const TypeRef& type);
+  Addr Global(const std::string& name, TypeRef type);
+  Addr Alloc(TypeRef type);
   Addr String(const std::string& s) { return image_->NewCString(s); }
 
   // Frames (innermost last pushed).
   void PushFrame(const std::string& function) { image_->symbols().PushFrame(function); }
-  Addr FrameLocal(const std::string& name, const TypeRef& type);
+  Addr FrameLocal(const std::string& name, TypeRef type);
 
   // Address of member `name` of the record at `base`. Throws DuelError for
   // unknown members.
-  Addr FieldAddr(Addr base, const TypeRef& rec, const std::string& name);
+  Addr FieldAddr(Addr base, TypeRef rec, const std::string& name);
 
   // Raw pokes.
   void PokeI8(Addr a, int8_t v) { memory().WriteScalar(a, v); }
@@ -82,7 +82,7 @@ class ImageBuilder {
   void PokePtr(Addr a, Addr v) { memory().WriteScalar(a, v); }
 
   // Writes `v` using the size of `type` (integers, enums, pointers).
-  void PokeScalar(Addr a, const TypeRef& type, int64_t v);
+  void PokeScalar(Addr a, TypeRef type, int64_t v);
 
  private:
   TargetImage* image_;

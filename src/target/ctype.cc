@@ -129,14 +129,14 @@ std::string Type::Declare(const std::string& name) const {
     switch (t->kind_) {
       case TypeKind::kPointer:
         decl = "*" + decl;
-        t = t->target_.get();
+        t = t->target_;
         break;
       case TypeKind::kArray: {
         if (!decl.empty() && decl[0] == '*') {
           decl = "(" + decl + ")";
         }
         decl += "[" + std::to_string(t->array_count_) + "]";
-        t = t->target_.get();
+        t = t->target_;
         break;
       }
       case TypeKind::kFunction: {
@@ -154,7 +154,7 @@ std::string Type::Declare(const std::string& name) const {
           params += params.empty() ? "..." : ", ...";
         }
         decl += "(" + params + ")";
-        t = t->return_type_.get();
+        t = t->return_type_;
         break;
       }
       default: {
@@ -168,8 +168,8 @@ std::string Type::Declare(const std::string& name) const {
   }
 }
 
-bool TypeEquals(const TypeRef& a, const TypeRef& b) {
-  if (a.get() == b.get()) {
+bool TypeEquals(TypeRef a, TypeRef b) {
+  if (a == b) {
     return true;
   }
   if (a == nullptr || b == nullptr || a->kind() != b->kind()) {
@@ -203,23 +203,20 @@ bool TypeEquals(const TypeRef& a, const TypeRef& b) {
 
 TypeTable::TypeTable() {
   for (int k = 0; k <= static_cast<int>(TypeKind::kDouble); ++k) {
-    auto* t = new Type(static_cast<TypeKind>(k));
+    Type* t = New(static_cast<TypeKind>(k));
     BasicLayout l = LayoutOf(t->kind_);
     t->size_ = l.size;
     t->align_ = l.align;
-    basics_[k] = TypeRef(t);
+    basics_[k] = t;
   }
 }
 
-TypeTable::~TypeTable() {
-  for (const auto* records : {&structs_, &unions_}) {
-    for (const auto& [tag, rec] : *records) {
-      const_cast<Type*>(rec.get())->members_.clear();
-    }
-  }
+Type* TypeTable::New(TypeKind k) {
+  store_.push_back(std::unique_ptr<Type>(new Type(k)));
+  return store_.back().get();
 }
 
-const TypeRef& TypeTable::Basic(TypeKind k) const {
+TypeRef TypeTable::Basic(TypeKind k) const {
   if (k > TypeKind::kDouble) {
     throw DuelError(ErrorKind::kInternal,
                     "Basic() called with a derived type kind");
@@ -227,82 +224,83 @@ const TypeRef& TypeTable::Basic(TypeKind k) const {
   return basics_[static_cast<int>(k)];
 }
 
-const TypeRef& TypeTable::PointerTo(const TypeRef& t) {
+TypeRef TypeTable::PointerTo(TypeRef t) {
   std::lock_guard<std::mutex> lock(derived_mu_);
-  auto it = pointers_.find(t.get());
-  if (it != pointers_.end()) {
-    return it->second;
+  TypeRef& slot = pointers_[t];
+  if (slot == nullptr) {
+    Type* p = New(TypeKind::kPointer);
+    p->size_ = 8;
+    p->align_ = 8;
+    p->target_ = t;
+    slot = p;
   }
-  auto* p = new Type(TypeKind::kPointer);
-  p->size_ = 8;
-  p->align_ = 8;
-  p->target_ = t;
-  return pointers_.emplace(t.get(), TypeRef(p)).first->second;
+  return slot;
 }
 
-TypeRef TypeTable::ArrayOf(const TypeRef& elem, size_t count) {
+TypeRef TypeTable::ArrayOf(TypeRef elem, size_t count) {
   std::lock_guard<std::mutex> lock(derived_mu_);
-  auto key = std::make_pair(elem.get(), count);
-  auto it = arrays_.find(key);
-  if (it != arrays_.end()) {
-    return it->second;
+  TypeRef& slot = arrays_[{elem, count}];
+  if (slot == nullptr) {
+    Type* a = New(TypeKind::kArray);
+    a->size_ = elem->size() * count;
+    a->align_ = elem->align();
+    a->target_ = elem;
+    a->array_count_ = count;
+    slot = a;
   }
-  auto* a = new Type(TypeKind::kArray);
-  a->size_ = elem->size() * count;
-  a->align_ = elem->align();
-  a->target_ = elem;
-  a->array_count_ = count;
-  TypeRef ref(a);
-  arrays_.emplace(key, ref);
-  return ref;
+  return slot;
 }
 
-TypeRef TypeTable::Function(const TypeRef& ret, std::vector<Param> params, bool variadic) {
-  auto* f = new Type(TypeKind::kFunction);
-  f->size_ = 0;
-  f->align_ = 1;
-  f->return_type_ = ret;
-  f->params_ = std::move(params);
-  f->variadic_ = variadic;
-  return TypeRef(f);
+TypeRef TypeTable::Function(TypeRef ret, std::vector<Param> params, bool variadic) {
+  std::lock_guard<std::mutex> lock(derived_mu_);
+  TypeRef& slot = functions_[{ret, params, variadic}];
+  if (slot == nullptr) {
+    Type* f = New(TypeKind::kFunction);
+    f->size_ = 0;
+    f->align_ = 1;
+    f->return_type_ = ret;
+    f->params_ = std::move(params);
+    f->variadic_ = variadic;
+    slot = f;
+  }
+  return slot;
 }
 
 TypeRef TypeTable::DeclareStruct(const std::string& tag) {
-  auto it = structs_.find(tag);
-  if (it != structs_.end()) {
-    return it->second;
+  Type*& slot = structs_[tag];
+  if (slot == nullptr) {
+    slot = New(TypeKind::kStruct);
+    slot->complete_ = false;
+    slot->tag_ = tag;
   }
-  auto* s = new Type(TypeKind::kStruct);
-  s->complete_ = false;
-  s->tag_ = tag;
-  TypeRef ref(s);
-  structs_.emplace(tag, ref);
-  return ref;
+  return slot;
 }
 
 TypeRef TypeTable::DeclareUnion(const std::string& tag) {
-  auto it = unions_.find(tag);
-  if (it != unions_.end()) {
-    return it->second;
+  Type*& slot = unions_[tag];
+  if (slot == nullptr) {
+    slot = New(TypeKind::kUnion);
+    slot->complete_ = false;
+    slot->tag_ = tag;
   }
-  auto* u = new Type(TypeKind::kUnion);
-  u->complete_ = false;
-  u->tag_ = tag;
-  TypeRef ref(u);
-  unions_.emplace(tag, ref);
-  return ref;
+  return slot;
 }
 
-void TypeTable::CompleteRecord(const TypeRef& rec, std::vector<Member> members) {
+void TypeTable::CompleteRecord(TypeRef rec, std::vector<Member> members) {
   if (rec == nullptr || !rec->IsRecord()) {
     throw DuelError(ErrorKind::kInternal, "CompleteRecord on a non-record type");
   }
-  if (rec->complete()) {
+  bool is_union = rec->kind() == TypeKind::kUnion;
+  const auto& records = is_union ? unions_ : structs_;
+  auto it = records.find(rec->tag());
+  if (it == records.end() || it->second != rec) {
+    throw DuelError(ErrorKind::kInternal, "CompleteRecord on another table's record");
+  }
+  Type* t = it->second;
+  if (t->complete()) {
     throw DuelError(ErrorKind::kType,
                     "record '" + rec->tag() + "' is already complete");
   }
-  auto* t = const_cast<Type*>(rec.get());
-  bool is_union = rec->kind() == TypeKind::kUnion;
   size_t end = 0;       // bytes used so far (struct layout cursor)
   size_t align = 1;
   // Current bit-field allocation unit (struct only).
@@ -344,21 +342,19 @@ void TypeTable::CompleteRecord(const TypeRef& rec, std::vector<Member> members) 
 }
 
 TypeRef TypeTable::DefineEnum(const std::string& tag, std::vector<Enumerator> enumerators) {
-  auto it = enums_.find(tag);
-  if (it != enums_.end()) {
-    return it->second;
+  TypeRef& slot = enums_[tag];
+  if (slot == nullptr) {
+    Type* e = New(TypeKind::kEnum);
+    e->size_ = 4;
+    e->align_ = 4;
+    e->tag_ = tag;
+    e->enumerators_ = std::move(enumerators);
+    slot = e;
   }
-  auto* e = new Type(TypeKind::kEnum);
-  e->size_ = 4;
-  e->align_ = 4;
-  e->tag_ = tag;
-  e->enumerators_ = std::move(enumerators);
-  TypeRef ref(e);
-  enums_.emplace(tag, ref);
-  return ref;
+  return slot;
 }
 
-void TypeTable::DefineTypedef(const std::string& name, const TypeRef& t) {
+void TypeTable::DefineTypedef(const std::string& name, TypeRef t) {
   typedefs_[name] = t;
 }
 

@@ -1,22 +1,26 @@
 // C type system for the simulated target: LP64 layout, struct/union/enum
-// declaration and completion, bit-field packing, pointer/array interning,
+// declaration and completion, bit-field packing, derived-type interning,
 // and classic C declarator printing.
 //
-// Types are immutable once complete and are handed out as shared
-// `TypeRef`s; a `TypeTable` owns every type it creates, interns derived
-// types (so `PointerTo(Int())` is pointer-identical across calls), and is
-// the unit of "one debugger side" — the RSP client keeps its own table and
-// reconstructs server types through ctype_io.h.
+// A `TypeTable` is the one owner of every type it creates: it keeps them in
+// an append-only store and frees them only when the table itself dies, so a
+// `TypeRef` is a plain `const Type*` that stays valid for the table's
+// lifetime and copies for free. Types are immutable once complete; derived
+// types are interned (so `PointerTo(Int())` is pointer-identical across
+// calls). A table is the unit of "one debugger side" — the RSP client keeps
+// its own table and reconstructs server types through ctype_io.h.
 
 #ifndef DUEL_TARGET_CTYPE_H_
 #define DUEL_TARGET_CTYPE_H_
 
+#include <compare>
 #include <cstddef>
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "src/support/error.h"
@@ -24,7 +28,7 @@
 namespace duel::target {
 
 class Type;
-using TypeRef = std::shared_ptr<const Type>;
+using TypeRef = const Type*;
 
 enum class TypeKind {
   kVoid,
@@ -55,7 +59,7 @@ enum class TypeKind {
 // lists leave them zero.
 struct Member {
   std::string name;
-  TypeRef type;
+  TypeRef type = nullptr;
   size_t offset = 0;
   bool is_bitfield = false;
   unsigned bit_offset = 0;  // within the allocation unit at `offset`
@@ -67,10 +71,13 @@ struct Enumerator {
   int64_t value = 0;
 };
 
-// One parameter of a function type.
+// One parameter of a function type. Ordered so function types can be
+// interned on their parameter lists.
 struct Param {
   std::string name;
-  TypeRef type;
+  TypeRef type = nullptr;
+
+  auto operator<=>(const Param&) const = default;
 };
 
 class Type {
@@ -84,7 +91,7 @@ class Type {
   const std::string& tag() const { return tag_; }
 
   // Pointee for pointers, element type for arrays.
-  const TypeRef& target() const { return target_; }
+  TypeRef target() const { return target_; }
   size_t array_count() const { return array_count_; }
 
   const std::vector<Member>& members() const { return members_; }
@@ -93,7 +100,7 @@ class Type {
   const std::vector<Enumerator>& enumerators() const { return enumerators_; }
 
   // Function types.
-  const TypeRef& return_type() const { return return_type_; }
+  TypeRef return_type() const { return return_type_; }
   const std::vector<Param>& params() const { return params_; }
   bool variadic() const { return variadic_; }
 
@@ -113,6 +120,8 @@ class Type {
  private:
   friend class TypeTable;
   explicit Type(TypeKind k) : kind_(k) {}
+  Type(const Type&) = delete;
+  Type& operator=(const Type&) = delete;
 
   std::string BaseName() const;
 
@@ -121,70 +130,67 @@ class Type {
   size_t align_ = 1;
   bool complete_ = true;
   std::string tag_;
-  TypeRef target_;
+  TypeRef target_ = nullptr;
   size_t array_count_ = 0;
   std::vector<Member> members_;
   std::vector<Enumerator> enumerators_;
-  TypeRef return_type_;
+  TypeRef return_type_ = nullptr;
   std::vector<Param> params_;
   bool variadic_ = false;
 };
 
 // Structural equality across tables: basics by kind, pointers/arrays/
 // functions recursively, records and enums by kind + tag identity.
-bool TypeEquals(const TypeRef& a, const TypeRef& b);
+bool TypeEquals(TypeRef a, TypeRef b);
 
 class TypeTable {
  public:
   TypeTable();
-  // Breaks the shared_ptr cycles of recursive records (`struct node { struct
-  // node *next; }` reaches itself through its member list) so they are freed.
-  ~TypeTable();
 
   TypeTable(const TypeTable&) = delete;
   TypeTable& operator=(const TypeTable&) = delete;
 
   // Basic types (LP64).
-  const TypeRef& Void() const { return basics_[static_cast<int>(TypeKind::kVoid)]; }
-  const TypeRef& Bool() const { return basics_[static_cast<int>(TypeKind::kBool)]; }
-  const TypeRef& Char() const { return basics_[static_cast<int>(TypeKind::kChar)]; }
-  const TypeRef& SChar() const { return basics_[static_cast<int>(TypeKind::kSChar)]; }
-  const TypeRef& UChar() const { return basics_[static_cast<int>(TypeKind::kUChar)]; }
-  const TypeRef& Short() const { return basics_[static_cast<int>(TypeKind::kShort)]; }
-  const TypeRef& UShort() const { return basics_[static_cast<int>(TypeKind::kUShort)]; }
-  const TypeRef& Int() const { return basics_[static_cast<int>(TypeKind::kInt)]; }
-  const TypeRef& UInt() const { return basics_[static_cast<int>(TypeKind::kUInt)]; }
-  const TypeRef& Long() const { return basics_[static_cast<int>(TypeKind::kLong)]; }
-  const TypeRef& ULong() const { return basics_[static_cast<int>(TypeKind::kULong)]; }
-  const TypeRef& LongLong() const { return basics_[static_cast<int>(TypeKind::kLongLong)]; }
-  const TypeRef& ULongLong() const { return basics_[static_cast<int>(TypeKind::kULongLong)]; }
-  const TypeRef& Float() const { return basics_[static_cast<int>(TypeKind::kFloat)]; }
-  const TypeRef& Double() const { return basics_[static_cast<int>(TypeKind::kDouble)]; }
+  TypeRef Void() const { return basics_[static_cast<int>(TypeKind::kVoid)]; }
+  TypeRef Bool() const { return basics_[static_cast<int>(TypeKind::kBool)]; }
+  TypeRef Char() const { return basics_[static_cast<int>(TypeKind::kChar)]; }
+  TypeRef SChar() const { return basics_[static_cast<int>(TypeKind::kSChar)]; }
+  TypeRef UChar() const { return basics_[static_cast<int>(TypeKind::kUChar)]; }
+  TypeRef Short() const { return basics_[static_cast<int>(TypeKind::kShort)]; }
+  TypeRef UShort() const { return basics_[static_cast<int>(TypeKind::kUShort)]; }
+  TypeRef Int() const { return basics_[static_cast<int>(TypeKind::kInt)]; }
+  TypeRef UInt() const { return basics_[static_cast<int>(TypeKind::kUInt)]; }
+  TypeRef Long() const { return basics_[static_cast<int>(TypeKind::kLong)]; }
+  TypeRef ULong() const { return basics_[static_cast<int>(TypeKind::kULong)]; }
+  TypeRef LongLong() const { return basics_[static_cast<int>(TypeKind::kLongLong)]; }
+  TypeRef ULongLong() const { return basics_[static_cast<int>(TypeKind::kULongLong)]; }
+  TypeRef Float() const { return basics_[static_cast<int>(TypeKind::kFloat)]; }
+  TypeRef Double() const { return basics_[static_cast<int>(TypeKind::kDouble)]; }
 
   // The basic type for `k`; throws DuelError(kInternal) for derived kinds.
-  const TypeRef& Basic(TypeKind k) const;
+  TypeRef Basic(TypeKind k) const;
 
   // Derived types (interned: repeated calls return the identical object).
-  // These two are the only TypeTable mutations evaluation itself performs,
-  // so they are the only ones that are thread-safe: concurrent read-only
-  // queries of the serve layer intern pointer/array types while sharing one
-  // image under a reader lock. Everything else (Declare/Define/Complete)
-  // still requires external exclusion. PointerTo returns the table's own
-  // interned reference, valid for the table's lifetime.
-  const TypeRef& PointerTo(const TypeRef& t);
-  TypeRef ArrayOf(const TypeRef& elem, size_t count);
-  TypeRef Function(const TypeRef& ret, std::vector<Param> params, bool variadic);
+  // These three are the only TypeTable mutations evaluation itself performs
+  // (a remote session rebuilds function types on every query epoch), so they
+  // are the only ones that are thread-safe: concurrent read-only queries of
+  // the serve layer intern derived types while sharing one image under a
+  // reader lock. Everything else (Declare/Define/Complete) still requires
+  // external exclusion.
+  TypeRef PointerTo(TypeRef t);
+  TypeRef ArrayOf(TypeRef elem, size_t count);
+  TypeRef Function(TypeRef ret, std::vector<Param> params, bool variadic);
 
   // Records: declare (or fetch) an incomplete tagged record, then complete
   // it with a member list. Completion computes offsets, bit-field packing,
   // size, and alignment; completing twice throws.
   TypeRef DeclareStruct(const std::string& tag);
   TypeRef DeclareUnion(const std::string& tag);
-  void CompleteRecord(const TypeRef& rec, std::vector<Member> members);
+  void CompleteRecord(TypeRef rec, std::vector<Member> members);
 
   TypeRef DefineEnum(const std::string& tag, std::vector<Enumerator> enumerators);
 
-  void DefineTypedef(const std::string& name, const TypeRef& t);
+  void DefineTypedef(const std::string& name, TypeRef t);
 
   // All lookups return nullptr when the tag/name is unknown.
   TypeRef LookupStruct(const std::string& tag) const;
@@ -192,18 +198,26 @@ class TypeTable {
   TypeRef LookupEnum(const std::string& tag) const;
   TypeRef LookupTypedef(const std::string& name) const;
 
-  const std::map<std::string, TypeRef>& structs() const { return structs_; }
-  const std::map<std::string, TypeRef>& unions() const { return unions_; }
+  // Records map to the table's own mutable types (Type has no public
+  // mutators, so only CompleteRecord can change one).
+  const std::map<std::string, Type*>& structs() const { return structs_; }
+  const std::map<std::string, Type*>& unions() const { return unions_; }
   const std::map<std::string, TypeRef>& enums() const { return enums_; }
   const std::map<std::string, TypeRef>& typedefs() const { return typedefs_; }
 
  private:
+  // Appends a fresh type to the store. The caller holds derived_mu_ or the
+  // table's external exclusion.
+  Type* New(TypeKind k);
+
+  std::vector<std::unique_ptr<Type>> store_;  // every type; never moved or freed early
   TypeRef basics_[15];
-  mutable std::mutex derived_mu_;  // guards the two runtime-interning maps
-  std::map<const Type*, TypeRef> pointers_;
-  std::map<std::pair<const Type*, size_t>, TypeRef> arrays_;
-  std::map<std::string, TypeRef> structs_;
-  std::map<std::string, TypeRef> unions_;
+  mutable std::mutex derived_mu_;  // guards the runtime-interning maps and their appends
+  std::map<TypeRef, TypeRef> pointers_;
+  std::map<std::pair<TypeRef, size_t>, TypeRef> arrays_;
+  std::map<std::tuple<TypeRef, std::vector<Param>, bool>, TypeRef> functions_;
+  std::map<std::string, Type*> structs_;
+  std::map<std::string, Type*> unions_;
   std::map<std::string, TypeRef> enums_;
   std::map<std::string, TypeRef> typedefs_;
 };

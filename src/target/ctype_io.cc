@@ -32,7 +32,7 @@ char BasicCode(TypeKind k) {
 
 class Serializer {
  public:
-  std::string Run(const TypeRef& t) {
+  std::string Run(TypeRef t) {
     Emit(t);
     return out_;
   }
@@ -42,7 +42,7 @@ class Serializer {
     out_ += std::to_string(tag.size()) + ":" + tag;
   }
 
-  void Emit(const TypeRef& t) {
+  void Emit(TypeRef t) {
     if (char c = BasicCode(t->kind()); c != 0) {
       out_.push_back(c);
       return;
@@ -292,7 +292,7 @@ class Parser {
 
 }  // namespace
 
-std::string SerializeType(const TypeRef& t) { return Serializer().Run(t); }
+std::string SerializeType(TypeRef t) { return Serializer().Run(t); }
 
 TypeRef ParseSerializedType(const std::string& wire, TypeTable& table) {
   return Parser(wire, table).Run();

@@ -27,7 +27,7 @@
 
 namespace duel::target {
 
-std::string SerializeType(const TypeRef& t);
+std::string SerializeType(TypeRef t);
 
 TypeRef ParseSerializedType(const std::string& wire, TypeTable& table);
 

@@ -13,14 +13,14 @@
 namespace duel::target {
 
 struct RawDatum {
-  TypeRef type;
+  TypeRef type = nullptr;
   std::vector<uint8_t> bytes;
 };
 
 // Encodes a host scalar into a datum of `type` (little-endian, truncating or
 // zero-extending to the type's size).
 template <typename T>
-RawDatum MakeScalarDatum(const TypeRef& type, T value) {
+RawDatum MakeScalarDatum(TypeRef type, T value) {
   RawDatum d;
   d.type = type;
   size_t n = type != nullptr && type->size() > 0 ? type->size() : sizeof(T);

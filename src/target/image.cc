@@ -58,7 +58,7 @@ void TargetImage::RegisterFunction(const std::string& name, TypeRef fn_type, Nat
   natives_[name] = std::move(fn);
   FunctionSym sym;
   sym.name = name;
-  sym.type = std::move(fn_type);
+  sym.type = fn_type;
   sym.addr = 0xf0000000 + natives_.size() * 0x10;  // fake code address
   symbols_.AddFunction(std::move(sym));
 }

@@ -22,13 +22,13 @@ namespace duel::target {
 
 struct Variable {
   std::string name;
-  TypeRef type;
+  TypeRef type = nullptr;
   Addr addr = 0;
 };
 
 struct FunctionSym {
   std::string name;
-  TypeRef type;  // kFunction
+  TypeRef type = nullptr;  // kFunction
   Addr addr = 0;
 };
 

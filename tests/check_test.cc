@@ -116,6 +116,14 @@ TEST_F(CheckTest, DivisionByLiteralZero) {
   EXPECT_EQ(d.rule, "div-by-zero");
   EXPECT_EQ(d.message, "division by zero");  // identical to the runtime text
   EXPECT_EQ(fx_.session().Check("1/0").error_kind, ErrorKind::kType);
+  // A zero divisor the walk folds is as definite as a literal one.
+  Diag folded = One("arr[0] / (1-1)");
+  EXPECT_EQ(folded.severity, Severity::kError);
+  EXPECT_EQ(folded.rule, "div-by-zero");
+  EXPECT_EQ(fx_.session().Check("arr[0] / (1-1)").error_kind, ErrorKind::kType);
+  Diag mod = One("arr[0] % (2*0)");
+  EXPECT_EQ(mod.rule, "div-by-zero");
+  EXPECT_EQ(mod.message, "modulo by zero");
   // A zero that only a run can see stays a runtime error.
   EXPECT_TRUE(Diags("5 % (1..2)").empty());
 }
@@ -158,6 +166,14 @@ TEST_F(CheckTest, ArrayBoundLiteralIndex) {
   EXPECT_NE(d.message.find("index 10 is past the end"), std::string::npos) << d.message;
   EXPECT_EQ(d.fixit, "valid indices are 0..9");
   EXPECT_TRUE(Diags("arr[9]").empty());
+  // Constant indices the walk folds are checked like literal ones.
+  Diag sum = One("arr[5+5]");
+  EXPECT_EQ(sum.rule, "array-bound");
+  EXPECT_NE(sum.message.find("index 10 is past the end"), std::string::npos) << sum.message;
+  Diag neg = One("arr[0-1]");
+  EXPECT_EQ(neg.rule, "array-bound");
+  EXPECT_NE(neg.message.find("index -1 is past the end"), std::string::npos) << neg.message;
+  EXPECT_TRUE(Diags("arr[4+5]").empty());
 }
 
 TEST_F(CheckTest, ArrayBoundPrefixRange) {

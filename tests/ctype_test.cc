@@ -31,9 +31,20 @@ TEST(CTypeTest, Predicates) {
 
 TEST(CTypeTest, PointerAndArrayInterning) {
   TypeTable tt;
-  EXPECT_EQ(tt.PointerTo(tt.Int()).get(), tt.PointerTo(tt.Int()).get());
-  EXPECT_EQ(tt.ArrayOf(tt.Int(), 10).get(), tt.ArrayOf(tt.Int(), 10).get());
-  EXPECT_NE(tt.ArrayOf(tt.Int(), 10).get(), tt.ArrayOf(tt.Int(), 11).get());
+  EXPECT_EQ(tt.PointerTo(tt.Int()), tt.PointerTo(tt.Int()));
+  EXPECT_EQ(tt.ArrayOf(tt.Int(), 10), tt.ArrayOf(tt.Int(), 10));
+  EXPECT_NE(tt.ArrayOf(tt.Int(), 10), tt.ArrayOf(tt.Int(), 11));
+}
+
+TEST(CTypeTest, FunctionInterning) {
+  TypeTable tt;
+  TypeRef f = tt.Function(tt.Int(), {{"x", tt.Int()}}, false);
+  EXPECT_EQ(tt.Function(tt.Int(), {{"x", tt.Int()}}, false), f);
+  // Parameter names print in the declarator, so they are part of the key.
+  EXPECT_NE(tt.Function(tt.Int(), {{"y", tt.Int()}}, false), f);
+  EXPECT_NE(tt.Function(tt.Int(), {{"x", tt.Int()}}, true), f);
+  EXPECT_NE(tt.Function(tt.Long(), {{"x", tt.Int()}}, false), f);
+  EXPECT_NE(tt.Function(tt.Int(), {}, false), f);
 }
 
 TEST(CTypeTest, StructLayoutWithPadding) {
@@ -57,7 +68,7 @@ TEST(CTypeTest, RecursiveStructViaForwardDeclaration) {
                         {"next", tt.PointerTo(s), 0, false, 0, 0}});
   EXPECT_TRUE(s->complete());
   EXPECT_EQ(s->size(), 16u);
-  EXPECT_EQ(s->FindMember("next")->type->target().get(), s.get());
+  EXPECT_EQ(s->FindMember("next")->type->target(), s);
 }
 
 TEST(CTypeTest, UnionLayout) {
@@ -94,7 +105,7 @@ TEST(CTypeTest, EnumDefinition) {
   TypeRef e = tt.DefineEnum("color", {{"RED", 0}, {"GREEN", 1}, {"BLUE", 7}});
   EXPECT_EQ(e->size(), 4u);
   EXPECT_EQ(e->enumerators()[2].value, 7);
-  EXPECT_EQ(tt.LookupEnum("color").get(), e.get());
+  EXPECT_EQ(tt.LookupEnum("color"), e);
 }
 
 TEST(CTypeTest, DeclaratorPrinting) {
@@ -128,6 +139,15 @@ TEST(CTypeTest, DoubleCompletionRejected) {
   TypeRef s = tt.DeclareStruct("S");
   tt.CompleteRecord(s, {{"x", tt.Int(), 0, false, 0, 0}});
   EXPECT_THROW(tt.CompleteRecord(s, {{"y", tt.Int(), 0, false, 0, 0}}), DuelError);
+}
+
+TEST(CTypeTest, CompletingAnotherTablesRecordRejected) {
+  TypeTable owner;
+  TypeTable other;
+  TypeRef s = owner.DeclareStruct("S");
+  other.DeclareStruct("S");
+  EXPECT_THROW(other.CompleteRecord(s, {{"x", other.Int(), 0, false, 0, 0}}), DuelError);
+  EXPECT_FALSE(s->complete());
 }
 
 }  // namespace

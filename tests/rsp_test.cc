@@ -220,6 +220,29 @@ TEST(RemoteStalenessTest, SymbolDefinedLaterIsSeenByCachedPlan) {
   EXPECT_EQ(after.lines, local.Query("fresh + 1").lines);
 }
 
+// Every query epoch re-parses the server's type replies into the client's
+// TypeTable. The table owns each type it builds, so rebuilding one must hand
+// back the interned type rather than grow the table.
+TEST(RspTypeTableTest, FunctionTypeIdenticalAcrossQueryEpochs) {
+  target::TargetImage image;
+  target::InstallStandardFunctions(image);
+  dbg::SimBackend sim(image);
+  RspServer server(sim);
+  FramedTransport transport(server);
+  RemoteBackend remote(transport);
+
+  remote.BeginQueryEpoch();
+  std::optional<dbg::FunctionInfo> first = remote.GetTargetFunction("abs");
+  ASSERT_TRUE(first.has_value());
+  remote.BeginQueryEpoch();
+  const uint64_t trips = transport.round_trips();
+  std::optional<dbg::FunctionInfo> second = remote.GetTargetFunction("abs");
+  ASSERT_TRUE(second.has_value());
+  EXPECT_GT(transport.round_trips(), trips);  // re-fetched, not memoized
+  EXPECT_EQ(second->type, first->type);
+  EXPECT_EQ(first->type->ToString(), "int (int x)");
+}
+
 TEST(SocketTransportTest, FullSessionOverARealByteStream) {
   target::TargetImage image;
   target::InstallStandardFunctions(image);

@@ -10,7 +10,6 @@
 #include <thread>
 #include <vector>
 
-#include "src/serve/classify.h"
 #include "src/serve/endpoint.h"
 #include "src/serve/latency_backend.h"
 #include "src/serve/service.h"
@@ -37,26 +36,26 @@ TEST(ServeClassifyTest, ReadOnlyVsMutating) {
   scenarios::BuildIntArray(fx.image(), "arr", {1, 2, 3});
   scenarios::BuildList(fx.image(), "L", {4, 5});
 
-  auto classify = [&](const std::string& expr) {
+  auto mutates = [&](const std::string& expr) {
     const CompiledQuery* plan = fx.session().Prepare(expr);
     EXPECT_NE(plan, nullptr) << expr;
-    return Classify(*plan);
+    return MutatesTarget(*plan->parsed.root);
   };
 
   // Pure reads run in parallel.
-  EXPECT_EQ(classify("arr[..3] >? 1"), QueryClass::kReadOnly);
-  EXPECT_EQ(classify("L-->next->value"), QueryClass::kReadOnly);
-  EXPECT_EQ(classify("#/(arr[..3])"), QueryClass::kReadOnly);
-  EXPECT_EQ(classify("sizeof(int)"), QueryClass::kReadOnly);
+  EXPECT_FALSE(mutates("arr[..3] >? 1"));
+  EXPECT_FALSE(mutates("L-->next->value"));
+  EXPECT_FALSE(mutates("#/(arr[..3])"));
+  EXPECT_FALSE(mutates("sizeof(int)"));
 
   // Anything that can touch shared target state serialises.
-  EXPECT_EQ(classify("arr[0] = 9"), QueryClass::kMutating);
-  EXPECT_EQ(classify("arr[0] += 1"), QueryClass::kMutating);
-  EXPECT_EQ(classify("arr[0]++"), QueryClass::kMutating);
-  EXPECT_EQ(classify("--arr[1]"), QueryClass::kMutating);
-  EXPECT_EQ(classify("int t;"), QueryClass::kMutating);  // allocates target space
+  EXPECT_TRUE(mutates("arr[0] = 9"));
+  EXPECT_TRUE(mutates("arr[0] += 1"));
+  EXPECT_TRUE(mutates("arr[0]++"));
+  EXPECT_TRUE(mutates("--arr[1]"));
+  EXPECT_TRUE(mutates("int t;"));  // allocates target space
   // Mutation buried in a conditionally-evaluated arm still counts.
-  EXPECT_EQ(classify("arr[0] > 0 ? arr[1] = 7 : 0"), QueryClass::kMutating);
+  EXPECT_TRUE(mutates("arr[0] > 0 ? arr[1] = 7 : 0"));
 }
 
 // --- parity under concurrency ------------------------------------------------
@@ -124,6 +123,77 @@ TEST(ServeTest, EightClientParityWithSerial) {
   EXPECT_EQ(s.completed, s.ok);
   EXPECT_EQ(s.mutating, 0u);
   EXPECT_EQ(s.rejected_busy, 0u);
+}
+
+// Concurrent readers that each build derived types no earlier query built:
+// every cast below interns fresh pointer types in the shared image's
+// TypeTable while the other clients read theirs.
+TEST(ServeTest, ConcurrentFirstTimeInterningMatchesSerial) {
+  const char* kBases[] = {"char",           "short",        "long",          "unsigned char",
+                          "unsigned short", "unsigned int", "unsigned long", "signed char"};
+  constexpr int kClients = 8;
+  std::vector<std::vector<std::string>> queries(kClients);
+  for (int i = 0; i < kClients; ++i) {
+    // From two stars up: `char *` already exists (printf's parameter type).
+    std::string type = std::string(kBases[i]) + " *";
+    for (int depth = 2; depth <= 3 + i % 4; ++depth) {
+      type += "*";
+      queries[i].push_back("(" + type + ")arr");
+      queries[i].push_back("sizeof(" + type + ")");
+    }
+  }
+
+  // Ground truth: a serial session over a second, identically built image,
+  // so the shared image below has interned none of these types yet.
+  std::vector<std::vector<std::string>> expected(kClients);
+  {
+    target::TargetImage serial_image;
+    BuildSharedDebuggee(serial_image);
+    dbg::SimBackend serial_backend(serial_image);
+    Session serial(serial_backend);
+    for (int i = 0; i < kClients; ++i) {
+      for (const std::string& q : queries[i]) {
+        QueryResult r = serial.Query(q);
+        ASSERT_TRUE(r.ok) << q << ": " << r.error;
+        expected[i].push_back(r.Text());
+      }
+    }
+  }
+
+  target::TargetImage image;
+  BuildSharedDebuggee(image);
+  ServeOptions opts;
+  opts.workers = kClients;
+  QueryService service(FactoryFor(image), opts);
+  std::vector<uint64_t> ids;
+  for (int i = 0; i < kClients; ++i) {
+    ids.push_back(service.OpenSession());
+  }
+
+  std::atomic<int> ready{0};
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> threads;
+  for (int i = 0; i < kClients; ++i) {
+    threads.emplace_back([&, i] {
+      ready.fetch_add(1);
+      while (ready.load() < kClients) {
+        std::this_thread::yield();  // start together so the first casts overlap
+      }
+      for (size_t q = 0; q < queries[i].size(); ++q) {
+        QueryService::Outcome out = service.Eval(ids[static_cast<size_t>(i)], queries[i][q]);
+        if (out.status != SubmitStatus::kAccepted || !out.result.ok ||
+            out.result.Text() != expected[i][q]) {
+          mismatches.fetch_add(1, std::memory_order_relaxed);
+        }
+      }
+    });
+  }
+  for (std::thread& t : threads) {
+    t.join();
+  }
+  EXPECT_EQ(mismatches.load(), 0)
+      << "concurrent first-time interning must match the serial session byte for byte";
+  EXPECT_EQ(service.stats().mutating, 0u);
 }
 
 // --- governor ---------------------------------------------------------------

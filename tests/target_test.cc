@@ -171,7 +171,7 @@ TEST(CTypeIoTest, RecursiveStructRoundTrip) {
   EXPECT_TRUE(rec->complete());
   EXPECT_EQ(rec->size(), sym->size());
   EXPECT_EQ(rec->FindMember("scope")->offset, sym->FindMember("scope")->offset);
-  EXPECT_EQ(rec->FindMember("next")->type->target().get(), rec.get());
+  EXPECT_EQ(rec->FindMember("next")->type->target(), rec);
 }
 
 TEST(CTypeIoTest, BitfieldAndEnumRoundTrip) {
