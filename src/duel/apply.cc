@@ -85,7 +85,7 @@ Sym BinSym(EvalContext& ctx, Op op, const Value& a, const Value& b) {
     return Sym::None();
   }
   ctx.counters().symbolic_builds++;
-  return ComposeBinary(a.sym(), op, b.sym());
+  return ComposeBinary(ctx.arena(), a.sym(), op, b.sym());
 }
 
 }  // namespace
@@ -379,74 +379,79 @@ Typing ConditionType(target::TypeTable& types, TypeRef t) {
 bool ApplyComparisonImpl(EvalContext& ctx, Op op, const Value& va, const Value& vb,
                          SourceRange range) {
   ctx.counters().applies++;
-  Value a = ctx.Rvalue(va);
-  Value b = ctx.Rvalue(vb);
-  Typing t = ComparisonType(ctx.types(), op, a.type(), b.type());
+  Scalar a = ctx.Load(va);
+  Scalar b = ctx.Load(vb);
+  Typing t = ComparisonType(ctx.types(), op, a.type, b.type);
   if (!t) {
     t.Throw(range);
   }
   TypeRef ct = t.type();
   if (ct->kind() == TypeKind::kPointer) {
-    uint64_t ua = a.type()->kind() == TypeKind::kPointer ? ctx.ToPtr(a) : ctx.ToU64(a);
-    uint64_t ub = b.type()->kind() == TypeKind::kPointer ? ctx.ToPtr(b) : ctx.ToU64(b);
+    uint64_t ua = a.type->kind() == TypeKind::kPointer ? a.Ptr() : a.U64();
+    uint64_t ub = b.type->kind() == TypeKind::kPointer ? b.Ptr() : b.U64();
     return Compare(op, ua, ub);
   }
   if (ct->IsFloating()) {
-    return Compare(op, ctx.ToF64(a), ctx.ToF64(b));
+    return Compare(op, a.F64(), b.F64());
   }
   if (ct->IsUnsignedInteger()) {
-    return Compare(op, MaskTo(static_cast<uint64_t>(ctx.ToI64(a)), ct->size()),
-                   MaskTo(static_cast<uint64_t>(ctx.ToI64(b)), ct->size()));
+    return Compare(op, MaskTo(static_cast<uint64_t>(a.I64()), ct->size()),
+                   MaskTo(static_cast<uint64_t>(b.I64()), ct->size()));
   }
-  return Compare(op, ctx.ToI64(a), ctx.ToI64(b));
+  return Compare(op, a.I64(), b.I64());
 }
 
-Value ApplyBinaryImpl(EvalContext& ctx, Op op, const Value& va, const Value& vb, SourceRange range) {
+// ApplyBinary (`compose`) or ApplyArith: the same arithmetic, with or
+// without the result's symbolic. Without it, a division by zero cannot name
+// its expression.
+Value ApplyArithImpl(EvalContext& ctx, Op op, const Value& va, const Value& vb,
+                     SourceRange range, bool compose) {
   ctx.counters().applies++;
   if (IsComparisonOp(op)) {
     bool r = ApplyComparison(ctx, op, va, vb, range);
-    return Value::Int(ctx.types().Int(), r ? 1 : 0, BinSym(ctx, op, va, vb));
+    return Value::Int(ctx.types().Int(), r ? 1 : 0,
+                      compose ? BinSym(ctx, op, va, vb) : Sym::None());
   }
   if (!IsArithOp(op)) {
     throw DuelError(ErrorKind::kInternal, "ApplyBinary: unexpected operator");
   }
 
-  Value a = ctx.Rvalue(va);
-  Value b = ctx.Rvalue(vb);
-  Typing t = BinaryType(ctx.types(), op, a.type(), b.type());
+  Scalar a = ctx.Load(va);
+  Scalar b = ctx.Load(vb);
+  Typing t = BinaryType(ctx.types(), op, a.type, b.type);
   if (!t) {
     t.Throw(range);
   }
   TypeRef rt = t.type();
-  Sym sym = BinSym(ctx, op, va, vb);
+  Sym sym = compose ? BinSym(ctx, op, va, vb) : Sym::None();
 
   // Pointer arithmetic.
-  bool pa = a.type()->kind() == TypeKind::kPointer;
-  bool pb = b.type()->kind() == TypeKind::kPointer;
+  bool pa = a.type->kind() == TypeKind::kPointer;
+  bool pb = b.type->kind() == TypeKind::kPointer;
   if (pa && pb) {
-    int64_t diff = static_cast<int64_t>(ctx.ToPtr(a) - ctx.ToPtr(b)) /
-                   static_cast<int64_t>(a.type()->target()->size());
-    return Value::Int(rt, diff, std::move(sym));
+    int64_t diff = static_cast<int64_t>(a.Ptr() - b.Ptr()) /
+                   static_cast<int64_t>(a.type->target()->size());
+    return Value::Int(rt, diff, sym);
   }
   if (pa || pb) {
-    uint64_t delta = static_cast<uint64_t>(ctx.ToI64(pa ? b : a)) * rt->target()->size();
-    Addr p = ctx.ToPtr(pa ? a : b);
-    return Value::Pointer(rt, op == Op::kAdd ? p + delta : p - delta, std::move(sym));
+    uint64_t delta = static_cast<uint64_t>((pa ? b : a).I64()) * rt->target()->size();
+    Addr p = (pa ? a : b).Ptr();
+    return Value::Pointer(rt, op == Op::kAdd ? p + delta : p - delta, sym);
   }
 
   // Floating arithmetic: * / + - only.
   if (rt->IsFloating()) {
-    double da = ctx.ToF64(a);
-    double db = ctx.ToF64(b);
+    double da = a.F64();
+    double db = b.F64();
     double r = op == Op::kMul ? da * db : op == Op::kDiv ? da / db : op == Op::kAdd ? da + db
                                                                                     : da - db;
-    return Value::Double(rt, r, std::move(sym));
+    return Value::Double(rt, r, sym);
   }
 
   size_t size = rt->size();
   if (op == Op::kShl || op == Op::kShr) {
-    uint64_t count = static_cast<uint64_t>(ctx.ToI64(b)) & 63;
-    uint64_t xa = MaskTo(static_cast<uint64_t>(ctx.ToI64(a)), size);
+    uint64_t count = static_cast<uint64_t>(b.I64()) & 63;
+    uint64_t xa = MaskTo(static_cast<uint64_t>(a.I64()), size);
     uint64_t r;
     if (op == Op::kShl) {
       r = xa << count;
@@ -455,11 +460,11 @@ Value ApplyBinaryImpl(EvalContext& ctx, Op op, const Value& va, const Value& vb,
     } else {
       r = xa >> count;
     }
-    return Value::Int(rt, static_cast<int64_t>(MaskTo(r, size)), std::move(sym));
+    return Value::Int(rt, static_cast<int64_t>(MaskTo(r, size)), sym);
   }
 
-  uint64_t xa = MaskTo(static_cast<uint64_t>(ctx.ToI64(a)), size);
-  uint64_t xb = MaskTo(static_cast<uint64_t>(ctx.ToI64(b)), size);
+  uint64_t xa = MaskTo(static_cast<uint64_t>(a.I64()), size);
+  uint64_t xb = MaskTo(static_cast<uint64_t>(b.I64()), size);
   uint64_t r = 0;
   switch (op) {
     case Op::kMul: r = xa * xb; break;
@@ -492,7 +497,7 @@ Value ApplyBinaryImpl(EvalContext& ctx, Op op, const Value& va, const Value& vb,
     default:
       break;  // shifts were handled above
   }
-  return Value::Int(rt, static_cast<int64_t>(MaskTo(r, size)), std::move(sym));
+  return Value::Int(rt, static_cast<int64_t>(MaskTo(r, size)), sym);
 }
 
 Value ApplyUnaryImpl(EvalContext& ctx, Op op, const Value& v, SourceRange range) {
@@ -502,7 +507,7 @@ Value ApplyUnaryImpl(EvalContext& ctx, Op op, const Value& v, SourceRange range)
       return Sym::None();
     }
     ctx.counters().symbolic_builds++;
-    return ComposeUnary(op, v.sym());
+    return ComposeUnary(ctx.arena(), op, v.sym());
   };
   if (op == Op::kNot) {
     bool truth = ctx.Truthy(v);  // applies ConditionType
@@ -515,53 +520,52 @@ Value ApplyUnaryImpl(EvalContext& ctx, Op op, const Value& v, SourceRange range)
     }
     return Value::Pointer(t.type(), v.addr(), usym());
   }
-  Value r = ctx.Rvalue(v);
-  Typing t = UnaryType(ctx.types(), op, r.type());
+  Scalar r = ctx.Load(v);
+  Typing t = UnaryType(ctx.types(), op, r.type);
   if (!t) {
     t.Throw(range);
   }
   TypeRef rt = t.type();
   switch (op) {
     case Op::kPos:
-      r.set_sym(usym());
-      return r;
+      return Value::RV(r.type, &r.bits, r.type->size(), usym());
     case Op::kNeg: {
       if (rt->IsFloating()) {
-        return Value::Double(rt, -ctx.ToF64(r), usym());
+        return Value::Double(rt, -r.F64(), usym());
       }
-      uint64_t x = MaskTo(static_cast<uint64_t>(ctx.ToI64(r)), rt->size());
+      uint64_t x = MaskTo(static_cast<uint64_t>(r.I64()), rt->size());
       return Value::Int(rt, static_cast<int64_t>(MaskTo(0 - x, rt->size())), usym());
     }
     case Op::kBitNot: {
-      uint64_t x = static_cast<uint64_t>(ctx.ToI64(r));
+      uint64_t x = static_cast<uint64_t>(r.I64());
       return Value::Int(rt, static_cast<int64_t>(MaskTo(~x, rt->size())), usym());
     }
     default:  // kDeref
-      return Value::LV(rt, ctx.ToPtr(r), usym());
+      return Value::LV(rt, r.Ptr(), usym());
   }
 }
 
 Value ApplyIndexImpl(EvalContext& ctx, const Value& base, const Value& index, SourceRange range) {
   ctx.counters().applies++;
-  Value b = ctx.Rvalue(base);  // decays arrays
-  Typing t = IndexType(b.type(), RvalueTypeOf(ctx.types(), index));
+  Scalar b = ctx.Load(base);  // decays arrays
+  Typing t = IndexType(b.type, RvalueTypeOf(ctx.types(), index));
   if (!t) {
     t.Throw(range);
   }
-  Value i = ctx.Rvalue(index);
-  if (b.type()->kind() != TypeKind::kPointer) {
+  Scalar i = ctx.Load(index);
+  if (b.type->kind() != TypeKind::kPointer) {
     std::swap(b, i);  // 2[x]
   }
-  Addr addr = ctx.ToPtr(b) + static_cast<uint64_t>(ctx.ToI64(i)) * t.type()->size();
-  Sym sym = ctx.sym_on() ? ComposeIndex(base.sym(), index.sym()) : Sym::None();
-  return Value::LV(t.type(), addr, std::move(sym));
+  Addr addr = b.Ptr() + static_cast<uint64_t>(i.I64()) * t.type()->size();
+  Sym sym = ctx.sym_on() ? ComposeIndex(ctx.arena(), base.sym(), index.sym()) : Sym::None();
+  return Value::LV(t.type(), addr, sym);
 }
 
 Value ApplyCastImpl(EvalContext& ctx, TypeRef type, const Value& v, SourceRange range) {
   ctx.counters().applies++;
-  Sym sym = ctx.sym_on() ? ComposeCast(type->ToString(), v.sym()) : Sym::None();
+  Sym sym = ctx.sym_on() ? ComposeCast(ctx.arena(), type->ToString(), v.sym()) : Sym::None();
   if (type->kind() == TypeKind::kVoid) {
-    return Value::RV(type, nullptr, 0, std::move(sym));
+    return Value::RV(type, nullptr, 0, sym);
   }
   Value r = ctx.Rvalue(v);
   TypeRef st = r.type();
@@ -574,20 +578,20 @@ Value ApplyCastImpl(EvalContext& ctx, TypeRef type, const Value& v, SourceRange 
                       "cannot cast " + st->ToString() + " to " + type->ToString(), range);
     }
     Value out = r;
-    out.set_sym(std::move(sym));
+    out.set_sym(sym);
     return out;
   }
   if (type->IsFloating()) {
-    return Value::Double(type, ctx.ToF64(r), std::move(sym));
+    return Value::Double(type, ctx.ToF64(r), sym);
   }
   if (type->kind() == TypeKind::kPointer) {
     uint64_t p = st->kind() == TypeKind::kPointer ? ctx.ToPtr(r) : ctx.ToU64(r);
-    return Value::Pointer(type, p, std::move(sym));
+    return Value::Pointer(type, p, sym);
   }
   if (type->IsInteger() || type->kind() == TypeKind::kEnum) {
     int64_t x = st->kind() == TypeKind::kPointer ? static_cast<int64_t>(ctx.ToPtr(r))
                                                  : ctx.ToI64(r);
-    return Value::Int(type, x, std::move(sym));
+    return Value::Int(type, x, sym);
   }
   throw DuelError(ErrorKind::kType, "unsupported cast to " + type->ToString(), range);
 }
@@ -635,7 +639,7 @@ Value ApplyIncDecImpl(EvalContext& ctx, Op op, const Value& v, SourceRange range
   ctx.Store(v, next);
   bool pre = op == Op::kPreInc || op == Op::kPreDec;
   Value result = pre ? next : old;
-  result.set_sym(ctx.sym_on() ? ComposeUnary(op, v.sym()) : Sym::None());
+  result.set_sym(ctx.sym_on() ? ComposeUnary(ctx.arena(), op, v.sym()) : Sym::None());
   return result;
 }
 
@@ -669,7 +673,11 @@ bool ApplyComparison(EvalContext& ctx, Op op, const Value& va, const Value& vb,
 
 Value ApplyBinary(EvalContext& ctx, Op op, const Value& va, const Value& vb,
                   SourceRange range) {
-  return Stamped(range, [&] { return ApplyBinaryImpl(ctx, op, va, vb, range); });
+  return Stamped(range, [&] { return ApplyArithImpl(ctx, op, va, vb, range, true); });
+}
+
+Value ApplyArith(EvalContext& ctx, Op op, const Value& va, const Value& vb, SourceRange range) {
+  return Stamped(range, [&] { return ApplyArithImpl(ctx, op, va, vb, range, false); });
 }
 
 Value ApplyUnary(EvalContext& ctx, Op op, const Value& v, SourceRange range) {

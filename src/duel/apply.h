@@ -121,6 +121,10 @@ Typing ConditionType(target::TypeTable& types, TypeRef t);
 // the engine (filters use ApplyComparison).
 Value ApplyBinary(EvalContext& ctx, Op op, const Value& a, const Value& b, SourceRange range);
 
+// ApplyBinary for the arithmetic operators without composing a symbolic:
+// the result has none. For folds whose result text is replaced anyway (+/).
+Value ApplyArith(EvalContext& ctx, Op op, const Value& a, const Value& b, SourceRange range);
+
 // Evaluates the C comparison `op` (kLt..kNe) and returns its truth value —
 // used both by the C comparisons and the ?-filter generators.
 bool ApplyComparison(EvalContext& ctx, Op op, const Value& a, const Value& b, SourceRange range);

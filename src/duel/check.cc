@@ -343,11 +343,11 @@ class Analyzer {
     if (FoldableUnary(n.op) || FoldableBinary(n.op)) {
       if (std::optional<Value> v = Fold(n)) {
         NodeInfo& info = notes_->At(n.id);
-        info.folded = true;
-        info.folded_value = std::move(*v);
+        info.constant = true;
+        info.value = *v;
         notes_->stats.nodes_folded++;
         Inf r;
-        r.type = info.folded_value.type();
+        r.type = v->type();
         r.lv = Lv::kNo;
         return r;
       }
@@ -356,15 +356,29 @@ class Analyzer {
   }
 
   // Evaluates a pure subtree to its one constant value, memoized per node so
-  // a discarded attempt higher up never double-counts the work.
+  // a discarded attempt higher up never double-counts the work. The memo
+  // keeps its values in the plan's store, where a folded root's value must
+  // live anyway.
   std::optional<Value> Fold(const Node& n) {
     auto it = memo_.find(n.id);
     if (it != memo_.end()) {
       return it->second;
     }
     std::optional<Value> r = FoldUncached(n);
+    if (r.has_value()) {
+      r = r->Rehome(notes_->store());
+    }
     memo_.emplace(n.id, r);
     return r;
+  }
+
+  // A literal leaf's value, built once into the plan. Not counted as a
+  // symbolic build: no evaluation makes it.
+  TypeRef Materialize(const Node& n) {
+    NodeInfo& info = notes_->At(n.id);
+    info.constant = true;
+    info.value = LiteralValue(ctx_->types(), notes_->store(), n, ctx_->sym_on());
+    return info.value.type();
   }
 
   std::optional<Value> FoldUncached(const Node& n) {
@@ -397,7 +411,12 @@ class Analyzer {
       // --- leaves ----------------------------------------------------------
       case Op::kIntConst:
       case Op::kCharConst:
-      case Op::kFloatConst:
+      case Op::kFloatConst: {
+        Inf r;
+        r.type = Materialize(n);
+        r.lv = Lv::kNo;
+        return r;
+      }
       case Op::kStringConst: {
         Inf r;
         r.type = LiteralType(ctx_->types(), n);
@@ -515,7 +534,14 @@ class Analyzer {
       case Op::kUntil: {
         Inf a = Walk(*n.kids[0]);
         if (UntilMatchMode(*n.kids[1])) {
-          return a;  // literal: compared against each value, no scope opens
+          // A literal, possibly negated: compared against each value, no
+          // scope opens.
+          const Node* lit = n.kids[1].get();
+          while (lit->op == Op::kNeg) {
+            lit = lit->kids[0].get();
+          }
+          Materialize(*lit);
+          return a;
         }
         WarnAssignInCondition(*n.kids[1]);
         scopes_.push_back({a.type, a.type != nullptr});

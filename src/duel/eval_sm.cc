@@ -46,7 +46,7 @@ void Charge(EvalContext& ctx, const Node& n) {
 // `10+1 = 11`, not `+1 = 11`.
 Value ValueAsSym(EvalContext& ctx, Value v) {
   if (ctx.sym_on()) {
-    v.set_sym(Sym::Plain(FormatValue(ctx, v)));
+    v.set_sym(Sym::Plain(ctx.arena(), FormatValue(ctx, v)));
   }
   return v;
 }
@@ -58,12 +58,12 @@ std::optional<Value> EvalEngine::Eval(const Node& n) {
   Charge(ctx, n);
   NodeState& st = StateOf(n);
 
-  // A constant-folded subtree behaves exactly like a literal leaf: one value,
-  // then NOVALUE (and the restart rule re-arms it).
-  if (const NodeInfo* info = NodeInfoFor(ctx, n); info != nullptr && info->folded) {
+  // A materialized literal or a constant-folded subtree: one value, then
+  // NOVALUE (and the restart rule re-arms it).
+  if (const NodeInfo* info = NodeInfoFor(ctx, n); info != nullptr && info->constant) {
     if (st.phase == 0) {
       st.phase = 1;
-      return info->folded_value;
+      return info->value;
     }
     st.phase = 0;
     return std::nullopt;
@@ -86,7 +86,7 @@ std::optional<Value> EvalEngine::Eval(const Node& n) {
           if (!u.has_value()) {
             return std::nullopt;
           }
-          st.value = std::move(*u);
+          st.value = *u;
           st.phase = 1;
         }
         if (auto v = Eval(*n.kids[1])) {
@@ -103,7 +103,7 @@ std::optional<Value> EvalEngine::Eval(const Node& n) {
           if (!u.has_value()) {
             return std::nullopt;
           }
-          st.value = std::move(*u);
+          st.value = *u;
           st.phase = 1;
         }
         while (auto v = Eval(*n.kids[1])) {
@@ -164,7 +164,7 @@ std::optional<Value> EvalEngine::Eval(const Node& n) {
     // --- one-operand passthroughs ------------------------------------------
     case Op::kBrace: {
       if (auto u = Eval(*n.kids[0])) {
-        return ValueAsSym(ctx, std::move(*u));
+        return ValueAsSym(ctx, *u);
       }
       return std::nullopt;
     }
@@ -430,7 +430,7 @@ std::optional<Value> EvalEngine::Eval(const Node& n) {
           if (!u.has_value()) {
             return std::nullopt;
           }
-          st.value = std::move(*u);
+          st.value = *u;
           st.phase = 1;
         }
         // Re-push the scope saved across calls; pop before every return.
@@ -479,13 +479,15 @@ std::optional<Value> EvalEngine::Eval(const Node& n) {
           if (!ExpandReadable(ctx, x)) {
             continue;  // invalid pointer terminates this path silently
           }
-          std::vector<Value> children;
+          std::vector<Value>& children = ex.children;
+          children.clear();
           ctx.scopes().Push(ExpandScope(x));
           try {
             while (auto w = Eval(*n.kids[1])) {
-              Value child = ComposeWithResult(ctx, x, true, *w);
-              if (ExpandAdmit(ctx, ex, child)) {
-                children.push_back(std::move(child));
+              // Admission reads the value, never its symbolic: compose only
+              // the children that are kept.
+              if (ExpandAdmit(ctx, ex, *w)) {
+                children.push_back(ComposeWithResult(ctx, x, true, *w));
               }
             }
           } catch (const MemoryFault&) {
@@ -496,12 +498,12 @@ std::optional<Value> EvalEngine::Eval(const Node& n) {
           }
           ctx.scopes().Pop();
           if (bfs) {
-            for (Value& c : children) {
-              ex.pending.push_back(std::move(c));
+            for (const Value& c : children) {
+              ex.pending.push_back(c);
             }
           } else {
             for (auto it = children.rbegin(); it != children.rend(); ++it) {
-              ex.pending.push_back(std::move(*it));
+              ex.pending.push_back(*it);
             }
           }
           return x;
@@ -539,7 +541,7 @@ std::optional<Value> EvalEngine::Eval(const Node& n) {
         if (static_cast<uint64_t>(want) < ex.cache.size()) {
           Value out = ex.cache[static_cast<size_t>(want)];
           if (ctx.sym_on()) {
-            out.set_sym(out.sym().SelectedAt(static_cast<uint64_t>(want)));
+            out.set_sym(out.sym().SelectedAt(ctx.arena(), static_cast<uint64_t>(want)));
           }
           return out;
         }
@@ -593,16 +595,18 @@ std::optional<Value> EvalEngine::Eval(const Node& n) {
     }
     case Op::kSum: {
       if (st.phase == 0) {
+        // The total's symbolic is its printed value, so the running sum
+        // composes none.
         std::optional<Value> acc;
         while (auto u = Eval(*n.kids[0])) {
           if (!acc.has_value()) {
             acc = ctx.Rvalue(*u);
           } else {
-            acc = ApplyBinary(ctx, Op::kAdd, *acc, *u, n.range);
+            acc = ApplyArith(ctx, Op::kAdd, *acc, *u, n.range);
           }
         }
         st.phase = 1;
-        return ValueAsSym(ctx, acc.has_value() ? std::move(*acc)
+        return ValueAsSym(ctx, acc.has_value() ? *acc
                                                : Value::Int(ctx.types().Int(), 0, Sym::None()));
       }
       st.phase = 0;

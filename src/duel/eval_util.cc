@@ -10,33 +10,55 @@ namespace duel {
 
 using target::TypeKind;
 
-Value ConstValue(EvalContext& ctx, const Node& n) {
-  TypeRef t = LiteralType(ctx.types(), n);
+namespace {
+
+// The symbolic text of a literal leaf, formatted into the handle.
+Sym LiteralSym(Arena& arena, const Node& n) {
   switch (n.op) {
-    case Op::kIntConst: {
-      Sym sym = ctx.MakeSym(
-          n.is_unsigned ? StrPrintf("%llu", static_cast<unsigned long long>(n.int_value))
-                        : StrPrintf("%lld", static_cast<long long>(n.int_value)));
-      return Value::Int(t, static_cast<int64_t>(n.int_value), std::move(sym));
-    }
-    case Op::kCharConst: {
-      Sym sym = ctx.MakeSym(
-          StrPrintf("'%s'", EscapeChar(static_cast<char>(n.int_value)).c_str()));
-      return Value::Int(t, static_cast<int64_t>(n.int_value), std::move(sym));
-    }
-    case Op::kFloatConst: {
-      Sym sym = ctx.MakeSym(FormatDouble(n.float_value));
-      return Value::Double(t, n.float_value, std::move(sym));
-    }
+    case Op::kIntConst:
+      return n.is_unsigned ? Sym::DecimalUnsigned(n.int_value)
+                           : Sym::Decimal(static_cast<int64_t>(n.int_value));
+    case Op::kCharConst:
+      return Sym::Plain(arena, "'" + EscapeChar(static_cast<char>(n.int_value)) + "'");
     default:
-      throw DuelError(ErrorKind::kInternal, "ConstValue on non-constant node");
+      return Sym::Plain(arena, FormatDouble(n.float_value));
   }
+}
+
+}  // namespace
+
+Value LiteralValue(target::TypeTable& types, Arena& arena, const Node& n, bool with_sym) {
+  TypeRef t = LiteralType(types, n);
+  Sym sym = with_sym ? LiteralSym(arena, n) : Sym::None();
+  switch (n.op) {
+    case Op::kIntConst:
+    case Op::kCharConst:
+      return Value::Int(t, static_cast<int64_t>(n.int_value), sym);
+    case Op::kFloatConst:
+      return Value::Double(t, n.float_value, sym);
+    default:
+      throw DuelError(ErrorKind::kInternal, "LiteralValue on non-constant node");
+  }
+}
+
+Value ConstValue(EvalContext& ctx, const Node& n) {
+  if (ctx.sym_on()) {
+    ctx.counters().symbolic_builds++;
+  }
+  return LiteralValue(ctx.types(), ctx.arena(), n, ctx.sym_on());
+}
+
+Value LiteralOf(EvalContext& ctx, const Node& n) {
+  if (const NodeInfo* info = NodeInfoFor(ctx, n); info != nullptr && info->constant) {
+    return info->value;
+  }
+  return ConstValue(ctx, n);
 }
 
 Value StringValue(EvalContext& ctx, const Node& n) {
   Addr addr = ctx.InternString(n.text);
   Sym sym = ctx.MakeSym("\"" + EscapeString(n.text) + "\"");
-  return Value::Pointer(LiteralType(ctx.types(), n), addr, std::move(sym));
+  return Value::Pointer(LiteralType(ctx.types(), n), addr, sym);
 }
 
 Value NameValue(EvalContext& ctx, const Node& n) {
@@ -55,8 +77,12 @@ Value MakeIntValue(EvalContext& ctx, int64_t v) {
                v < std::numeric_limits<int32_t>::min())
                   ? ctx.types().Long()
                   : ctx.types().Int();
-  Sym sym = ctx.MakeSym(StrPrintf("%lld", static_cast<long long>(v)));
-  return Value::Int(t, v, std::move(sym));
+  Sym sym;
+  if (ctx.sym_on()) {
+    ctx.counters().symbolic_builds++;
+    sym = Sym::Decimal(v);
+  }
+  return Value::Int(t, v, sym);
 }
 
 void ExecDecl(EvalContext& ctx, const Node& n) {
@@ -112,7 +138,7 @@ Value ApplyBinaryClass(EvalContext& ctx, const Node& n, const Value& u, const Va
 
 namespace {
 
-bool IsSimpleIdentifier(const std::string& s) {
+bool IsSimpleIdentifier(std::string_view s) {
   if (s.empty() || (!isalpha(static_cast<unsigned char>(s[0])) && s[0] != '_')) {
     return false;
   }
@@ -132,16 +158,19 @@ Value ComposeWithResult(EvalContext& ctx, const Value& subject, bool arrow, cons
     return out;
   }
   ctx.counters().symbolic_builds++;
-  std::string inner_text = inner.sym().Text();
+  thread_local std::string inner_scratch;
+  thread_local std::string subject_scratch;
+  std::string_view inner_text = inner.sym().View(inner_scratch);
   // `_` passthrough: the inner value IS the subject; keep its original sym.
-  if (inner_text == subject.sym().Text()) {
+  if (inner.sym().size() == subject.sym().size() &&
+      inner_text == subject.sym().View(subject_scratch)) {
     return out;
   }
   if (IsSimpleIdentifier(inner_text)) {
-    out.set_sym(subject.sym().WithMember(inner_text, arrow));
+    out.set_sym(subject.sym().WithMember(ctx.arena(), inner_text, arrow));
     return out;
   }
-  out.set_sym(ComposeWith(subject.sym(), arrow, inner_text));
+  out.set_sym(ComposeWith(ctx.arena(), subject.sym(), arrow, inner_text));
   return out;
 }
 
@@ -168,9 +197,10 @@ Value CallTarget(EvalContext& ctx, const std::string& name, const std::vector<Va
   Sym sym = ctx.sym_on() ? ctx.MakeSym(name + "(" + Join(arg_syms, ", ") + ")", kPrecPostfix)
                          : Sym::None();
   if (ret.type == nullptr || ret.type->kind() == TypeKind::kVoid) {
-    return Value::RV(ctx.types().Void(), nullptr, 0, std::move(sym));
+    return Value::RV(ctx.types().Void(), nullptr, 0, sym);
   }
-  return Value::RV(ret.type, ret.bytes.data(), ret.bytes.size(), std::move(sym));
+  return Value::RV(ret.type, ctx.arena().Copy(ret.bytes.data(), ret.bytes.size()),
+                   ret.bytes.size(), sym);
 }
 
 bool UntilMatchMode(const Node& pred) {
@@ -193,7 +223,7 @@ bool UntilEquals(EvalContext& ctx, const Value& u, const Node& pred) {
     neg = !neg;
     p = p->kids[0].get();
   }
-  Value lit = ConstValue(ctx, *p);
+  Value lit = LiteralOf(ctx, *p);
   if (neg) {
     lit = ApplyUnary(ctx, Op::kNeg, lit, pred.range);
   }

@@ -17,7 +17,13 @@
 namespace duel {
 
 // Constants, string literals, names.
-Value ConstValue(EvalContext& ctx, const Node& n);   // kIntConst/kFloatConst/kCharConst
+// A literal leaf's value (kIntConst/kFloatConst/kCharConst), its symbolic
+// (when `with_sym`) formatted into the handle or `arena`.
+Value LiteralValue(target::TypeTable& types, Arena& arena, const Node& n, bool with_sym);
+// LiteralValue in the query arena, counted as a symbolic build.
+Value ConstValue(EvalContext& ctx, const Node& n);
+// A literal leaf's materialized value when a plan is attached, else ConstValue.
+Value LiteralOf(EvalContext& ctx, const Node& n);
 Value StringValue(EvalContext& ctx, const Node& n);  // kStringConst (interned char*)
 Value NameValue(EvalContext& ctx, const Node& n);    // kName; throws on unknown names
 
@@ -70,6 +76,7 @@ struct ExpandState {
   std::deque<Value> pending;     // stack (dfs) or queue (bfs)
   std::set<uint64_t> seen;       // cycle-detection keys
   uint64_t expanded = 0;
+  std::vector<Value> children;   // the node being expanded; reused across nodes
 };
 
 // Admission filter at push time: rejects null pointers, detected cycles, and

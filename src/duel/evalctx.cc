@@ -23,46 +23,9 @@ void EvalContext::Step(int node_id) {
   }
 }
 
-Value EvalContext::Rvalue(const Value& v) {
-  switch (v.kind()) {
-    case Value::Kind::kRValue:
-    case Value::Kind::kFrame:
-      return v;
-    case Value::Kind::kLValue:
-      break;
-  }
-  TypeRef t = v.type();
-  if (t->kind() == TypeKind::kArray || t->kind() == TypeKind::kFunction) {
-    // Array-to-pointer and function-to-pointer decay.
-    return Value::Pointer(RvalueType(types(), t), v.addr(), v.sym());
-  }
-  if (v.is_bitfield()) {
-    // Load the storage unit and extract the field.
-    uint64_t unit = 0;
-    size_t n = t->size();
-    try {
-      access_.GetBytes(v.addr(), &unit, n);
-    } catch (MemoryFault& mf) {
-      if (mf.symbolic_context().empty() && !v.sym().empty()) {
-        mf.set_symbolic_context(v.sym().Text());
-      }
-      throw;
-    }
-    uint64_t raw = (unit >> v.bit_offset()) & ((v.bit_width() >= 64)
-                                                   ? ~0ull
-                                                   : ((1ull << v.bit_width()) - 1));
-    int64_t val;
-    if (t->IsSignedInteger() && v.bit_width() < 64 &&
-        (raw & (1ull << (v.bit_width() - 1))) != 0) {
-      val = static_cast<int64_t>(raw | ~((1ull << v.bit_width()) - 1));
-    } else {
-      val = static_cast<int64_t>(raw);
-    }
-    return Value::Int(t, val, v.sym());
-  }
-  std::vector<uint8_t> buf(t->size());
+void EvalContext::LoadBytes(const Value& v, void* out, size_t n) {
   try {
-    access_.GetBytes(v.addr(), buf.data(), buf.size());
+    access_.GetBytes(v.addr(), out, n);
   } catch (MemoryFault& mf) {
     // Attach the offending operand's symbolic value, for the paper-style
     // "Illegal memory reference in x of x->y: x = lvalue 0x..." report.
@@ -71,88 +34,133 @@ Value EvalContext::Rvalue(const Value& v) {
     }
     throw;
   }
-  return Value::RV(t, buf.data(), buf.size(), v.sym());
 }
 
 namespace {
 
-uint64_t RawBitsOf(std::span<const uint8_t> bytes) {
-  uint64_t v = 0;
-  std::memcpy(&v, bytes.data(), std::min<size_t>(bytes.size(), 8));
-  return v;
+uint64_t MaskTo(uint64_t v, size_t size) {
+  return size >= 8 ? v : v & ((1ull << (size * 8)) - 1);
 }
 
 }  // namespace
 
-int64_t EvalContext::ToI64(const Value& value) {
-  Value v = Rvalue(value);
-  if (Typing rule = IntegerType(v.type()); !rule) {
+Scalar EvalContext::Load(const Value& v) {
+  switch (v.kind()) {
+    case Value::Kind::kRValue:
+      return {v.type(), v.bits()};
+    case Value::Kind::kFrame:
+      return {v.type(), 0};
+    case Value::Kind::kLValue:
+      break;
+  }
+  TypeRef t = v.type();
+  if (t->kind() == TypeKind::kArray || t->kind() == TypeKind::kFunction) {
+    // Array-to-pointer and function-to-pointer decay.
+    return {RvalueType(types(), t), v.addr()};
+  }
+  size_t n = t->size();
+  if (v.is_bitfield()) {
+    // Load the storage unit and extract the field.
+    uint64_t unit = 0;
+    LoadBytes(v, &unit, n);
+    uint64_t raw = (unit >> v.bit_offset()) & ((v.bit_width() >= 64)
+                                                   ? ~0ull
+                                                   : ((1ull << v.bit_width()) - 1));
+    if (t->IsSignedInteger() && v.bit_width() < 64 &&
+        (raw & (1ull << (v.bit_width() - 1))) != 0) {
+      raw |= ~((1ull << v.bit_width()) - 1);
+    }
+    return {t, MaskTo(raw, n)};
+  }
+  if (n <= 8) {
+    uint64_t bits = 0;
+    LoadBytes(v, &bits, n);
+    return {t, bits};
+  }
+  return {t, Rvalue(v).bits()};  // an aggregate: loaded whole, as Rvalue does
+}
+
+Value EvalContext::Rvalue(const Value& v) {
+  if (v.kind() != Value::Kind::kLValue) {
+    return v;
+  }
+  TypeRef t = v.type();
+  size_t n = t->size();
+  if (n <= 8 || t->kind() == TypeKind::kArray) {
+    Scalar s = Load(v);  // arrays decay
+    return Value::RV(s.type, &s.bits, s.type->size(), v.sym());
+  }
+  auto* image = static_cast<uint8_t*>(arena_.Allocate(n));
+  LoadBytes(v, image, n);
+  return Value::RV(t, image, n, v.sym());
+}
+
+int64_t Scalar::I64() const {
+  if (Typing rule = IntegerType(type); !rule) {
     rule.Throw();
   }
-  TypeRef t = v.type();
-  if (t->IsFloating()) {
-    return static_cast<int64_t>(ToF64(v));
+  if (type->IsFloating()) {
+    return static_cast<int64_t>(F64());
   }
-  uint64_t bits = RawBitsOf(v.bytes());
-  size_t size = t->size();
-  if ((t->IsSignedInteger() || t->kind() == TypeKind::kEnum) && size < 8) {
+  uint64_t v = bits;
+  size_t size = type->size();
+  if ((type->IsSignedInteger() || type->kind() == TypeKind::kEnum) && size < 8) {
     uint64_t sign_bit = 1ull << (size * 8 - 1);
-    if (bits & sign_bit) {
-      bits |= ~((sign_bit << 1) - 1);
+    if (v & sign_bit) {
+      v |= ~((sign_bit << 1) - 1);
     }
   }
-  return static_cast<int64_t>(bits);
+  return static_cast<int64_t>(v);
 }
 
-uint64_t EvalContext::ToU64(const Value& value) {
-  Value v = Rvalue(value);
-  if (v.type()->IsFloating()) {
-    return static_cast<uint64_t>(ToF64(v));
+uint64_t Scalar::U64() const {
+  if (type->IsFloating()) {
+    return static_cast<uint64_t>(F64());
   }
-  return static_cast<uint64_t>(ToI64(v));
+  return static_cast<uint64_t>(I64());
 }
 
-double EvalContext::ToF64(const Value& value) {
-  Value v = Rvalue(value);
-  TypeRef t = v.type();
-  if (t->kind() == TypeKind::kFloat) {
+double Scalar::F64() const {
+  if (type->kind() == TypeKind::kFloat) {
     float f;
-    std::memcpy(&f, v.bytes().data(), sizeof(f));
+    std::memcpy(&f, &bits, sizeof(f));
     return f;
   }
-  if (t->kind() == TypeKind::kDouble) {
+  if (type->kind() == TypeKind::kDouble) {
     double d;
-    std::memcpy(&d, v.bytes().data(), sizeof(d));
+    std::memcpy(&d, &bits, sizeof(d));
     return d;
   }
-  if (t->IsUnsignedInteger()) {
-    return static_cast<double>(static_cast<uint64_t>(ToI64(v)));
+  if (type->IsUnsignedInteger()) {
+    return static_cast<double>(static_cast<uint64_t>(I64()));
   }
-  return static_cast<double>(ToI64(v));
+  return static_cast<double>(I64());
 }
 
-Addr EvalContext::ToPtr(const Value& value) {
-  Value v = Rvalue(value);
-  if (v.type()->kind() != TypeKind::kPointer) {
-    throw DuelError(ErrorKind::kType, "expected a pointer, got " + v.type()->ToString());
+Addr Scalar::Ptr() const {
+  if (type->kind() != TypeKind::kPointer) {
+    throw DuelError(ErrorKind::kType, "expected a pointer, got " + type->ToString());
   }
-  return RawBitsOf(v.bytes());
+  return bits;
 }
+
+int64_t EvalContext::ToI64(const Value& v) { return Load(v).I64(); }
+
+uint64_t EvalContext::ToU64(const Value& v) { return Load(v).U64(); }
+
+double EvalContext::ToF64(const Value& v) { return Load(v).F64(); }
+
+Addr EvalContext::ToPtr(const Value& v) { return Load(v).Ptr(); }
 
 bool EvalContext::Truthy(const Value& value) {
-  Value v = Rvalue(value);
-  if (Typing t = ConditionType(types(), v.type()); !t) {
+  Scalar s = Load(value);
+  if (Typing t = ConditionType(types(), s.type); !t) {
     t.Throw();
   }
-  if (v.type()->IsFloating()) {
-    return ToF64(v) != 0.0;
+  if (s.type->IsFloating()) {
+    return s.F64() != 0.0;
   }
-  for (uint8_t b : v.bytes()) {
-    if (b != 0) {
-      return true;
-    }
-  }
-  return false;
+  return s.bits != 0;
 }
 
 void EvalContext::Store(const Value& lv, const Value& rv) {
@@ -264,7 +272,11 @@ std::optional<Value> EvalContext::LookupName(const std::string& name) {
   }
   // 2. aliases.
   if (const Value* a = aliases_.Find(name)) {
+    // The alias may be rebound while this copy is still in use: its image
+    // moves into the query arena.
     Value v = *a;
+    v.set_sym(Sym::None());
+    v = v.Rehome(arena_);
     v.set_sym(MakeSym(name));
     return v;
   }

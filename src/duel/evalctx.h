@@ -8,6 +8,7 @@
 
 #include <optional>
 #include <string>
+#include <string_view>
 
 #include "src/dbg/access.h"
 #include "src/dbg/backend.h"
@@ -49,6 +50,19 @@ struct EvalOptions {
   size_t max_string_display = 80;
 };
 
+// An operand read as a scalar: the type it has as an rvalue and its first
+// eight bytes, zero-extended. The readouts convert like C and apply the
+// same typing rules as EvalContext's To* functions.
+struct Scalar {
+  TypeRef type = nullptr;
+  uint64_t bits = 0;
+
+  int64_t I64() const;   // any scalar (IntegerType)
+  uint64_t U64() const;
+  double F64() const;
+  Addr Ptr() const;      // pointers only
+};
+
 class EvalContext {
  public:
   EvalContext(dbg::DebuggerBackend& backend, EvalOptions opts)
@@ -66,9 +80,11 @@ class EvalContext {
   // Starts a fresh per-query epoch: re-syncs the cache toggle with opts(),
   // drops all cached blocks, and lets the backend reset its own client-side
   // caches. Call once at the top of every top-level evaluation.
+  // Also rewinds the value arena: values of the previous query die here.
   void BeginQuery() {
     access_.set_enabled(opts_.data_cache);
     access_.BeginQuery();
+    arena_.Rewind();
     query_steps_base_ = counters_.eval_steps;
   }
 
@@ -80,6 +96,7 @@ class EvalContext {
   void BeginQueryData() {
     access_.set_enabled(opts_.data_cache);
     access_.BeginQueryData();
+    arena_.Rewind();
     query_steps_base_ = counters_.eval_steps;
   }
   const EvalOptions& opts() const { return opts_; }
@@ -89,13 +106,17 @@ class EvalContext {
   EvalCounters& counters() { return counters_; }
   target::TypeTable& types() { return backend_->Types(); }
 
+  // Where this query's symbolic records and aggregate rvalue images live
+  // (value.h): rewound by BeginQuery/BeginQueryData.
+  Arena& arena() { return arena_; }
+
   bool sym_on() const { return opts_.sym_mode != EvalOptions::SymMode::kOff; }
-  Sym MakeSym(std::string text, int prec = kPrecPrimary) {
+  Sym MakeSym(std::string_view text, int prec = kPrecPrimary) {
     if (!sym_on()) {
       return Sym::None();
     }
     counters_.symbolic_builds++;
-    return Sym::Plain(std::move(text), prec);
+    return Sym::Plain(arena_, text, prec);
   }
 
   // Fuel accounting. Burns one unit of evaluation fuel and, when a profiler
@@ -131,6 +152,10 @@ class EvalContext {
 
   // Assigns rv (converted to lv's type) into the storage of lvalue lv.
   void Store(const Value& lv, const Value& rv);
+
+  // An operand as a Scalar (below). Loads lvalues exactly as Rvalue does
+  // (same reads, same faults) without building a Value.
+  Scalar Load(const Value& v);
 
   // Scalar readouts (load lvalue first if needed).
   int64_t ToI64(const Value& v);
@@ -171,10 +196,15 @@ class EvalContext {
   Addr InternString(const std::string& body);
 
  private:
+  // Value bytes read from target memory, with the operand's symbolic
+  // attached to any fault.
+  void LoadBytes(const Value& v, void* out, size_t n);
+
   std::map<std::string, Addr> interned_strings_;
   dbg::DebuggerBackend* backend_;
   dbg::MemoryAccess access_;
   EvalOptions opts_;
+  Arena arena_;
   AliasTable aliases_;
   ScopeStack scopes_;
   EvalCounters counters_;

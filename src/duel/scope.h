@@ -17,15 +17,19 @@
 
 namespace duel {
 
+// An alias outlives the query that defined it, so each entry re-homes its
+// value's symbolic and rvalue image into an arena of its own.
 class AliasTable {
  public:
-  void Set(const std::string& name, Value v) {
-    aliases_[name] = std::move(v);
+  void Set(const std::string& name, const Value& v) {
+    Entry fresh;
+    fresh.value = v.Rehome(fresh.store);
+    aliases_[name] = std::move(fresh);
     ++version_;
   }
   const Value* Find(const std::string& name) const {
     auto it = aliases_.find(name);
-    return it == aliases_.end() ? nullptr : &it->second;
+    return it == aliases_.end() ? nullptr : &it->second.value;
   }
   bool Has(const std::string& name) const { return aliases_.count(name) != 0; }
   void Remove(const std::string& name) {
@@ -48,7 +52,12 @@ class AliasTable {
   uint64_t version() const { return version_; }
 
  private:
-  std::map<std::string, Value> aliases_;
+  struct Entry {
+    Value value;
+    Arena store{256};  // allocated only for values that point at records
+  };
+
+  std::map<std::string, Entry> aliases_;
   uint64_t version_ = 0;
 };
 
@@ -62,7 +71,7 @@ struct WithScope {
 
 class ScopeStack {
  public:
-  void Push(WithScope s) { scopes_.push_back(std::move(s)); }
+  void Push(const WithScope& s) { scopes_.push_back(s); }
   void Pop() { scopes_.pop_back(); }
   bool empty() const { return scopes_.empty(); }
   size_t size() const { return scopes_.size(); }
@@ -82,7 +91,7 @@ class ScopeStack {
 // always guarded.
 class ScopedWith {
  public:
-  ScopedWith(ScopeStack& stack, WithScope s) : stack_(&stack) { stack_->Push(std::move(s)); }
+  ScopedWith(ScopeStack& stack, const WithScope& s) : stack_(&stack) { stack_->Push(s); }
   ~ScopedWith() {
     if (stack_ != nullptr) {
       stack_->Pop();

@@ -13,6 +13,8 @@
 //         comparison operators over literals collapses to one precomputed
 //         Value (evaluation then yields it like a literal leaf — exactly one
 //         value per eval call, so generator semantics are untouched);
+//       - literal leaves, materialized once, so evaluation copies their
+//         Value instead of rebuilding it per produced value;
 //       - resolved syntactic types for kCast / kSizeofType, so repeated casts
 //         do not re-search the debugger's type tables per value;
 //   * the verdict (CheckResult): diagnostics, and every name the walk
@@ -44,10 +46,13 @@ struct NodeInfo {
   target::TypeRef bound_type = nullptr;
   uint64_t bound_addr = 0;
 
-  // Root of a maximal constant-folded subtree. The engine treats the node as a
-  // leaf: one eval call yields folded_value, the next exhausts it.
-  bool folded = false;
-  Value folded_value;
+  // A node whose one value is known at compile time: a literal leaf
+  // (materialized once instead of per evaluation) or the root of a maximal
+  // constant-folded subtree. The engine treats the node as a leaf: one eval
+  // call yields a copy of `value`, the next exhausts it. The value's records
+  // live in the owning Annotations' store.
+  bool constant = false;
+  Value value;
 
   // kCast / kSizeofType with the syntactic type resolved once.
   target::TypeRef resolved_type = nullptr;
@@ -92,11 +97,16 @@ class Annotations {
   NodeInfo& At(int node_id) { return infos_.at(static_cast<size_t>(node_id)); }
   int num_nodes() const { return static_cast<int>(infos_.size()); }
 
+  // Owns the records of every NodeInfo::value (and the walk's fold memo),
+  // which live as long as the plan, across many queries.
+  Arena& store() { return store_; }
+
   SemaStats stats;
   CheckResult check;
 
  private:
   std::vector<NodeInfo> infos_;
+  Arena store_{256};
 };
 
 // Annotation lookup for evaluation-time code. Null when the engine is driven

@@ -105,7 +105,11 @@ struct QueryResult {
 
 // Called with each value a query produces, inside the drive loop while the
 // query's data epoch is live (so it may read through the session's context,
-// e.g. EvalContext::Truthy). A DuelError it throws fails the query.
+// e.g. EvalContext::Truthy). A DuelError it throws fails the query. The
+// value, like every value a query makes, is valid only until the next
+// query begins: its symbolic and any large rvalue image live in the
+// session's query arena. A hook that keeps one must re-home it
+// (Value::Rehome) or copy out what it needs.
 using ValueHook = std::function<void(const Value&)>;
 
 class Session {

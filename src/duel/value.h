@@ -6,9 +6,23 @@
 // data. The symbolic value is a symbolic expression (i.e., a legal Duel
 // expression) that indicates how the value was computed."
 //
+// None of the three owns memory. A Value is 48 trivially copyable bytes: a
+// kind, a TypeRef, an 8-byte payload (an rvalue's bytes when they fit, an
+// lvalue's address, a frame index, or a pointer to a larger rvalue image)
+// and a 24-byte Sym handle. Texts of up to Sym::kInlineCap characters live
+// in the handle; longer texts, `->member` chains and aggregate images live
+// in an Arena. Values a query makes use the evaluation context's arena,
+// which every query rewinds: a Value is valid until the next BeginQuery,
+// and an owner that keeps one longer re-homes it (Value::Rehome) into
+// storage of its own.
+//
 // Sym tracks `->member` chains structurally so the display algorithm can
 // compress occurrences of ->a->a... into -->a[[n]], and so select can print
-// head-->member[[i]] for elements picked out of an expansion.
+// head-->member[[i]] for elements picked out of an expansion. A chain record
+// holds the head and the member once; each step down the chain bumps the
+// count in the handle, and text appended after the chain is a linked list
+// of pieces that shares its prefix, so a `-->` walk adds O(1) arena bytes
+// per node.
 //
 // The Compose* functions below are the only code that joins an operator's
 // spelling to operand text. They take spelling and precedence from the
@@ -23,9 +37,11 @@
 #include <cstring>
 #include <span>
 #include <string>
-#include <vector>
+#include <string_view>
+#include <type_traits>
 
 #include "src/duel/ast.h"
+#include "src/support/arena.h"
 #include "src/target/ctype.h"
 #include "src/target/memory.h"
 
@@ -37,88 +53,106 @@ using target::TypeRef;
 
 class Sym {
  public:
-  Sym() = default;
-
-  static Sym Plain(std::string text, int prec = kPrecPrimary);
-  static Sym None() { return Sym(); }
-
-  bool empty() const { return head_.empty() && count_ == 0; }
-  int prec() const { return count_ > 0 ? kPrecPostfix : prec_; }
-
-  // Rendered text; chains of `->member` longer than kCompressAt render as
-  // head-->member[[n]]suffix.
-  std::string Text() const;
-  // Text wrapped in parentheses if this sym binds looser than `min_prec`.
-  std::string TextAsOperand(int min_prec) const;
-
-  // Composition used by `.` and `->`: appends a member access. Extends the
-  // structural chain when the same member repeats via `->`.
-  Sym WithMember(const std::string& member, bool arrow) const;
-
-  // Composition used by [[i]] on expansion chains: head-->member[[i]]suffix.
-  // Falls back to the value's own sym (returns *this) for non-chains.
-  Sym SelectedAt(uint64_t index) const;
+  // Longest text kept in the handle itself.
+  static constexpr size_t kInlineCap = 22;
 
   // Number of repeated ->member steps at which the display algorithm switches
   // to the compressed -->member[[n]] form. The paper prints 3 steps expanded
   // and 8 compressed; the threshold is unspecified, we use 4.
   static constexpr int kCompressAt = 4;
 
+  Sym() = default;  // no text
+
+  static Sym None() { return Sym(); }
+  // `text`, in the handle when it fits, else copied into `arena`.
+  static Sym Plain(Arena& arena, std::string_view text, int prec = kPrecPrimary);
+  // A decimal integer, formatted straight into the handle.
+  static Sym Decimal(int64_t v);
+  static Sym DecimalUnsigned(uint64_t v);
+
+  bool empty() const { return tag_ == 0; }
+  int prec() const { return tag_ == kChainTag ? static_cast<int>(kPrecPostfix) : prec_; }
+  // Length of the rendered text.
+  size_t size() const;
+
+  // Rendered text; chains of `->member` longer than kCompressAt render as
+  // head-->member[[n]]suffix.
+  std::string Text() const;
+  void AppendTo(std::string& out) const;
+  // Appends the text, wrapped in parentheses if this sym binds looser than
+  // `min_prec`.
+  void AppendAsOperand(std::string& out, int min_prec) const;
+  // The rendered text without copying when it is stored flat; otherwise it
+  // is rendered into `scratch`, which the view then points into.
+  std::string_view View(std::string& scratch) const;
+
+  // Composition used by `.` and `->`: appends a member access. Extends the
+  // structural chain when the same member repeats via `->`.
+  Sym WithMember(Arena& arena, std::string_view member, bool arrow) const;
+
+  // Composition used by [[i]] on expansion chains: head-->member[[i]]suffix.
+  // Falls back to the value's own sym (returns *this) for non-chains.
+  Sym SelectedAt(Arena& arena, uint64_t index) const;
+
+  // The same text with every record it points at copied into `arena`.
+  Sym Rehome(Arena& arena) const;
+
  private:
-  // Invariant: either count_ == 0 and head_ holds the whole text, or
-  // count_ > 0 and the sym is head_ (-> member_)*count_ suffix_.
-  std::string head_;
-  std::string member_;
-  int count_ = 0;
-  std::string suffix_;
-  int prec_ = kPrecPrimary;
+  // Arena records (value.cc): a text piece, whose rendered text is the
+  // previous piece's followed by its own characters, and a chain record,
+  // head (-> member)*count, whose count and trailing pieces live in the
+  // handle.
+  struct Piece;
+  struct Chain;
+
+  static constexpr uint8_t kTextTag = 0xFE;   // raw_ holds a const Piece*
+  static constexpr uint8_t kChainTag = 0xFF;  // raw_ holds {const Chain*, const Piece*, count}
+
+  static const Piece* NewPiece(Arena& arena, const Piece* prev, std::string_view a,
+                               std::string_view b = {});
+  static void AppendPieces(std::string& out, const Piece* p);
+
+  const Piece* text() const { return Load<const Piece*>(0); }
+  const Chain* chain() const { return Load<const Chain*>(0); }
+  const Piece* suffix() const { return Load<const Piece*>(8); }
+  uint32_t count() const { return Load<uint32_t>(16); }
+
+  template <typename T>
+  T Load(size_t at) const {
+    T v;
+    std::memcpy(&v, raw_ + at, sizeof(T));
+    return v;
+  }
+  template <typename T>
+  void Store(size_t at, T v) {
+    std::memcpy(raw_ + at, &v, sizeof(T));
+  }
+
+  // Inline characters (tag_ <= kInlineCap is their count) or the record
+  // fields named by the tag.
+  alignas(8) char raw_[kInlineCap] = {};
+  uint8_t tag_ = 0;
+  uint8_t prec_ = kPrecPrimary;
 };
+
+static_assert(std::is_trivially_copyable_v<Sym>);
+static_assert(sizeof(Sym) == 24);
 
 // "a op b" for a binary operator; left-associative, so the left operand may
 // sit at the operator's own level.
-Sym ComposeBinary(const Sym& lhs, Op op, const Sym& rhs);
+Sym ComposeBinary(Arena& arena, const Sym& lhs, Op op, const Sym& rhs);
 // "op a" for a prefix operator, "a op" for a postfix one (by the row's
 // precedence).
-Sym ComposeUnary(Op op, const Sym& operand);
-Sym ComposeIndex(const Sym& base, const Sym& index);
-Sym ComposeCast(const std::string& type_name, const Sym& operand);
+Sym ComposeUnary(Arena& arena, Op op, const Sym& operand);
+Sym ComposeIndex(Arena& arena, const Sym& base, const Sym& index);
+Sym ComposeCast(Arena& arena, const std::string& type_name, const Sym& operand);
 // subject.(inner) or subject->(inner): a with-scope whose inner expression
 // is not a plain member name.
-Sym ComposeWith(const Sym& subject, bool arrow, const std::string& inner);
-
-// Byte storage for rvalues with a small-buffer optimization: scalar values
-// (the overwhelming majority) stay inline; whole-struct rvalues spill to the
-// heap. This keeps generator loops allocation-free per value.
-class ByteStore {
- public:
-  ByteStore() = default;
-
-  void Assign(const void* p, size_t n) {
-    size_ = n;
-    if (n <= kInline) {
-      heap_.clear();
-      if (n != 0) {
-        std::memcpy(inline_, p, n);
-      }
-    } else {
-      heap_.assign(static_cast<const uint8_t*>(p), static_cast<const uint8_t*>(p) + n);
-    }
-  }
-
-  const uint8_t* data() const { return size_ <= kInline ? inline_ : heap_.data(); }
-  size_t size() const { return size_; }
-  std::span<const uint8_t> span() const { return {data(), size_}; }
-
- private:
-  static constexpr size_t kInline = 16;
-  size_t size_ = 0;
-  uint8_t inline_[kInline] = {};
-  std::vector<uint8_t> heap_;
-};
+Sym ComposeWith(Arena& arena, const Sym& subject, bool arrow, std::string_view inner);
 
 class Value {
  public:
-  enum class Kind {
+  enum class Kind : uint8_t {
     kRValue,
     kLValue,
     kFrame,  // extension: a stack-frame handle produced by frames()
@@ -126,6 +160,9 @@ class Value {
 
   Value() = default;
 
+  // An rvalue of `n` bytes. Up to 8 bytes are copied into the value; a
+  // larger image is referenced, not copied, so `bytes` must stay valid as
+  // long as the value (the query arena, or an owner's re-homed copy).
   static Value RV(TypeRef type, const void* bytes, size_t n, Sym sym);
   static Value Int(TypeRef type, int64_t v, Sym sym);  // writes type->size() bytes
   static Value Double(TypeRef type, double v, Sym sym);
@@ -144,24 +181,41 @@ class Value {
   bool is_bitfield() const { return bit_width_ != 0; }
   unsigned bit_offset() const { return bit_offset_; }
   unsigned bit_width() const { return bit_width_; }
-  size_t frame_index() const { return frame_index_; }
+  size_t frame_index() const { return word_; }
 
   std::span<const uint8_t> bytes() const;  // rvalue only
+  // An rvalue's first eight bytes, zero-extended (the whole of a scalar).
+  uint64_t bits() const {
+    if (size_ <= 8) {
+      return word_;
+    }
+    uint64_t v;
+    std::memcpy(&v, data_, sizeof(v));
+    return v;
+  }
 
   const Sym& sym() const { return sym_; }
   Sym& sym() { return sym_; }
-  void set_sym(Sym s) { sym_ = std::move(s); }
+  void set_sym(Sym s) { sym_ = s; }
+
+  // A copy whose symbolic records and rvalue image live in `arena`.
+  Value Rehome(Arena& arena) const;
 
  private:
   Kind kind_ = Kind::kRValue;
+  uint8_t bit_offset_ = 0;
+  uint8_t bit_width_ = 0;  // nonzero => bit-field lvalue
+  uint32_t size_ = 0;      // rvalue byte count
   TypeRef type_ = nullptr;
-  ByteStore bytes_;             // rvalue payload
-  Addr addr_ = 0;               // lvalue payload
-  unsigned bit_offset_ = 0;
-  unsigned bit_width_ = 0;      // nonzero => bit-field lvalue
-  size_t frame_index_ = 0;
+  union {
+    uint64_t word_ = 0;     // rvalue bytes (size_ <= 8), lvalue address, frame index
+    const uint8_t* data_;   // rvalue image (size_ > 8)
+  };
   Sym sym_;
 };
+
+static_assert(std::is_trivially_copyable_v<Value>);
+static_assert(sizeof(Value) <= 48);
 
 }  // namespace duel
 

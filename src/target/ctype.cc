@@ -213,6 +213,7 @@ TypeTable::TypeTable() {
 
 Type* TypeTable::New(TypeKind k) {
   store_.push_back(std::unique_ptr<Type>(new Type(k)));
+  store_.back()->table_ = this;
   return store_.back().get();
 }
 
@@ -225,6 +226,12 @@ TypeRef TypeTable::Basic(TypeKind k) const {
 }
 
 TypeRef TypeTable::PointerTo(TypeRef t) {
+  const bool own = t != nullptr && t->table_ == this;
+  if (own) {
+    if (TypeRef hit = t->pointer_.load(std::memory_order_acquire)) {
+      return hit;
+    }
+  }
   std::lock_guard<std::mutex> lock(derived_mu_);
   TypeRef& slot = pointers_[t];
   if (slot == nullptr) {
@@ -233,6 +240,9 @@ TypeRef TypeTable::PointerTo(TypeRef t) {
     p->align_ = 8;
     p->target_ = t;
     slot = p;
+  }
+  if (own) {
+    t->pointer_.store(slot, std::memory_order_release);
   }
   return slot;
 }

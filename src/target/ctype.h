@@ -13,6 +13,7 @@
 #ifndef DUEL_TARGET_CTYPE_H_
 #define DUEL_TARGET_CTYPE_H_
 
+#include <atomic>
 #include <compare>
 #include <cstddef>
 #include <cstdint>
@@ -28,6 +29,7 @@
 namespace duel::target {
 
 class Type;
+class TypeTable;
 using TypeRef = const Type*;
 
 enum class TypeKind {
@@ -137,6 +139,12 @@ class Type {
   TypeRef return_type_ = nullptr;
   std::vector<Param> params_;
   bool variadic_ = false;
+
+  // The interned pointer to this type, published once by the owning table's
+  // PointerTo (release) so later calls read it without the table's lock
+  // (acquire). Array decay asks for it once per element.
+  const TypeTable* table_ = nullptr;
+  mutable std::atomic<TypeRef> pointer_{nullptr};
 };
 
 // Structural equality across tables: basics by kind, pointers/arrays/
@@ -176,7 +184,8 @@ class TypeTable {
   // are the only ones that are thread-safe: concurrent read-only queries of
   // the serve layer intern derived types while sharing one image under a
   // reader lock. Everything else (Declare/Define/Complete) still requires
-  // external exclusion.
+  // external exclusion. PointerTo on one of this table's own types takes no
+  // lock once that pointer type exists.
   TypeRef PointerTo(TypeRef t);
   TypeRef ArrayOf(TypeRef elem, size_t count);
   TypeRef Function(TypeRef ret, std::vector<Param> params, bool variadic);

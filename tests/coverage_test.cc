@@ -1,4 +1,4 @@
-// Cross-cutting integration coverage: large rvalues through the ByteStore,
+// Cross-cutting integration coverage: large rvalues in the query arena,
 // compile-time name binding over the remote backend, scenario files driving the
 // stepping debugger, deeply composed types.
 
@@ -16,8 +16,8 @@
 namespace duel {
 namespace {
 
-TEST(ByteStoreTest, LargeRecordRvaluesSpillToHeap) {
-  // A 40-byte struct rvalue exceeds the 16-byte inline buffer.
+TEST(AggregateValueTest, LargeRecordRvaluesLiveInTheArena) {
+  // A 40-byte struct rvalue exceeds the value's 8-byte payload.
   DuelFixture fx;
   target::ImageBuilder b(fx.image());
   target::TypeRef wide = b.Struct("wide")
@@ -35,19 +35,18 @@ TEST(ByteStoreTest, LargeRecordRvaluesSpillToHeap) {
   fx.Lines("dst = src ;");
   EXPECT_EQ(fx.One("{dst.tail}"), "99");
   EXPECT_EQ(fx.One("+/(dst.a[..8])"), "36");
-  // Member extraction from a record *rvalue* slices the heap buffer.
+  // Member extraction from a record *rvalue* slices the arena image.
   EXPECT_EQ(fx.One("{(*&src).tail}"), "99");
 }
 
-TEST(ByteStoreTest, ValueCopiesAreIndependent) {
+TEST(AggregateValueTest, ValueCopiesShareTheImage) {
   Sym none = Sym::None();
   std::vector<uint8_t> big(40, 7);
   target::TypeTable tt;
   Value a = Value::RV(tt.ArrayOf(tt.Char(), 40), big.data(), big.size(), none);
-  Value b = a;  // copy
-  Value c = std::move(a);
+  Value b = a;  // copy: a 48-byte record, the image is referenced
   EXPECT_EQ(b.bytes().size(), 40u);
-  EXPECT_EQ(c.bytes().size(), 40u);
+  EXPECT_EQ(b.bytes().data(), a.bytes().data());
   EXPECT_EQ(b.bytes()[39], 7);
 }
 

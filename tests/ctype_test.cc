@@ -5,6 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <thread>
+#include <vector>
+
 namespace duel::target {
 namespace {
 
@@ -34,6 +38,54 @@ TEST(CTypeTest, PointerAndArrayInterning) {
   EXPECT_EQ(tt.PointerTo(tt.Int()), tt.PointerTo(tt.Int()));
   EXPECT_EQ(tt.ArrayOf(tt.Int(), 10), tt.ArrayOf(tt.Int(), 10));
   EXPECT_NE(tt.ArrayOf(tt.Int(), 10), tt.ArrayOf(tt.Int(), 11));
+}
+
+// Array decay interns the element's pointer type once per table; every
+// later decay reads it without the table's lock. Eight threads decaying one
+// freshly built array type at the same moment must all see one pointer type
+// (run under ThreadSanitizer with the other Serve tests).
+TEST(ServeTypeTableTest, ConcurrentArrayDecayInternsOnePointer) {
+  TypeTable tt;
+  TypeRef rec = tt.DeclareStruct("fresh");
+  tt.CompleteRecord(rec, {{"v", tt.Int(), 0, false, 0, 0}});
+  TypeRef array = tt.ArrayOf(rec, 16);
+  constexpr int kThreads = 8;
+  std::atomic<int> ready{0};
+  std::vector<TypeRef> seen(kThreads, nullptr);
+  std::vector<std::thread> threads;
+  for (int i = 0; i < kThreads; ++i) {
+    threads.emplace_back([&, i] {
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) {
+      }
+      TypeRef first = tt.PointerTo(array->target());
+      for (int k = 0; k < 1000; ++k) {
+        if (tt.PointerTo(array->target()) != first) {
+          first = nullptr;
+        }
+      }
+      seen[static_cast<size_t>(i)] = first;
+    });
+  }
+  for (std::thread& t : threads) {
+    t.join();
+  }
+  TypeRef want = tt.PointerTo(rec);
+  ASSERT_NE(want, nullptr);
+  EXPECT_EQ(want->target(), rec);
+  for (TypeRef p : seen) {
+    EXPECT_EQ(p, want);
+  }
+}
+
+TEST(CTypeTest, PointerToAnotherTablesTypeStaysInThisTable) {
+  TypeTable a;
+  TypeTable b;
+  TypeRef in_a = a.PointerTo(a.Int());
+  TypeRef in_b = b.PointerTo(a.Int());
+  EXPECT_NE(in_a, in_b);
+  EXPECT_EQ(b.PointerTo(a.Int()), in_b);
+  EXPECT_EQ(a.PointerTo(a.Int()), in_a);
 }
 
 TEST(CTypeTest, FunctionInterning) {

@@ -267,7 +267,9 @@ TEST(ServeGovernorTest, DeadlineCancelsRunawayWhileOthersComplete) {
 
   std::promise<QueryResult> runaway_done;
   std::future<QueryResult> runaway_future = runaway_done.get_future();
-  ASSERT_EQ(service.Submit(runaway, "C-->next->value",
+  // A filter that never passes: the walk prints nothing, so the output cap
+  // cannot end it before the deadline does.
+  ASSERT_EQ(service.Submit(runaway, "C-->next->value >? 100",
                            [&](QueryResult r) { runaway_done.set_value(std::move(r)); }),
             SubmitStatus::kAccepted);
 
