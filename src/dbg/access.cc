@@ -72,13 +72,12 @@ void MemoryAccess::DropBlocks() {
 
 void MemoryAccess::EnsureBlocks(uint64_t first, uint64_t last) {
   const size_t bs = config_.block_size;
-  std::vector<uint64_t> missing;
+  auto absent = [this](uint64_t b) { return blocks_.find(b) == blocks_.end(); };
+  size_t missing = 0;
   for (uint64_t b = first; b <= last; ++b) {
-    if (blocks_.find(b) == blocks_.end()) {
-      missing.push_back(b);
-    }
+    missing += absent(b) ? 1 : 0;
   }
-  if (missing.empty()) {
+  if (missing == 0) {
     return;
   }
   counters_.misses++;
@@ -91,32 +90,41 @@ void MemoryAccess::EnsureBlocks(uint64_t first, uint64_t last) {
   }
   size_t ahead = std::min<size_t>(config_.max_readahead,
                                   seq_run_ == 0 ? 0 : (size_t{1} << std::min(seq_run_, 6u)));
-  for (uint64_t b = last + 1; ahead > 0 && b > last; ++b, --ahead) {
-    if (blocks_.find(b) == blocks_.end()) {
-      missing.push_back(b);
+  uint64_t end = last;  // the last block to fetch, readahead included
+  for (; ahead > 0 && end + 1 > last; --ahead) {
+    ++end;
+    missing += absent(end) ? 1 : 0;
+  }
+  if (blocks_.size() + missing > config_.max_blocks) {
+    // Simple overflow policy: start over. Every block of the span is
+    // missing now, including the ones that were cached a moment ago.
+    Invalidate();
+  }
+  std::vector<uint64_t> fetch;
+  fetch.reserve(static_cast<size_t>(end - first + 1));
+  for (uint64_t b = first; b <= end && b >= first; ++b) {
+    if (absent(b)) {
+      fetch.push_back(b);
     }
   }
-  if (blocks_.size() + missing.size() > config_.max_blocks) {
-    Invalidate();  // simple overflow policy: start over
-  }
   std::vector<ReadRange> ranges;
-  ranges.reserve(missing.size());
-  for (uint64_t b : missing) {
+  ranges.reserve(fetch.size());
+  for (uint64_t b : fetch) {
     ranges.push_back(ReadRange{b * bs, bs});
   }
   std::vector<std::vector<uint8_t>> results = backend_->ReadTargetRanges(ranges);
-  for (size_t i = 0; i < missing.size(); ++i) {
+  for (size_t i = 0; i < fetch.size(); ++i) {
     Block blk;
     blk.valid_len = i < results.size() ? results[i].size() : 0;
     blk.bytes = i < results.size() ? std::move(results[i]) : std::vector<uint8_t>();
     blk.bytes.resize(bs);
     counters_.bytes_fetched += blk.valid_len;
     counters_.block_fetches++;
-    blocks_[missing[i]] = std::move(blk);
+    blocks_[fetch[i]] = std::move(blk);
   }
   // The streak continues at the first block past everything just fetched
   // (including readahead), so a long scan keeps doubling its window.
-  next_seq_block_ = std::max(last, missing.back()) + 1;
+  next_seq_block_ = end + 1;
 }
 
 bool MemoryAccess::TryServe(Addr addr, void* out, size_t size) {
@@ -169,6 +177,10 @@ size_t MemoryAccess::GetBytesPrefix(Addr addr, void* out, size_t size) {
   if (governor_ != nullptr) {
     governor_->ChargeReadBytes(size);
   }
+  return ReadRun(addr, out, size);
+}
+
+size_t MemoryAccess::ReadRun(Addr addr, void* out, size_t size) {
   if (!enabled_) {
     return backend_->ReadTargetPrefix(addr, out, size);
   }
@@ -181,7 +193,11 @@ size_t MemoryAccess::GetBytesPrefix(Addr addr, void* out, size_t size) {
   Addr pos = addr;
   size_t total = 0;
   while (total < size) {
-    const Block& blk = blocks_[pos / bs];
+    auto it = blocks_.find(pos / bs);
+    if (it == blocks_.end()) {
+      break;
+    }
+    const Block& blk = it->second;
     size_t off = static_cast<size_t>(pos % bs);
     if (off >= blk.valid_len) {
       break;

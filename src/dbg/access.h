@@ -83,6 +83,12 @@ class MemoryAccess {
   // chunked string display.
   size_t GetBytesPrefix(target::Addr addr, void* out, size_t size);
 
+  // GetBytesPrefix without the governor charge, for a caller that reads a
+  // run ahead of the values it consumes and charges the budget per value
+  // as it takes each one (the engine's filter scan, eval_sm.cc). Counts one
+  // hit per run.
+  size_t ReadRun(target::Addr addr, void* out, size_t size);
+
   // Write-through: backend first (faults propagate), then the cache is
   // patched or evicted so subsequent reads see the new bytes.
   void PutBytes(target::Addr addr, const void* in, size_t size);

@@ -376,16 +376,7 @@ Typing ConditionType(target::TypeTable& types, TypeRef t) {
 
 // --- values --------------------------------------------------------------------
 
-bool ApplyComparisonImpl(EvalContext& ctx, Op op, const Value& va, const Value& vb,
-                         SourceRange range) {
-  ctx.counters().applies++;
-  Scalar a = ctx.Load(va);
-  Scalar b = ctx.Load(vb);
-  Typing t = ComparisonType(ctx.types(), op, a.type, b.type);
-  if (!t) {
-    t.Throw(range);
-  }
-  TypeRef ct = t.type();
+bool CompareScalars(Op op, TypeRef ct, const Scalar& a, const Scalar& b) {
   if (ct->kind() == TypeKind::kPointer) {
     uint64_t ua = a.type->kind() == TypeKind::kPointer ? a.Ptr() : a.U64();
     uint64_t ub = b.type->kind() == TypeKind::kPointer ? b.Ptr() : b.U64();
@@ -399,6 +390,24 @@ bool ApplyComparisonImpl(EvalContext& ctx, Op op, const Value& va, const Value& 
                    MaskTo(static_cast<uint64_t>(b.I64()), ct->size()));
   }
   return Compare(op, a.I64(), b.I64());
+}
+
+Value IndexedLvalue(EvalContext& ctx, const Value& base, const Value& index, TypeRef elem,
+                    Addr addr) {
+  Sym sym = ctx.sym_on() ? ComposeIndex(ctx.arena(), base.sym(), index.sym()) : Sym::None();
+  return Value::LV(elem, addr, sym);
+}
+
+bool ApplyComparisonImpl(EvalContext& ctx, Op op, const Value& va, const Value& vb,
+                         SourceRange range) {
+  ctx.counters().applies++;
+  Scalar a = ctx.Load(va);
+  Scalar b = ctx.Load(vb);
+  Typing t = ComparisonType(ctx.types(), op, a.type, b.type);
+  if (!t) {
+    t.Throw(range);
+  }
+  return CompareScalars(op, t.type(), a, b);
 }
 
 // ApplyBinary (`compose`) or ApplyArith: the same arithmetic, with or
@@ -557,8 +566,7 @@ Value ApplyIndexImpl(EvalContext& ctx, const Value& base, const Value& index, So
     std::swap(b, i);  // 2[x]
   }
   Addr addr = b.Ptr() + static_cast<uint64_t>(i.I64()) * t.type()->size();
-  Sym sym = ctx.sym_on() ? ComposeIndex(ctx.arena(), base.sym(), index.sym()) : Sym::None();
-  return Value::LV(t.type(), addr, sym);
+  return IndexedLvalue(ctx, base, index, t.type(), addr);
 }
 
 Value ApplyCastImpl(EvalContext& ctx, TypeRef type, const Value& v, SourceRange range) {

@@ -129,11 +129,21 @@ Value ApplyArith(EvalContext& ctx, Op op, const Value& a, const Value& b, Source
 // used both by the C comparisons and the ?-filter generators.
 bool ApplyComparison(EvalContext& ctx, Op op, const Value& a, const Value& b, SourceRange range);
 
+// The comparison half of ApplyComparison, for operands already loaded: `op`
+// (kLt..kNe) over two scalars whose ComparisonType is `ct`. The filter scan
+// (eval_sm.cc) types a range's comparison once and calls this per element.
+bool CompareScalars(Op op, TypeRef ct, const Scalar& a, const Scalar& b);
+
 // kNeg kPos kBitNot kNot kDeref kAddrOf.
 Value ApplyUnary(EvalContext& ctx, Op op, const Value& v, SourceRange range);
 
 // e1[e2] with C pointer/array semantics; yields an lvalue.
 Value ApplyIndex(EvalContext& ctx, const Value& base, const Value& index, SourceRange range);
+
+// The value ApplyIndex yields once it has located the element: the lvalue
+// of type `elem` at `addr`, with the symbolic `base[index]`.
+Value IndexedLvalue(EvalContext& ctx, const Value& base, const Value& index, TypeRef elem,
+                    Addr addr);
 
 // (type)e.
 Value ApplyCast(EvalContext& ctx, TypeRef type, const Value& v, SourceRange range);

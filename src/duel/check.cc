@@ -871,6 +871,7 @@ DuelError CheckResult::FirstError() const {
 
 Annotations Analyze(EvalContext& ctx, const Node& root, int num_nodes) {
   Annotations notes(num_nodes);
+  notes.mutates_target = MutatesTarget(root);
   Analyzer analyzer(ctx, notes);
   try {
     analyzer.Run(root);

@@ -45,6 +45,29 @@ class EvalEngine {
   }
 
  private:
+  // A filter scan's set-up and its current block run (eval_sm.cc).
+  struct FilterScan {
+    // The base value the set-up was made for (the index node's saved left
+    // operand), and what it says: element 0's address, the element type,
+    // the comparison type, the constant as a Scalar, and the bytes each
+    // element-at-a-time step would charge to the read budget.
+    Value base;
+    Addr first = 0;
+    TypeRef elem = nullptr;
+    TypeRef compare_type = nullptr;
+    Scalar rhs;
+    uint64_t read_bytes = 0;
+    // Elements [run_lo, run_lo + run_n) of that base, copied from the block
+    // cache in one read.
+    static constexpr size_t kRunBytes = 4096;
+    int64_t run_lo = 0;
+    size_t run_n = 0;
+    alignas(8) uint8_t run[kRunBytes + 8];
+    // Set when a bulk charge did not fit a budget: the rest of the scan is
+    // the element path's, up to the trip.
+    bool element_path = false;
+  };
+
   // Heavyweight per-node state, allocated only for the ops that need it.
   struct Extra {
     // select
@@ -54,6 +77,8 @@ class EvalEngine {
     ExpandState expand;
     // call
     std::vector<Value> args;
+    // filter
+    std::unique_ptr<FilterScan> scan;
   };
 
   struct NodeState {
@@ -67,6 +92,15 @@ class EvalEngine {
   };
 
   std::optional<Value> Eval(const Node& n);
+
+  // The filter scan: `b[range] op? c` past its range's set-up. Returns the
+  // next element that passes, leaving every node's state as the
+  // element-at-a-time path would, or nullopt when that path must take the
+  // next element (see INTERNALS "Filter scans").
+  std::optional<Value> ScanFilter(const Node& n, NodeState& st);
+  // Fills `scan` for the base `base` and the constant `rhs`; false when the
+  // scan does not apply to them.
+  bool SetUpScan(FilterScan& scan, Op cmp, const Value& base, const Value& rhs);
 
   NodeState& StateOf(const Node& n) { return states_[static_cast<size_t>(n.id)]; }
 

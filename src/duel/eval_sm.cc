@@ -13,7 +13,9 @@
 // its descendants, and (2) the global name-resolution stack is exactly as it
 // was at entry (scopes are re-pushed on re-entry — see kWith).
 
+#include <algorithm>
 #include <cassert>
+#include <cstring>
 
 #include "src/duel/eval.h"
 #include "src/duel/eval_util.h"
@@ -51,7 +53,172 @@ Value ValueAsSym(EvalContext& ctx, Value v) {
   return v;
 }
 
+// Whether two array or pointer values are the same base: the same lvalue, or
+// the same rvalue address.
+bool SameBase(const Value& a, const Value& b) {
+  if (a.kind() != b.kind() || a.type() != b.type()) {
+    return false;
+  }
+  return a.is_lvalue() ? a.addr() == b.addr() : a.bits() == b.bits();
+}
+
 }  // namespace
+
+// --- filter scans --------------------------------------------------------------
+//
+// `b[range] op? c` with a constant `c`, in a plan that writes no target
+// memory and a session whose data cache is on. The element-at-a-time path
+// sets the scan up (the index node holds its base, the range its bounds) and
+// handles whatever the scan leaves to it: the range's end, a new base, an
+// element outside the readable run. In between, the scan reads elements a
+// block run at a time, compares them with the comparison typed once, and
+// charges each element exactly the steps, applies and read bytes that path
+// would: index 1, range 2, constant 1, then constant 1 more for an element
+// that fails. It charges them in bulk or not at all: with a profiler
+// attached, or a budget that would trip inside the bulk, the element path
+// takes the elements itself. Only the symbolic of the element it yields is
+// built.
+
+bool EvalEngine::SetUpScan(FilterScan& scan, Op cmp, const Value& base, const Value& rhs) {
+  EvalContext& ctx = *ctx_;
+  TypeRef t = base.type();
+  if (t == nullptr || rhs.is_lvalue() || rhs.type() == nullptr) {
+    return false;
+  }
+  scan.run_n = 0;
+  if (t->kind() == TypeKind::kArray && base.is_lvalue()) {
+    scan.first = base.addr();  // decays without a read
+    scan.read_bytes = 0;
+  } else if (t->kind() == TypeKind::kPointer) {
+    scan.read_bytes = 0;
+    scan.first = base.bits();
+    if (base.is_lvalue()) {
+      // Each element's index step loads the pointer again; nothing in the
+      // plan can change it.
+      uint64_t bits = 0;
+      scan.read_bytes = t->size();
+      if (ctx.access().ReadRun(base.addr(), &bits, t->size()) != t->size()) {
+        return false;
+      }
+      scan.first = bits;
+    }
+  } else {
+    return false;
+  }
+  TypeRef elem = t->target();
+  if (!elem->IsScalar() || elem->size() == 0 || elem->size() > 8) {
+    return false;
+  }
+  Scalar c = ctx.Load(rhs);
+  Typing compare = ComparisonType(ctx.types(), cmp, elem, c.type);
+  if (!compare) {
+    return false;  // the element path raises the type error
+  }
+  scan.base = base;
+  scan.elem = elem;
+  scan.compare_type = compare.type();
+  scan.rhs = c;
+  scan.read_bytes += elem->size();
+  return true;
+}
+
+std::optional<Value> EvalEngine::ScanFilter(const Node& n, NodeState& st) {
+  EvalContext& ctx = *ctx_;
+  const Node& index = *n.kids[0];
+  const Node& rhs = *n.kids[1];
+  if (index.op != Op::kIndex || !ctx.access().enabled() || ctx.profiler() != nullptr) {
+    return std::nullopt;
+  }
+  const Node& range = *index.kids[1];
+  if (range.op != Op::kTo && range.op != Op::kToPrefix) {
+    return std::nullopt;
+  }
+  const Annotations* notes = ctx.annotations();
+  const NodeInfo* c = notes == nullptr ? nullptr : notes->Get(rhs.id);
+  if (c == nullptr || !c->constant || notes->mutates_target) {
+    return std::nullopt;
+  }
+  NodeState& is = StateOf(index);
+  NodeState& rs = StateOf(range);
+  if (is.phase != 1 || rs.phase != (range.op == Op::kTo ? 2 : 1) || rs.i > rs.hi) {
+    return std::nullopt;  // not in the range's steady state
+  }
+  if (st.extra == nullptr) {
+    st.extra = std::make_unique<Extra>();
+  }
+  if (st.extra->scan == nullptr) {
+    st.extra->scan = std::make_unique<FilterScan>();
+  }
+  FilterScan& scan = *st.extra->scan;
+  if (scan.element_path) {
+    return std::nullopt;
+  }
+  const Op cmp = Info(n.op).base;
+  if (scan.elem == nullptr || !SameBase(scan.base, is.value)) {
+    scan.elem = nullptr;
+    if (!SetUpScan(scan, cmp, is.value, c->value)) {
+      return std::nullopt;
+    }
+  }
+  const size_t esize = scan.elem->size();
+  for (;;) {
+    if (rs.i > rs.hi) {
+      return std::nullopt;  // the range's end
+    }
+    if (static_cast<uint64_t>(rs.i) - static_cast<uint64_t>(scan.run_lo) >= scan.run_n) {
+      uint64_t count = std::min<uint64_t>(static_cast<uint64_t>(rs.hi) - static_cast<uint64_t>(rs.i),
+                                          FilterScan::kRunBytes / esize - 1) +
+                       1;
+      Addr addr = scan.first + static_cast<uint64_t>(rs.i) * esize;
+      size_t bytes = static_cast<size_t>(count) * esize;
+      scan.run_lo = rs.i;
+      scan.run_n = addr + bytes < addr ? 0 : ctx.access().ReadRun(addr, scan.run, bytes) / esize;
+      if (scan.run_n == 0) {
+        return std::nullopt;  // unreadable: the element path reports it
+      }
+    }
+    // Compare up to the first element that passes. Each element is read as
+    // a whole word and masked to its size (the run has a word of slack).
+    const size_t at = static_cast<size_t>(rs.i - scan.run_lo);
+    const uint64_t mask = esize == 8 ? ~uint64_t{0} : (uint64_t{1} << (esize * 8)) - 1;
+    size_t k = at;
+    bool pass = false;
+    for (; k < scan.run_n; ++k) {
+      Scalar a{scan.elem, 0};
+      std::memcpy(&a.bits, scan.run + k * esize, sizeof(a.bits));
+      a.bits &= mask;
+      if (CompareScalars(cmp, scan.compare_type, a, scan.rhs)) {
+        pass = true;
+        break;
+      }
+    }
+    const uint64_t fails = k - at;
+    const uint64_t taken = fails + (pass ? 1 : 0);
+    bool bulk;
+    try {
+      bulk = ctx.StepBulk(5 * fails + (pass ? 4 : 0), taken * scan.read_bytes);
+    } catch (DuelError& e) {
+      e.set_range(n.range);
+      throw;
+    }
+    if (!bulk) {
+      // A budget trips inside these elements: the element path takes them,
+      // and every element after them, charging single steps up to the trip.
+      scan.element_path = true;
+      return std::nullopt;
+    }
+    ctx.counters().applies += 2 * taken;
+    rs.i += static_cast<int64_t>(taken);
+    if (pass) {
+      const int64_t i = rs.i - 1;
+      st.value = IndexedLvalue(ctx, scan.base, MakeIntValue(ctx, i), scan.elem,
+                               scan.first + static_cast<uint64_t>(i) * esize);
+      st.phase = 1;
+      StateOf(rhs).phase = 1;  // yielded its value; the next call exhausts it
+      return st.value;
+    }
+  }
+}
 
 std::optional<Value> EvalEngine::Eval(const Node& n) {
   EvalContext& ctx = *ctx_;
@@ -99,6 +266,9 @@ std::optional<Value> EvalEngine::Eval(const Node& n) {
       Op cmp = Info(n.op).base;
       for (;;) {
         if (st.phase == 0) {
+          if (auto hit = ScanFilter(n, st)) {
+            return hit;
+          }
           auto u = Eval(*n.kids[0]);
           if (!u.has_value()) {
             return std::nullopt;

@@ -95,23 +95,7 @@ Value EvalContext::Rvalue(const Value& v) {
   return Value::RV(t, image, n, v.sym());
 }
 
-int64_t Scalar::I64() const {
-  if (Typing rule = IntegerType(type); !rule) {
-    rule.Throw();
-  }
-  if (type->IsFloating()) {
-    return static_cast<int64_t>(F64());
-  }
-  uint64_t v = bits;
-  size_t size = type->size();
-  if ((type->IsSignedInteger() || type->kind() == TypeKind::kEnum) && size < 8) {
-    uint64_t sign_bit = 1ull << (size * 8 - 1);
-    if (v & sign_bit) {
-      v |= ~((sign_bit << 1) - 1);
-    }
-  }
-  return static_cast<int64_t>(v);
-}
+void Scalar::ThrowNotInteger(TypeRef type) { IntegerType(type).Throw(); }
 
 uint64_t Scalar::U64() const {
   if (type->IsFloating()) {

@@ -6,6 +6,7 @@
 #ifndef DUEL_DUEL_EVALCTX_H_
 #define DUEL_DUEL_EVALCTX_H_
 
+#include <cassert>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -57,10 +58,29 @@ struct Scalar {
   TypeRef type = nullptr;
   uint64_t bits = 0;
 
-  int64_t I64() const;   // any scalar (IntegerType)
+  int64_t I64() const {  // any scalar (IntegerType)
+    if (type == nullptr || !type->IsScalar()) {
+      ThrowNotInteger(type);
+    }
+    if (type->IsFloating()) {
+      return static_cast<int64_t>(F64());
+    }
+    uint64_t v = bits;
+    size_t size = type->size();
+    if ((type->IsSignedInteger() || type->kind() == target::TypeKind::kEnum) && size < 8) {
+      uint64_t sign_bit = 1ull << (size * 8 - 1);
+      if (v & sign_bit) {
+        v |= ~((sign_bit << 1) - 1);
+      }
+    }
+    return static_cast<int64_t>(v);
+  }
   uint64_t U64() const;
   double F64() const;
   Addr Ptr() const;      // pointers only
+
+ private:
+  [[noreturn]] static void ThrowNotInteger(TypeRef type);  // IntegerType's fault
 };
 
 class EvalContext {
@@ -125,6 +145,31 @@ class EvalContext {
   // last BeginQuery/BeginQueryData exceed max_steps; counters().eval_steps
   // itself stays cumulative.
   void Step(int node_id = -1);
+
+  // `steps` Steps plus `read_bytes` bytes of governed target reads, charged
+  // at once, when that is indistinguishable from charging them one by one:
+  // neither max_steps nor a governor budget would trip inside them. Returns
+  // false, charging nothing, otherwise; the caller then charges single
+  // steps. A cancel request or a passed deadline still throws, as at any
+  // step. Only for a caller with no profiler attached, which attributes
+  // each step to its node.
+  bool StepBulk(uint64_t steps, uint64_t read_bytes) {
+    assert(profiler_ == nullptr);
+    ExecGovernor* reads = access_.governor();
+    if (counters_.eval_steps - query_steps_base_ + steps > opts_.max_steps ||
+        (governor_ != nullptr && !governor_->StepsFit(steps)) ||
+        (reads != nullptr && !reads->ReadBytesFit(read_bytes))) {
+      return false;
+    }
+    if (governor_ != nullptr) {
+      governor_->ChargeSteps(steps);
+    }
+    if (reads != nullptr) {
+      reads->ChargeReadBytes(read_bytes);
+    }
+    counters_.eval_steps += steps;
+    return true;
+  }
 
   // Per-node profiler hook (owned by the session; may be null).
   void set_profiler(obs::NodeProfiler* p) { profiler_ = p; }

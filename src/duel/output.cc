@@ -1,5 +1,6 @@
 #include "src/duel/output.h"
 
+#include <charconv>
 #include <vector>
 
 #include "src/support/strings.h"
@@ -9,6 +10,13 @@ namespace duel {
 using target::TypeKind;
 
 namespace {
+
+// An integer's decimal text, without a format string.
+template <typename T>
+std::string Decimal(T v) {
+  char buf[24];
+  return std::string(buf, std::to_chars(buf, buf + sizeof(buf), v).ptr);
+}
 
 constexpr int kMaxDepth = 3;
 constexpr size_t kMaxArrayElems = 10;
@@ -139,7 +147,7 @@ std::string FormatRecursive(EvalContext& ctx, const Value& v, int depth) {
           return e.name;
         }
       }
-      return StrPrintf("%lld", static_cast<long long>(x));
+      return Decimal(x);
     }
     case TypeKind::kPointer: {
       Addr p = ctx.ToPtr(r);
@@ -152,9 +160,9 @@ std::string FormatRecursive(EvalContext& ctx, const Value& v, int depth) {
       return "<function>";
     default: {
       if (t->IsUnsignedInteger()) {
-        return StrPrintf("%llu", static_cast<unsigned long long>(ctx.ToU64(r)));
+        return Decimal(ctx.ToU64(r));
       }
-      return StrPrintf("%lld", static_cast<long long>(ctx.ToI64(r)));
+      return Decimal(ctx.ToI64(r));
     }
   }
 }

@@ -104,6 +104,11 @@ class Annotations {
   SemaStats stats;
   CheckResult check;
 
+  // Whether the tree can write target memory (MutatesTarget, ast.h),
+  // decided once per plan: the query service's reader/writer choice and the
+  // engine's filter scan (eval_sm.cc) read it.
+  bool mutates_target = false;
+
  private:
   std::vector<NodeInfo> infos_;
   Arena store_{256};

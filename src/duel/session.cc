@@ -310,16 +310,23 @@ uint64_t Session::DriveCore(const std::string& expr, QueryResult* result,
       }
       if (result != nullptr) {
         result->value_count++;
+        // Formatting may fault (it reads an lvalue's bytes): the entry and
+        // its line go in only once both are built.
         ResultEntry entry;
         entry.value = FormatValue(ctx_, *v);
         if (!v->sym().empty()) {
           entry.sym = v->sym().Text();
         }
-        result->entries.push_back(entry);
         // "sym = value"; a plain constant prints "5", not "5 = 5".
-        result->lines.push_back(entry.sym.empty() || entry.sym == entry.value
-                                    ? entry.value
-                                    : entry.sym + " = " + entry.value);
+        std::string line;
+        if (entry.sym.empty() || entry.sym == entry.value) {
+          line = entry.value;
+        } else {
+          line.reserve(entry.sym.size() + 3 + entry.value.size());
+          line.append(entry.sym).append(" = ").append(entry.value);
+        }
+        result->entries.push_back(std::move(entry));
+        result->lines.push_back(std::move(line));
         if (result->value_count >= opts_.max_output_values) {
           result->truncated = true;
           result->lines.push_back("...");

@@ -261,8 +261,7 @@ QueryResult QueryService::RunOne(Client& c, const std::string& expr, bool* was_m
   // names and types against shared tables. A plan that fails to lex/parse is
   // read-only — Query reproduces the error without touching target data.
   const CompiledQuery* plan = c.session->Prepare(expr);
-  bool mutating = plan != nullptr && plan->parsed.root != nullptr &&
-                  MutatesTarget(*plan->parsed.root);
+  bool mutating = plan != nullptr && plan->notes.mutates_target;
   *was_mutating = mutating;
   if (!mutating) {
     return c.session->Query(expr);

@@ -93,6 +93,36 @@ class ExecGovernor {
     }
   }
 
+  // Whether `n` more steps / read bytes fit inside the budgets, so charging
+  // them at once cannot trip where charging them one by one would.
+  bool StepsFit(uint64_t n) const {
+    return !armed_ || limits_.max_steps == 0 || steps_ + n <= limits_.max_steps;
+  }
+  bool ReadBytesFit(uint64_t n) const {
+    return !armed_ || limits_.max_read_bytes == 0 || read_bytes_ + n <= limits_.max_read_bytes;
+  }
+
+  // `n` ChargeSteps at once, for a caller that checked StepsFit(n): checks
+  // the cancel flag once, and reads the clock once if the steps cross any
+  // kClockCheckInterval boundary (the clock only moves forward, so that
+  // read trips whenever a read at an earlier boundary would have).
+  void ChargeSteps(uint64_t n) {
+    if (!armed_) {
+      return;
+    }
+    const uint64_t before = steps_;
+    steps_ += n;
+    if (cancelled_.load(std::memory_order_relaxed)) {
+      ThrowCancelled();
+    }
+    if (limits_.max_steps != 0 && steps_ > limits_.max_steps) {
+      ThrowStepBudget();
+    }
+    if (deadline_ns_ != 0 && steps_ / kClockCheckInterval != before / kClockCheckInterval) {
+      CheckDeadline();
+    }
+  }
+
   // How often ChargeStep consults the wall clock (a steady-clock read per
   // step would dominate cheap steps; 1024 steps of slack is microseconds).
   static constexpr uint64_t kClockCheckInterval = 1024;

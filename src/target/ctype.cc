@@ -45,56 +45,6 @@ const Member* Type::FindMember(const std::string& name) const {
   return nullptr;
 }
 
-bool Type::IsInteger() const {
-  switch (kind_) {
-    case TypeKind::kBool:
-    case TypeKind::kChar:
-    case TypeKind::kSChar:
-    case TypeKind::kUChar:
-    case TypeKind::kShort:
-    case TypeKind::kUShort:
-    case TypeKind::kInt:
-    case TypeKind::kUInt:
-    case TypeKind::kLong:
-    case TypeKind::kULong:
-    case TypeKind::kLongLong:
-    case TypeKind::kULongLong:
-      return true;
-    default:
-      return false;
-  }
-}
-
-bool Type::IsSignedInteger() const {
-  switch (kind_) {
-    case TypeKind::kChar:  // plain char is signed on this target
-    case TypeKind::kSChar:
-    case TypeKind::kShort:
-    case TypeKind::kInt:
-    case TypeKind::kLong:
-    case TypeKind::kLongLong:
-      return true;
-    default:
-      return false;
-  }
-}
-
-bool Type::IsUnsignedInteger() const {
-  return IsInteger() && !IsSignedInteger();
-}
-
-bool Type::IsFloating() const {
-  return kind_ == TypeKind::kFloat || kind_ == TypeKind::kDouble;
-}
-
-bool Type::IsArithmetic() const {
-  return IsInteger() || IsFloating() || kind_ == TypeKind::kEnum;
-}
-
-bool Type::IsScalar() const {
-  return IsArithmetic() || kind_ == TypeKind::kPointer;
-}
-
 std::string Type::BaseName() const {
   switch (kind_) {
     case TypeKind::kVoid: return "void";

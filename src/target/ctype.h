@@ -34,7 +34,7 @@ using TypeRef = const Type*;
 
 enum class TypeKind {
   kVoid,
-  kBool,
+  kBool,  // kBool..kULongLong are the integer kinds, in one run (Type::IsInteger)
   kChar,
   kSChar,
   kUChar,
@@ -106,12 +106,29 @@ class Type {
   const std::vector<Param>& params() const { return params_; }
   bool variadic() const { return variadic_; }
 
-  bool IsInteger() const;
-  bool IsSignedInteger() const;
-  bool IsUnsignedInteger() const;
-  bool IsFloating() const;
-  bool IsArithmetic() const;  // integer, floating, or enum
-  bool IsScalar() const;      // arithmetic or pointer
+  // Kind tests, inline: the engine asks them for every value it reads.
+  bool IsInteger() const { return kind_ >= TypeKind::kBool && kind_ <= TypeKind::kULongLong; }
+  bool IsSignedInteger() const {
+    switch (kind_) {
+      case TypeKind::kChar:  // plain char is signed on this target
+      case TypeKind::kSChar:
+      case TypeKind::kShort:
+      case TypeKind::kInt:
+      case TypeKind::kLong:
+      case TypeKind::kLongLong:
+        return true;
+      default:
+        return false;
+    }
+  }
+  bool IsUnsignedInteger() const { return IsInteger() && !IsSignedInteger(); }
+  bool IsFloating() const { return kind_ == TypeKind::kFloat || kind_ == TypeKind::kDouble; }
+  bool IsArithmetic() const {  // integer, floating, or enum
+    return IsInteger() || IsFloating() || kind_ == TypeKind::kEnum;
+  }
+  bool IsScalar() const {  // arithmetic or pointer
+    return IsArithmetic() || kind_ == TypeKind::kPointer;
+  }
   bool IsRecord() const { return kind_ == TypeKind::kStruct || kind_ == TypeKind::kUnion; }
 
   // Classic C declarator rendering: Declare("x") on `int(*)[10]` gives

@@ -169,6 +169,37 @@ TEST_F(MemoryAccessTest, PrefixReadsStopAtTheSegmentEnd) {
   EXPECT_FALSE(access.ValidBytes(island, 9));
 }
 
+// A fetch that overflows the cache drops every block and starts over; the
+// span being read must then be fetched whole, including the blocks that
+// were cached before the drop.
+TEST_F(MemoryAccessTest, OverflowKeepsTheSpanBeingRead) {
+  std::vector<int32_t> values(64);
+  for (size_t i = 0; i < values.size(); ++i) {
+    values[i] = static_cast<int32_t>(i + 100);
+  }
+  Addr x = IntArray("x", values);
+  dbg::MemoryAccess::Config cfg = SmallConfig(16, 0);
+  cfg.max_blocks = 4;
+  dbg::MemoryAccess access(backend_, cfg);
+  for (Addr b = 0; b < 3; ++b) {
+    int32_t v = 0;
+    access.GetBytes(x + b * 16, &v, 4);
+    ASSERT_EQ(v, values[b * 4]);
+  }
+  int32_t buf[16] = {0};
+  ASSERT_EQ(access.GetBytesPrefix(x + 16, buf, sizeof(buf)), sizeof(buf));
+  for (size_t i = 0; i < 16; ++i) {
+    EXPECT_EQ(buf[i], values[4 + i]) << i;
+  }
+  EXPECT_GE(access.counters().invalidations, 1u);
+  // The span stays cached: reading it again is a hit, not a passthrough.
+  uint64_t passthroughs = access.counters().passthroughs;
+  int32_t v = 0;
+  access.GetBytes(x + 16, &v, 4);
+  EXPECT_EQ(v, values[4]);
+  EXPECT_EQ(access.counters().passthroughs, passthroughs);
+}
+
 TEST_F(MemoryAccessTest, WriteThroughPatchesCachedBytes) {
   Addr x = IntArray("x", {10, 20, 30});
   dbg::MemoryAccess access(backend_, SmallConfig(32, 4));

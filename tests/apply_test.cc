@@ -96,6 +96,9 @@ TEST_F(ApplyTest, EnumValuesDisplayByName) {
   EXPECT_EQ(fx_.One("c"), "c = BLUE");
   EXPECT_EQ(fx_.One("{c + 1}"), "8");
   EXPECT_EQ(fx_.One("{(enum color)1}"), "GREEN");
+  // A value with no enumerator prints as its number.
+  EXPECT_EQ(fx_.One("{(enum color)5}"), "5");
+  EXPECT_EQ(fx_.One("{(enum color)-3}"), "-3");
 }
 
 TEST_F(ApplyTest, FloatValuesRoundTrip) {

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "src/duel/output.h"
 #include "tests/duel_test_util.h"
 
@@ -52,6 +54,12 @@ TEST_F(SessionTest, EntriesMatchLines) {
   EXPECT_EQ(r.entries[0].sym, "x[0]");
   EXPECT_EQ(r.entries[0].value, "5");
   EXPECT_EQ(r.lines[0], "x[0] = 5");
+  // Formatting reads the lvalue: a fault there leaves no entry without a line.
+  QueryResult fault = fx_.session().Query("(x[0], x[100000000])");
+  EXPECT_FALSE(fault.ok);
+  EXPECT_NE(fault.error.find("Illegal memory reference"), std::string::npos) << fault.error;
+  ASSERT_EQ(fault.lines.size(), 1u);
+  EXPECT_EQ(fault.entries.size(), fault.lines.size());
 }
 
 TEST_F(SessionTest, ResultTextJoinsLinesAndError) {
@@ -111,6 +119,11 @@ TEST_F(OutputFormatTest, NegativeNumbersAndLongs) {
   EXPECT_EQ(fx_.One("-5"), "-5");  // sym equals the value text: printed once
   EXPECT_EQ(fx_.One("10000000000"), "10000000000");
   EXPECT_EQ(fx_.One("0x10"), "16");  // hex literals display in decimal
+  target::ImageBuilder b(fx_.image());
+  b.PokeI64(b.Global("lo", b.Long()), std::numeric_limits<int64_t>::min());
+  b.PokeU64(b.Global("hi", fx_.image().types().ULong()), std::numeric_limits<uint64_t>::max());
+  EXPECT_EQ(fx_.One("lo"), "lo = -9223372036854775808");
+  EXPECT_EQ(fx_.One("hi"), "hi = 18446744073709551615");
 }
 
 TEST_F(OutputFormatTest, PointerFormats) {
