@@ -42,7 +42,7 @@ void BM_Symbolic(benchmark::State& state) {
   for (auto _ : state) {
     // Query (not Drive): symbolic cost includes rendering what gets printed.
     QueryResult r = fx.session().Query(spec.query);
-    benchmark::DoNotOptimize(r.value_count);
+    benchmark::DoNotOptimize(r.value_count());
   }
   fx.session().context().counters().Reset();
   fx.session().Query(spec.query);

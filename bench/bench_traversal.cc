@@ -77,7 +77,7 @@ void BM_SymbolicChainCost(benchmark::State& state) {
   scenarios::BuildList(fx.image(), "L", values);
   for (auto _ : state) {
     QueryResult r = fx.session().Query("L-->next->value ==? 99");
-    benchmark::DoNotOptimize(r.value_count);
+    benchmark::DoNotOptimize(r.value_count());
   }
   state.SetItemsProcessed(static_cast<int64_t>(n) * state.iterations());
   state.SetLabel(symbolic ? "sym=on" : "sym=off");

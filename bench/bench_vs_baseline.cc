@@ -55,7 +55,7 @@ void BM_Duel(benchmark::State& state) {
   SetupImage(fx.image());
   for (auto _ : state) {
     QueryResult r = fx.session().Query(pair.duel);
-    benchmark::DoNotOptimize(r.value_count);
+    benchmark::DoNotOptimize(r.value_count());
     fx.image().output().clear();
   }
   state.counters["query_chars"] = static_cast<double>(strlen(pair.duel));

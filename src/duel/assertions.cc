@@ -24,7 +24,7 @@ AssertionOutcome CheckAssertion(Session& session, const std::string& name,
     return out;
   }
   out.holds = falsy.empty();
-  out.values_checked = r.value_count;
+  out.values_checked = r.value_count();
   for (size_t i = 0; i < falsy.size() && i < max_failures; ++i) {
     out.failures.push_back(r.lines[falsy[i]]);
   }

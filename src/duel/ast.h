@@ -270,13 +270,13 @@ using NodePtr = std::unique_ptr<Node>;
 // definition with `:=` and `#` — do not count: each session is
 // single-threaded, so its alias table is private.
 //
-// The serve layer runs a query under the shared (reader) target lock unless
-// this says it mutates, and the checker's side-effect-reeval warning asks
-// the same question, so the two never disagree about what writes the target.
-// The scan must be sound in one direction only: a mutating query must never
-// read as pure (it would race every concurrent reader), while a pure query
-// read as mutating is merely serialized. It is a syntactic scan of the whole
-// tree, so unlike the checker it cannot stop early.
+// The serve layer takes the writer lock when this scan or a string literal
+// (interned on its first run) marks the plan (Annotations::mutates_target);
+// the checker's side-effect-reeval warning asks this scan alone. It must be
+// sound in one direction only: a mutating query must never read as pure (it
+// would race every concurrent reader), while a pure query read as mutating
+// is merely serialized. It is a syntactic scan of the whole tree, so unlike
+// the checker it cannot stop early.
 bool MutatesTarget(const Node& n);
 
 // Renders the AST in the paper's LISP-like notation, e.g.

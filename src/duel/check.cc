@@ -418,6 +418,7 @@ class Analyzer {
         return r;
       }
       case Op::kStringConst: {
+        notes_->mutates_target = true;  // its first run interns it (InternString)
         Inf r;
         r.type = LiteralType(ctx_->types(), n);
         r.lv = Lv::kNo;
@@ -879,7 +880,8 @@ Annotations Analyze(EvalContext& ctx, const Node& root, int num_nodes) {
     // The walk is advisory scaffolding around evaluation: an unexpected
     // throw must never take down a query that would have run. Diagnostics
     // and annotations collected so far are kept; unannotated nodes resolve
-    // at execute time.
+    // at execute time. Unseen string literals may write the target.
+    notes.mutates_target = true;
   }
   return notes;
 }

@@ -11,6 +11,7 @@
 //   duel::Session session(backend);
 //   duel::QueryResult r = session.Query("x[..100] >? 0");
 //   for (const std::string& line : r.lines) std::cout << line << "\n";
+//   // r.SymText(i), r.ValueText(i): value line i (< r.value_count()) split.
 
 #ifndef DUEL_DUEL_DUEL_H_
 #define DUEL_DUEL_DUEL_H_

@@ -32,11 +32,6 @@ class AliasTable {
     return it == aliases_.end() ? nullptr : &it->second.value;
   }
   bool Has(const std::string& name) const { return aliases_.count(name) != 0; }
-  void Remove(const std::string& name) {
-    if (aliases_.erase(name) != 0) {
-      ++version_;
-    }
-  }
   void Clear() {
     if (!aliases_.empty()) {
       ++version_;

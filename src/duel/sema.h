@@ -104,9 +104,9 @@ class Annotations {
   SemaStats stats;
   CheckResult check;
 
-  // Whether the tree can write target memory (MutatesTarget, ast.h),
-  // decided once per plan: the query service's reader/writer choice and the
-  // engine's filter scan (eval_sm.cc) read it.
+  // Whether the plan can write target memory (MutatesTarget, ast.h, or a
+  // string literal), decided once per plan: the query service's reader/writer
+  // choice and the engine's filter scan (eval_sm.cc) read it.
   bool mutates_target = false;
 
  private:

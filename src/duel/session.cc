@@ -95,6 +95,13 @@ class ScopedAnnotations {
   EvalContext* ctx_;
 };
 
+void Fail(QueryResult& result, const DuelError& e) {
+  result.ok = false;
+  result.error = FormatError(e);
+  result.error_span = e.range();
+  result.error_kind = e.kind();
+}
+
 }  // namespace
 
 std::string QueryResult::Text() const {
@@ -108,6 +115,15 @@ std::string QueryResult::Text() const {
     out += '\n';
   }
   return out;
+}
+
+std::string_view QueryResult::SymText(size_t i) const {
+  return std::string_view(lines[i]).substr(0, spans[i]);
+}
+
+std::string_view QueryResult::ValueText(size_t i) const {
+  std::string_view line = lines[i];
+  return spans[i] == 0 || spans[i] == line.size() ? line : line.substr(spans[i] + 3);
 }
 
 Session::Session(dbg::DebuggerBackend& backend, SessionOptions opts)
@@ -309,25 +325,22 @@ uint64_t Session::DriveCore(const std::string& expr, QueryResult* result,
         on_value(*v);
       }
       if (result != nullptr) {
-        result->value_count++;
-        // Formatting may fault (it reads an lvalue's bytes): the entry and
-        // its line go in only once both are built.
-        ResultEntry entry;
-        entry.value = FormatValue(ctx_, *v);
-        if (!v->sym().empty()) {
-          entry.sym = v->sym().Text();
-        }
-        // "sym = value"; a plain constant prints "5", not "5 = 5".
+        // Formatting may fault (it reads an lvalue's bytes): it goes first, so
+        // a fault leaves neither a span nor a line.
+        std::string value = FormatValue(ctx_, *v);
         std::string line;
-        if (entry.sym.empty() || entry.sym == entry.value) {
-          line = entry.value;
-        } else {
-          line.reserve(entry.sym.size() + 3 + entry.value.size());
-          line.append(entry.sym).append(" = ").append(entry.value);
+        if (const Sym& sym = v->sym(); !sym.empty()) {
+          line.reserve(sym.size() + 3 + value.size());
+          sym.AppendTo(line);
         }
-        result->entries.push_back(std::move(entry));
+        result->spans.push_back(static_cast<uint32_t>(line.size()));
+        if (line.empty() || line == value) {
+          line = std::move(value);  // a constant prints "5", not "5 = 5"
+        } else {
+          line.append(" = ").append(value);
+        }
         result->lines.push_back(std::move(line));
-        if (result->value_count >= opts_.max_output_values) {
+        if (result->spans.size() >= opts_.max_output_values) {
           result->truncated = true;
           result->lines.push_back("...");
           break;
@@ -387,10 +400,7 @@ QueryResult Session::Query(const std::string& expr, const ValueHook& on_value) {
   try {
     DriveCore(expr, &result, on_value);
   } catch (const DuelError& e) {
-    result.ok = false;
-    result.error = FormatError(e);
-    result.error_span = e.range();
-    result.error_kind = e.kind();
+    Fail(result, e);
     // Static and runtime errors alike point back into the query text: the
     // message line stays intact (and grep-stable), the caret lines follow.
     if (std::string caret = CaretBlock(expr, e.range()); !caret.empty()) {
@@ -409,16 +419,10 @@ QueryResult Session::Check(const std::string& expr) {
     CompiledQuery* plan = AcquirePlan(expr, uncached, nullptr);
     result.diags = plan->notes.check.diags;
     if (std::optional<DuelError> e = Rejection(plan->notes.check, opts_.warn)) {
-      result.ok = false;
-      result.error = FormatError(*e);
-      result.error_span = e->range();
-      result.error_kind = e->kind();
+      Fail(result, *e);
     }
   } catch (const DuelError& e) {  // lex / parse failures arrive as throws
-    result.ok = false;
-    result.error = FormatError(e);
-    result.error_span = e.range();
-    result.error_kind = e.kind();
+    Fail(result, e);
     result.diags.push_back({Severity::kError,
                             e.kind() == ErrorKind::kLex ? "lex" : "syntax",
                             e.range(), e.what(), ""});

@@ -12,6 +12,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/dbg/backend.h"
@@ -70,19 +71,19 @@ struct SessionOptions {
   bool profile = false;
 };
 
-// One produced value, in structured form (used by the MI front end).
-struct ResultEntry {
-  std::string sym;    // symbolic value ("" when none, e.g. with symbolics off)
-  std::string value;  // formatted actual value
-};
-
 struct QueryResult {
   bool ok = true;
-  std::vector<std::string> lines;    // what the duel command printed
-  std::vector<ResultEntry> entries;  // the same results, structured
-  std::string error;                 // rendered error when !ok
-  uint64_t value_count = 0;
-  bool truncated = false;            // hit max_output_values
+  std::vector<std::string> lines;  // what the duel command printed: "sym = value"
+  // Per value line, the length of its symbolic prefix: 0 when none, the
+  // whole line when the value printed once ("5", not "5 = 5").
+  std::vector<uint32_t> spans;
+  std::string error;       // rendered error when !ok
+  bool truncated = false;  // hit max_output_values; lines end in "..."
+
+  uint64_t value_count() const { return spans.size(); }
+  // Views into value line i: its symbolic ("" when none) and its value.
+  std::string_view SymText(size_t i) const;
+  std::string_view ValueText(size_t i) const;
 
   // Check-stage diagnostics for this query (errors when rejected, plus any
   // warnings under WarnMode::kOn). Not part of Text() — the REPL and MI

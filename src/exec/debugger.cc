@@ -41,16 +41,18 @@ std::vector<std::string> Debugger::RenderDisplays() {
   for (size_t i = 0; i < displays_.size(); ++i) {
     QueryResult r = session_.Query(displays_[i]);
     std::string line = StrPrintf("%zu: %s = ", i, displays_[i].c_str());
+    const size_t n = r.value_count();  // a truncated result's last line is "..."
     if (!r.ok) {
       line += "<" + r.error + ">";
-    } else if (r.lines.empty()) {
+    } else if (n == 0) {
       line += "(no values)";
-    } else if (r.lines.size() == 1) {
+    } else if (n == 1) {
       line += r.lines[0];
     } else {
-      line += StrPrintf("(%zu values) %s ... %s", r.lines.size(), r.lines.front().c_str(),
-                        r.lines.back().c_str());
+      line += StrPrintf("(%zu values) %s ... %s", n, r.lines.front().c_str(),
+                        r.lines[n - 1].c_str());
     }
+    line += r.truncated ? " (truncated)" : "";
     out.push_back(std::move(line));
   }
   return out;

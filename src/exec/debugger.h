@@ -75,7 +75,8 @@ class Debugger {
   // --- displays ---------------------------------------------------------------
   // Expressions re-evaluated and rendered at every stop (gdb's `display`).
   int AddDisplay(std::string expr);
-  // Renders all display expressions against the current state.
+  // Renders all display expressions against the current state: one value,
+  // or "(N values) first ... last", then " (truncated)" at max_output_values.
   std::vector<std::string> RenderDisplays();
 
   // --- assertions (paper Discussion) -----------------------------------------

@@ -7,7 +7,7 @@
 
 namespace duel::mi {
 
-std::string MiQuote(const std::string& s) {
+std::string MiQuote(std::string_view s) {
   std::string out = "\"";
   for (char c : s) {
     switch (c) {
@@ -126,12 +126,9 @@ std::string MiSession::HandleCommand(const std::string& token, const std::string
       return error(r.error);
     }
     std::string values = ",values=[";
-    for (size_t k = 0; k < r.entries.size(); ++k) {
-      if (k != 0) {
-        values += ",";
-      }
-      values += "{sym=" + MiQuote(r.entries[k].sym) + ",value=" +
-                MiQuote(r.entries[k].value) + "}";
+    for (size_t k = 0; k < r.value_count(); ++k) {
+      values += k == 0 ? "{sym=" : ",{sym=";
+      values += MiQuote(r.SymText(k)) + ",value=" + MiQuote(r.ValueText(k)) + "}";
     }
     values += "]";
     if (r.truncated) {

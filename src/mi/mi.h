@@ -25,6 +25,7 @@
 #define DUEL_MI_MI_H_
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/duel/session.h"
@@ -36,7 +37,7 @@ class QueryService;
 namespace duel::mi {
 
 // Escapes a string as an MI c-string (quotes included).
-std::string MiQuote(const std::string& s);
+std::string MiQuote(std::string_view s);
 
 class MiSession {
  public:

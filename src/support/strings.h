@@ -27,7 +27,6 @@ std::string EscapeString(std::string_view s);
 std::string FormatDouble(double d);
 
 bool StartsWith(std::string_view s, std::string_view prefix);
-bool EndsWith(std::string_view s, std::string_view suffix);
 
 // Parses an unsigned hex string (no 0x prefix). Returns false on bad input.
 bool ParseHexU64(std::string_view s, uint64_t* out);

@@ -192,6 +192,17 @@ TEST_F(CheckTest, SideEffectUnderReEvaluatingOperator) {
   EXPECT_NE(d.fixit.find("alias"), std::string::npos) << d.fixit;
 }
 
+// A string literal is interned once per session, so it re-runs nothing under
+// a re-evaluating operator: no warning. The plan still counts as mutating,
+// because the first run allocates target space for it.
+TEST_F(CheckTest, StringLiteralIsNoSideEffectUnderReEvaluation) {
+  EXPECT_TRUE(Diags("arr[..3] + *\"a\"").empty());
+  EXPECT_TRUE(Diags("(1..3) ==? \"abc\"[0]").empty());
+  const CompiledQuery* plan = fx_.session().Prepare("arr[..3] + *\"a\"");
+  ASSERT_NE(plan, nullptr);
+  EXPECT_TRUE(plan->notes.mutates_target);
+}
+
 TEST_F(CheckTest, AliasShadowsTarget) {
   Diag d = One("i := 5");
   EXPECT_EQ(d.severity, Severity::kWarning);

@@ -98,10 +98,10 @@ TEST_P(DifferentialTest, BaselineMatchesBothEngines) {
     if (!baseline_ok) {
       continue;
     }
-    ASSERT_EQ(cold.entries.size(), 1u) << expr;
-    EXPECT_EQ(cold.entries[0].value, baseline_value) << expr;
-    ASSERT_EQ(warm.entries.size(), 1u) << expr << " (warm)";
-    EXPECT_EQ(warm.entries[0].value, baseline_value) << expr << " (warm)";
+    ASSERT_EQ(cold.value_count(), 1u) << expr;
+    EXPECT_EQ(cold.ValueText(0), baseline_value) << expr;
+    ASSERT_EQ(warm.value_count(), 1u) << expr << " (warm)";
+    EXPECT_EQ(warm.ValueText(0), baseline_value) << expr << " (warm)";
   }
 }
 

@@ -117,17 +117,64 @@ void ExpectSymbolicsReparse(const std::string& expr) {
   DuelFixture fx;
   BuildRichImage(fx.image());
   QueryResult r = fx.session().Query(expr);
-  for (const ResultEntry& e : r.entries) {
-    if (e.sym.empty()) {
+  for (size_t i = 0; i < r.value_count(); ++i) {
+    const std::string sym(r.SymText(i));
+    if (sym.empty()) {
       continue;
     }
     try {
-      Parser(e.sym, [&fx](const std::string& name) {
+      Parser(sym, [&fx](const std::string& name) {
         return fx.backend().GetTargetTypedef(name) != nullptr;
       }).Parse();
     } catch (const DuelError& err) {
-      ADD_FAILURE() << expr << ": symbolic `" << e.sym << "` does not parse: " << err.what();
+      ADD_FAILURE() << expr << ": symbolic `" << sym << "` does not parse: " << err.what();
     }
+  }
+}
+
+// The query service runs a plan whose notes.mutates_target is false under
+// the shared reader lock. So a run that writes, calls or allocates in the
+// target must come from a plan that says it may.
+void ExpectClassifiedSoundly(const std::string& expr) {
+  DuelFixture fx;
+  BuildRichImage(fx.image());
+  const CompiledQuery* plan = fx.session().Prepare(expr);
+  const bool mutates = plan != nullptr && plan->notes.mutates_target;
+  const obs::BackendInstr& instr = fx.backend().instr();
+  auto writes = [&instr] {
+    return instr.calls(obs::NarrowCall::kPutBytes) + instr.calls(obs::NarrowCall::kAllocSpace) +
+           instr.calls(obs::NarrowCall::kCallFunc);
+  };
+  const uint64_t before = writes();
+  fx.session().Query(expr);
+  if (writes() != before) {
+    EXPECT_TRUE(mutates) << expr << " wrote the target from a plan classified read-only";
+  }
+}
+
+// A result stores each value once, as its line, with the length of its
+// symbolic prefix. SymText and ValueText must give back the symbolic and the
+// formatted value the drive loop saw, and the line must print them by the
+// rule: "sym = value", or the value alone when the symbolic is empty or
+// equal to it. Records and strings that print ` = ` themselves are in the
+// corpus.
+void ExpectSpansRebuildLines(const std::string& expr, EvalOptions::SymMode mode) {
+  DuelFixture fx;
+  fx.session().options().eval.sym_mode = mode;
+  BuildRichImage(fx.image());
+  std::vector<std::string> syms;
+  std::vector<std::string> values;
+  QueryResult r = fx.session().Query(expr, [&](const Value& v) {
+    syms.push_back(v.sym().Text());
+    values.push_back(FormatValue(fx.session().context(), v));
+  });
+  ASSERT_EQ(r.value_count() + (r.truncated ? 1 : 0), r.lines.size()) << expr;
+  ASSERT_LE(r.value_count(), syms.size()) << expr;
+  for (size_t i = 0; i < r.value_count(); ++i) {
+    EXPECT_EQ(r.SymText(i), syms[i]) << expr;
+    EXPECT_EQ(r.ValueText(i), values[i]) << expr;
+    const bool once = syms[i].empty() || syms[i] == values[i];
+    EXPECT_EQ(r.lines[i], once ? values[i] : syms[i] + " = " + values[i]) << expr;
   }
 }
 
@@ -136,6 +183,14 @@ class CorpusTest : public ::testing::TestWithParam<const char*> {};
 TEST_P(CorpusTest, EnginesAgree) { ExpectReferenceAgrees(GetParam()); }
 
 TEST_P(CorpusTest, SymbolicsReparse) { ExpectSymbolicsReparse(GetParam()); }
+
+TEST_P(CorpusTest, MutatingRunsComeFromMutatingPlans) { ExpectClassifiedSoundly(GetParam()); }
+
+TEST_P(CorpusTest, SpansRebuildLines) {
+  for (EvalOptions::SymMode mode : {EvalOptions::SymMode::kOn, EvalOptions::SymMode::kOff}) {
+    ExpectSpansRebuildLines(GetParam(), mode);
+  }
+}
 
 const char* kCorpus[] = {
     "1+2*3",
@@ -185,6 +240,12 @@ const char* kCorpus[] = {
     "x[..3] | 8",
     "x[..3] ^ 5",
     "printf(\"%d;\", 1..3) ;",
+    // String literals are interned into target memory on first use.
+    "\"xyz\"[1]",
+    "*\"abc\"",
+    // Values that print ` = ` themselves: a record, and a string.
+    "*L",
+    "\"a = b\" + 1",
     "{x[..4]}",
     "x[(0,2)..(3,4)]",
     "1 ? (1..3) : 5",
@@ -469,6 +530,17 @@ TEST_P(RandomExprTest, SymbolicsReparse) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomExprTest, ::testing::Range(1u, 17u));
 
+class ClassifySeedTest : public ::testing::TestWithParam<uint32_t> {};
+
+TEST_P(ClassifySeedTest, MutatingRunsComeFromMutatingPlans) {
+  RandomExprGen gen(GetParam());
+  for (int i = 0; i < 20; ++i) {
+    ExpectClassifiedSoundly(gen.Gen(3));
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ClassifySeedTest, ::testing::Range(1u, 25u));
+
 // --- symbolic round trip -----------------------------------------------------
 
 // The paper's queries (the Syntax and Semantics sections' examples) that
@@ -528,16 +600,17 @@ TEST(SymbolicRoundTripTest, FusedOperatorsReevaluate) {
     BuildRichImage(fx.image());
     QueryResult r = fx.session().Query(q);
     ASSERT_TRUE(r.ok) << q << ": " << r.error;
-    ASSERT_FALSE(r.entries.empty()) << q;
-    for (const ResultEntry& e : r.entries) {
-      ASSERT_FALSE(e.sym.empty()) << q;
+    ASSERT_GT(r.value_count(), 0u) << q;
+    for (size_t i = 0; i < r.value_count(); ++i) {
+      const std::string sym(r.SymText(i));
+      ASSERT_FALSE(sym.empty()) << q;
       std::vector<uint8_t> before = GlobalBytes(fx.image());
-      QueryResult again = fx.session().Query(e.sym);
-      ASSERT_TRUE(again.ok) << q << ": `" << e.sym << "` failed: " << again.error;
-      ASSERT_EQ(again.entries.size(), 1u) << e.sym;
-      EXPECT_EQ(again.entries[0].value, e.value) << q << " printed `" << e.sym << "`";
-      EXPECT_EQ(again.entries[0].sym, e.sym) << q;
-      EXPECT_EQ(GlobalBytes(fx.image()), before) << "`" << e.sym << "` wrote target memory";
+      QueryResult again = fx.session().Query(sym);
+      ASSERT_TRUE(again.ok) << q << ": `" << sym << "` failed: " << again.error;
+      ASSERT_EQ(again.value_count(), 1u) << sym;
+      EXPECT_EQ(again.ValueText(0), r.ValueText(i)) << q << " printed `" << sym << "`";
+      EXPECT_EQ(again.SymText(0), sym) << q;
+      EXPECT_EQ(GlobalBytes(fx.image()), before) << "`" << sym << "` wrote target memory";
     }
   }
 }

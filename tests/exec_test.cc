@@ -18,10 +18,10 @@ class ExecTest : public ::testing::Test {
     scenarios::BuildIntArray(fx_.image(), "x", std::vector<int32_t>(10, 0));
   }
 
-  Debugger MakeDebugger(const std::vector<std::string>& lines) {
+  Debugger MakeDebugger(const std::vector<std::string>& lines, SessionOptions opts = {}) {
     programs_.push_back(
         std::make_unique<TargetProgram>(TargetProgram::Parse(lines, fx_.image())));
-    return Debugger(fx_.image(), fx_.backend(), *programs_.back());
+    return Debugger(fx_.image(), fx_.backend(), *programs_.back(), opts);
   }
 
   DuelFixture fx_;
@@ -211,6 +211,22 @@ TEST_F(ExecTest, DisplaysRenderAtStops) {
   EXPECT_EQ(lines[0], "0: x[0] = x[0] = 5");
   EXPECT_EQ(lines[1], "1: +/x[..10] = 5");
   EXPECT_NE(lines[2].find("unknown name"), std::string::npos) << lines[2];
+}
+
+// The "..." that ends a truncated result is not a value: the display counts
+// and shows values only, and says that it was cut.
+TEST_F(ExecTest, TruncatedDisplayCountsValuesOnly) {
+  SessionOptions opts;
+  opts.max_output_values = 3;
+  Debugger dbg = MakeDebugger({"int i;", "for (i = 0; i < 10; i++) x[i] = i + 1;"}, opts);
+  dbg.AddDisplay("x[..10]");
+  dbg.AddDisplay("x[..2]");
+  dbg.Step();
+  dbg.Step();
+  std::vector<std::string> lines = dbg.RenderDisplays();
+  ASSERT_EQ(lines.size(), 2u);
+  EXPECT_EQ(lines[0], "0: x[..10] = (3 values) x[0] = 1 ... x[2] = 3 (truncated)");
+  EXPECT_EQ(lines[1], "1: x[..2] = (2 values) x[0] = 1 ... x[1] = 2");
 }
 
 TEST_F(ExecTest, ParseErrorsNameTheLine) {

@@ -39,7 +39,7 @@ TEST(ServeClassifyTest, ReadOnlyVsMutating) {
   auto mutates = [&](const std::string& expr) {
     const CompiledQuery* plan = fx.session().Prepare(expr);
     EXPECT_NE(plan, nullptr) << expr;
-    return MutatesTarget(*plan->parsed.root);
+    return plan != nullptr && plan->notes.mutates_target;
   };
 
   // Pure reads run in parallel.
@@ -56,6 +56,8 @@ TEST(ServeClassifyTest, ReadOnlyVsMutating) {
   EXPECT_TRUE(mutates("int t;"));  // allocates target space
   // Mutation buried in a conditionally-evaluated arm still counts.
   EXPECT_TRUE(mutates("arr[0] > 0 ? arr[1] = 7 : 0"));
+  // A string literal is interned into target memory on its first run.
+  EXPECT_TRUE(mutates("*\"abc\""));
 }
 
 // --- parity under concurrency ------------------------------------------------
@@ -123,6 +125,69 @@ TEST(ServeTest, EightClientParityWithSerial) {
   EXPECT_EQ(s.completed, s.ok);
   EXPECT_EQ(s.mutating, 0u);
   EXPECT_EQ(s.rejected_busy, 0u);
+}
+
+// Clients whose queries intern string literals, alongside clients reading
+// arr. Interning allocates and writes target memory, so those queries must
+// take the writer lock; the readers' results must not change.
+TEST(ServeTest, StringLiteralsAlongsideReadersMatchSerial) {
+  target::TargetImage image;
+  BuildSharedDebuggee(image);
+
+  const std::vector<std::string> readers = {"arr[..10] >? 0", "+/(arr[..10])", "arr[3]"};
+  const std::vector<std::string> literals = {"*\"abc\"", "\"xyz\"[1]", "\"hello\" + 1",
+                                             "arr[..3] + *\"a\""};
+  auto expected_for = [&image](const std::vector<std::string>& queries) {
+    dbg::SimBackend serial_backend(image);
+    Session serial(serial_backend);
+    std::vector<std::string> out;
+    for (const std::string& q : queries) {
+      QueryResult r = serial.Query(q);
+      EXPECT_TRUE(r.ok) << q << ": " << r.error;
+      out.push_back(r.Text());
+    }
+    return out;
+  };
+  const std::vector<std::string> want_readers = expected_for(readers);
+  const std::vector<std::string> want_literals = expected_for(literals);
+
+  ServeOptions opts;
+  opts.workers = 4;
+  QueryService service(FactoryFor(image), opts);
+  constexpr int kClients = 6;
+  constexpr int kRounds = 8;
+  std::atomic<int> mismatches{0};
+  std::atomic<int> literal_runs{0};
+  std::vector<std::thread> threads;
+  for (int i = 0; i < kClients; ++i) {
+    threads.emplace_back([&, i] {
+      // Every other client opens fresh sessions, so each of its rounds
+      // interns the literals anew.
+      const bool interns = i % 2 == 0;
+      const std::vector<std::string>& queries = interns ? literals : readers;
+      const std::vector<std::string>& want = interns ? want_literals : want_readers;
+      for (int round = 0; round < kRounds; ++round) {
+        uint64_t id = service.OpenSession();
+        for (size_t q = 0; q < queries.size(); ++q) {
+          QueryService::Outcome out = service.Eval(id, queries[q]);
+          if (out.status != SubmitStatus::kAccepted || !out.result.ok ||
+              out.result.Text() != want[q]) {
+            mismatches.fetch_add(1, std::memory_order_relaxed);
+          }
+          if (interns) {
+            literal_runs.fetch_add(1, std::memory_order_relaxed);
+          }
+        }
+        service.CloseSession(id);
+      }
+    });
+  }
+  for (std::thread& t : threads) {
+    t.join();
+  }
+  EXPECT_EQ(mismatches.load(), 0)
+      << "string literals and concurrent readers must match the serial session byte for byte";
+  EXPECT_EQ(service.stats().mutating, static_cast<uint64_t>(literal_runs.load()));
 }
 
 // Concurrent readers that each build derived types no earlier query built:

@@ -34,8 +34,10 @@ TEST_F(SessionTest, OutputTruncationGuard) {
   QueryResult r = fx_.session().Query("1..100");
   EXPECT_TRUE(r.ok);
   EXPECT_TRUE(r.truncated);
-  EXPECT_EQ(r.value_count, 10u);
+  EXPECT_EQ(r.value_count(), 10u);
   EXPECT_EQ(r.lines.back(), "...");
+  // The "..." marker is a line but not a value: it has no span.
+  EXPECT_EQ(r.lines.size(), r.value_count() + 1);
 }
 
 TEST_F(SessionTest, DriveSkipsFormatting) {
@@ -47,19 +49,40 @@ TEST_F(SessionTest, DriveSkipsFormatting) {
   EXPECT_THROW(fx_.session().Drive("nosuch"), DuelError);
 }
 
-TEST_F(SessionTest, EntriesMatchLines) {
+TEST_F(SessionTest, SpansMatchLines) {
   scenarios::BuildIntArray(fx_.image(), "x", {5, 0, 7});
   QueryResult r = fx_.session().Query("x[..3] >? 1");
-  ASSERT_EQ(r.entries.size(), 2u);
-  EXPECT_EQ(r.entries[0].sym, "x[0]");
-  EXPECT_EQ(r.entries[0].value, "5");
+  ASSERT_EQ(r.value_count(), 2u);
+  EXPECT_EQ(r.SymText(0), "x[0]");
+  EXPECT_EQ(r.ValueText(0), "5");
   EXPECT_EQ(r.lines[0], "x[0] = 5");
-  // Formatting reads the lvalue: a fault there leaves no entry without a line.
+  // A constant's symbolic is its value: it prints once, and both halves
+  // read the whole line.
+  QueryResult c = fx_.session().Query("1");
+  ASSERT_EQ(c.lines, std::vector<std::string>{"1"});
+  EXPECT_EQ(c.SymText(0), "1");
+  EXPECT_EQ(c.ValueText(0), "1");
+  // With symbolics off there is no symbolic to split off.
+  fx_.session().options().eval.sym_mode = EvalOptions::SymMode::kOff;
+  QueryResult off = fx_.session().Query("x[..3] >? 1");
+  ASSERT_EQ(off.value_count(), 2u);
+  EXPECT_EQ(off.SymText(1), "");
+  EXPECT_EQ(off.ValueText(1), "7");
+  fx_.session().options().eval.sym_mode = EvalOptions::SymMode::kOn;
+  // Formatting reads the lvalue: a fault there leaves no span without a line.
   QueryResult fault = fx_.session().Query("(x[0], x[100000000])");
   EXPECT_FALSE(fault.ok);
   EXPECT_NE(fault.error.find("Illegal memory reference"), std::string::npos) << fault.error;
   ASSERT_EQ(fault.lines.size(), 1u);
-  EXPECT_EQ(fault.entries.size(), fault.lines.size());
+  EXPECT_EQ(fault.value_count(), fault.lines.size());
+  // A truncated result has one line more than it has spans: the "...".
+  fx_.session().options().max_output_values = 2;
+  QueryResult cut = fx_.session().Query("x[..3]");
+  EXPECT_TRUE(cut.truncated);
+  ASSERT_EQ(cut.value_count(), 2u);
+  EXPECT_EQ(cut.lines.size(), cut.value_count() + 1);
+  EXPECT_EQ(cut.SymText(1), "x[1]");
+  EXPECT_EQ(cut.ValueText(1), "0");
 }
 
 TEST_F(SessionTest, ResultTextJoinsLinesAndError) {
