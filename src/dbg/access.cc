@@ -66,24 +66,31 @@ void MemoryAccess::Invalidate() {
 
 void MemoryAccess::DropBlocks() {
   blocks_.clear();
+  last_index_ = UINT64_MAX;
+  last_block_ = nullptr;
   next_seq_block_ = UINT64_MAX;
   seq_run_ = 0;
 }
 
 void MemoryAccess::EnsureBlocks(uint64_t first, uint64_t last) {
   const size_t bs = config_.block_size;
-  auto absent = [this](uint64_t b) { return blocks_.find(b) == blocks_.end(); };
+  auto absent = [this](uint64_t b) { return FindBlock(b) == nullptr; };
   size_t missing = 0;
+  uint64_t lead = first;  // the first block not cached
   for (uint64_t b = first; b <= last; ++b) {
-    missing += absent(b) ? 1 : 0;
+    if (absent(b) && missing++ == 0) {
+      lead = b;
+    }
   }
   if (missing == 0) {
     return;
   }
   counters_.misses++;
   // Sequential scans double the fetch window each miss (capped), so a long
-  // forward read costs O(log + blocks/max_readahead) round trips.
-  if (first == next_seq_block_) {
+  // forward read costs O(log + blocks/max_readahead) round trips. A read
+  // that starts in cached blocks (a walk's aligned run) continues the streak
+  // from its first missing block.
+  if (lead == next_seq_block_) {
     seq_run_ = std::min<unsigned>(seq_run_ + 1, 31);
   } else {
     seq_run_ = 0;
@@ -127,23 +134,36 @@ void MemoryAccess::EnsureBlocks(uint64_t first, uint64_t last) {
   next_seq_block_ = end + 1;
 }
 
+MemoryAccess::Block* MemoryAccess::FindBlock(uint64_t index) {
+  if (index == last_index_) {
+    return last_block_;
+  }
+  auto it = blocks_.find(index);
+  if (it == blocks_.end()) {
+    return nullptr;
+  }
+  last_index_ = index;
+  last_block_ = &it->second;
+  return last_block_;
+}
+
 bool MemoryAccess::TryServe(Addr addr, void* out, size_t size) {
   const size_t bs = config_.block_size;
   uint8_t* dst = static_cast<uint8_t*>(out);
   Addr pos = addr;
   size_t remaining = size;
   while (remaining > 0) {
-    auto it = blocks_.find(pos / bs);
-    if (it == blocks_.end()) {
+    const Block* blk = FindBlock(pos / bs);
+    if (blk == nullptr) {
       return false;
     }
     size_t off = static_cast<size_t>(pos % bs);
     size_t chunk = std::min(remaining, bs - off);
-    if (off + chunk > it->second.valid_len) {
+    if (off + chunk > blk->valid_len) {
       return false;  // touches bytes the block fetch found unreadable
     }
     if (dst != nullptr) {
-      std::memcpy(dst, it->second.bytes.data() + off, chunk);
+      std::memcpy(dst, blk->bytes.data() + off, chunk);
       dst += chunk;
     }
     pos += chunk;
@@ -161,8 +181,10 @@ void MemoryAccess::GetBytes(Addr addr, void* out, size_t size) {
     return;
   }
   const size_t bs = config_.block_size;
-  EnsureBlocks(addr / bs, (addr + size - 1) / bs);
-  if (TryServe(addr, out, size)) {
+  // Served from present blocks without the fetch pass; EnsureBlocks only
+  // when the first try fails.
+  if (TryServe(addr, out, size) ||
+      (EnsureBlocks(addr / bs, (addr + size - 1) / bs), TryServe(addr, out, size))) {
     counters_.hits++;
     counters_.bytes_from_cache += size;
     return;
@@ -187,17 +209,30 @@ size_t MemoryAccess::ReadRun(Addr addr, void* out, size_t size) {
   if (size == 0) {
     return 0;
   }
+  bool absent = false;
+  size_t total = CopyPrefix(addr, out, size, &absent);
+  if (absent) {
+    const size_t bs = config_.block_size;
+    EnsureBlocks(addr / bs, (addr + size - 1) / bs);
+    total = CopyPrefix(addr, out, size, &absent);
+  }
+  counters_.hits++;
+  counters_.bytes_from_cache += total;
+  return total;
+}
+
+size_t MemoryAccess::CopyPrefix(Addr addr, void* out, size_t size, bool* absent) {
   const size_t bs = config_.block_size;
-  EnsureBlocks(addr / bs, (addr + size - 1) / bs);
   uint8_t* dst = static_cast<uint8_t*>(out);
   Addr pos = addr;
   size_t total = 0;
   while (total < size) {
-    auto it = blocks_.find(pos / bs);
-    if (it == blocks_.end()) {
+    const Block* found = FindBlock(pos / bs);
+    if (found == nullptr) {
+      *absent = true;
       break;
     }
-    const Block& blk = it->second;
+    const Block& blk = *found;
     size_t off = static_cast<size_t>(pos % bs);
     if (off >= blk.valid_len) {
       break;
@@ -210,8 +245,6 @@ size_t MemoryAccess::ReadRun(Addr addr, void* out, size_t size) {
       break;  // stopped inside the block: the next byte is unreadable
     }
   }
-  counters_.hits++;
-  counters_.bytes_from_cache += total;
   return total;
 }
 
@@ -237,6 +270,10 @@ void MemoryAccess::PutBytes(Addr addr, const void* in, size_t size) {
     } else {
       // The write landed on bytes the fetch saw as unreadable (the memory
       // map moved under us); the cached prefix is no longer trustworthy.
+      if (&it->second == last_block_) {
+        last_index_ = UINT64_MAX;
+        last_block_ = nullptr;
+      }
       blocks_.erase(it);
     }
   }

@@ -128,11 +128,21 @@ class MemoryAccess {
 
   void DropBlocks();
 
+  // The cached block `index`, or null. Remembers the last block found:
+  // reads come in runs within one block.
+  Block* FindBlock(uint64_t index);
+
+  // ReadRun's copy from cached blocks: the valid prefix of [addr,
+  // addr+size), setting `absent` when it stopped at a block not cached.
+  size_t CopyPrefix(target::Addr addr, void* out, size_t size, bool* absent);
+
   DebuggerBackend* backend_;
   Config config_;
   ExecGovernor* governor_ = nullptr;
   bool enabled_ = true;
   std::map<uint64_t, Block> blocks_;  // block index -> contents
+  uint64_t last_index_ = UINT64_MAX;  // FindBlock's memo: map nodes stay put
+  Block* last_block_ = nullptr;       // until erased or cleared
   uint64_t next_seq_block_ = UINT64_MAX;  // readahead: next block if sequential
   unsigned seq_run_ = 0;                  // consecutive sequential misses
   CacheCounters counters_;

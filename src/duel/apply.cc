@@ -66,15 +66,36 @@ int64_t SignExtend(uint64_t v, size_t size) {
   return static_cast<int64_t>(MaskTo(v, size));
 }
 
+// The comparison rule: one C comparison operator over two operands already
+// converted to the type it compares in. Compare dispatches on the operator
+// per call; RunComparison's loops pick CompareAs once per run.
+template <Op kOp, typename T>
+bool CompareAs(T a, T b) {
+  if constexpr (kOp == Op::kLt) {
+    return a < b;
+  } else if constexpr (kOp == Op::kGt) {
+    return a > b;
+  } else if constexpr (kOp == Op::kLe) {
+    return a <= b;
+  } else if constexpr (kOp == Op::kGe) {
+    return a >= b;
+  } else if constexpr (kOp == Op::kEq) {
+    return a == b;
+  } else {
+    static_assert(kOp == Op::kNe);
+    return a != b;
+  }
+}
+
 template <typename T>
 bool Compare(Op op, T a, T b) {
   switch (op) {
-    case Op::kLt: return a < b;
-    case Op::kGt: return a > b;
-    case Op::kLe: return a <= b;
-    case Op::kGe: return a >= b;
-    case Op::kEq: return a == b;
-    case Op::kNe: return a != b;
+    case Op::kLt: return CompareAs<Op::kLt>(a, b);
+    case Op::kGt: return CompareAs<Op::kGt>(a, b);
+    case Op::kLe: return CompareAs<Op::kLe>(a, b);
+    case Op::kGe: return CompareAs<Op::kGe>(a, b);
+    case Op::kEq: return CompareAs<Op::kEq>(a, b);
+    case Op::kNe: return CompareAs<Op::kNe>(a, b);
     default:
       throw DuelError(ErrorKind::kInternal, "ApplyComparison: unexpected operator");
   }
@@ -390,6 +411,137 @@ bool CompareScalars(Op op, TypeRef ct, const Scalar& a, const Scalar& b) {
                    MaskTo(static_cast<uint64_t>(b.I64()), ct->size()));
   }
   return Compare(op, a.I64(), b.I64());
+}
+
+namespace {
+
+// What CompareScalars compares in, by the comparison type: addresses and
+// unsigned integers as (masked) uint64_t, floating types as double, the
+// rest as int64_t.
+enum class Domain { kSigned, kUnsigned, kFloating };
+
+// An element of C representation E read as CompareScalars reads it in
+// domain kD (Scalar::I64, U64, Ptr and F64 for that element type).
+template <Domain kD, typename E>
+auto Convert(E v, const RunComparison::Operand& rhs) {
+  if constexpr (kD == Domain::kFloating) {
+    return static_cast<double>(v);
+  } else if constexpr (kD == Domain::kSigned) {
+    return static_cast<int64_t>(v);
+  } else {
+    return static_cast<uint64_t>(static_cast<int64_t>(v)) & rhs.mask;
+  }
+}
+
+template <Domain kD>
+auto RhsOf(const RunComparison::Operand& rhs) {
+  if constexpr (kD == Domain::kFloating) {
+    return rhs.f;
+  } else if constexpr (kD == Domain::kSigned) {
+    return rhs.i;
+  } else {
+    return rhs.u;
+  }
+}
+
+template <typename E, Domain kD, Op kOp>
+size_t FirstPassLoop(const uint8_t* run, size_t from, size_t n,
+                     const RunComparison::Operand& rhs) {
+  const auto c = RhsOf<kD>(rhs);
+  for (size_t k = from; k < n; ++k) {
+    E v;
+    std::memcpy(&v, run + k * sizeof(E), sizeof(E));
+    if (CompareAs<kOp>(Convert<kD>(v, rhs), c)) {
+      return k;
+    }
+  }
+  return n;
+}
+
+template <typename E, Domain kD, Op kOp>
+size_t CountLoop(const uint8_t* run, size_t from, size_t n, const RunComparison::Operand& rhs) {
+  const auto c = RhsOf<kD>(rhs);
+  size_t passes = 0;
+  for (size_t k = from; k < n; ++k) {
+    E v;
+    std::memcpy(&v, run + k * sizeof(E), sizeof(E));
+    passes += CompareAs<kOp>(Convert<kD>(v, rhs), c) ? 1 : 0;
+  }
+  return passes;
+}
+
+template <typename E, Domain kD, Op kOp>
+bool UseLoops(RunComparison::Loop* first, RunComparison::Loop* count) {
+  *first = &FirstPassLoop<E, kD, kOp>;
+  *count = &CountLoop<E, kD, kOp>;
+  return true;
+}
+
+template <typename E, Domain kD>
+bool PickLoops(Op op, RunComparison::Loop* first, RunComparison::Loop* count) {
+  switch (op) {
+    case Op::kLt: return UseLoops<E, kD, Op::kLt>(first, count);
+    case Op::kGt: return UseLoops<E, kD, Op::kGt>(first, count);
+    case Op::kLe: return UseLoops<E, kD, Op::kLe>(first, count);
+    case Op::kGe: return UseLoops<E, kD, Op::kGe>(first, count);
+    case Op::kEq: return UseLoops<E, kD, Op::kEq>(first, count);
+    case Op::kNe: return UseLoops<E, kD, Op::kNe>(first, count);
+    default: return false;
+  }
+}
+
+template <typename E>
+bool PickLoops(Domain d, Op op, RunComparison::Loop* first, RunComparison::Loop* count) {
+  switch (d) {
+    case Domain::kSigned: return PickLoops<E, Domain::kSigned>(op, first, count);
+    case Domain::kUnsigned: return PickLoops<E, Domain::kUnsigned>(op, first, count);
+    case Domain::kFloating: return PickLoops<E, Domain::kFloating>(op, first, count);
+  }
+  return false;
+}
+
+template <typename S, typename U>
+bool PickIntLoops(bool is_signed, Domain d, Op op, RunComparison::Loop* first,
+                  RunComparison::Loop* count) {
+  return is_signed ? PickLoops<S>(d, op, first, count) : PickLoops<U>(d, op, first, count);
+}
+
+}  // namespace
+
+bool RunComparison::Set(Op op, TypeRef elem, TypeRef ct, const Scalar& rhs) {
+  // The constant, converted as CompareScalars converts its right operand.
+  Domain d;
+  rhs_ = Operand();
+  if (ct->kind() == TypeKind::kPointer) {
+    d = Domain::kUnsigned;
+    rhs_.u = rhs.type->kind() == TypeKind::kPointer ? rhs.Ptr() : rhs.U64();
+  } else if (ct->IsFloating()) {
+    d = Domain::kFloating;
+    rhs_.f = rhs.F64();
+  } else if (ct->IsUnsignedInteger()) {
+    d = Domain::kUnsigned;
+    rhs_.mask = MaskTo(~uint64_t{0}, ct->size());
+    rhs_.u = MaskTo(static_cast<uint64_t>(rhs.I64()), ct->size());
+  } else {
+    d = Domain::kSigned;
+    rhs_.i = rhs.I64();
+  }
+  if (elem->IsFloating()) {
+    // A floating element only ever compares as a double.
+    if (d != Domain::kFloating) {
+      return false;
+    }
+    return elem->kind() == TypeKind::kFloat ? PickLoops<float>(d, op, &first_, &count_)
+                                            : PickLoops<double>(d, op, &first_, &count_);
+  }
+  const bool is_signed = elem->IsSignedInteger() || elem->kind() == TypeKind::kEnum;
+  switch (elem->size()) {
+    case 1: return PickIntLoops<int8_t, uint8_t>(is_signed, d, op, &first_, &count_);
+    case 2: return PickIntLoops<int16_t, uint16_t>(is_signed, d, op, &first_, &count_);
+    case 4: return PickIntLoops<int32_t, uint32_t>(is_signed, d, op, &first_, &count_);
+    case 8: return PickIntLoops<int64_t, uint64_t>(is_signed, d, op, &first_, &count_);
+    default: return false;
+  }
 }
 
 Value IndexedLvalue(EvalContext& ctx, const Value& base, const Value& index, TypeRef elem,

@@ -130,9 +130,47 @@ Value ApplyArith(EvalContext& ctx, Op op, const Value& a, const Value& b, Source
 bool ApplyComparison(EvalContext& ctx, Op op, const Value& a, const Value& b, SourceRange range);
 
 // The comparison half of ApplyComparison, for operands already loaded: `op`
-// (kLt..kNe) over two scalars whose ComparisonType is `ct`. The filter scan
-// (eval_sm.cc) types a range's comparison once and calls this per element.
+// (kLt..kNe) over two scalars whose ComparisonType is `ct`.
 bool CompareScalars(Op op, TypeRef ct, const Scalar& a, const Scalar& b);
+
+// CompareScalars for a run of elements of one type against one constant,
+// with its type and operator dispatch hoisted out of the loop: the element
+// type, the comparison type and the operator pick one loop, which converts
+// each element as Scalar's readouts do and calls the same Compare. The
+// filter scan (eval_sm.cc) types a range's comparison once and runs it over
+// block runs.
+class RunComparison {
+ public:
+  // Elements of type `elem` compared by `op` in `ct` against `rhs`. False
+  // when no loop covers that combination; the caller then compares element
+  // by element.
+  bool Set(Op op, TypeRef elem, TypeRef ct, const Scalar& rhs);
+
+  // Of the elements [from, n) of `run` (packed, elem->size() bytes each):
+  // the index of the first that passes, or n.
+  size_t FirstPass(const uint8_t* run, size_t from, size_t n) const {
+    return first_(run, from, n, rhs_);
+  }
+  // How many of them pass.
+  size_t CountPasses(const uint8_t* run, size_t from, size_t n) const {
+    return count_(run, from, n, rhs_);
+  }
+
+  // The constant converted once to the comparison's domain, plus the mask
+  // an unsigned comparison narrower than 64 bits applies to both sides.
+  struct Operand {
+    int64_t i = 0;
+    uint64_t u = 0;
+    double f = 0;
+    uint64_t mask = ~uint64_t{0};
+  };
+  using Loop = size_t (*)(const uint8_t* run, size_t from, size_t n, const Operand& rhs);
+
+ private:
+  Loop first_ = nullptr;
+  Loop count_ = nullptr;
+  Operand rhs_;
+};
 
 // kNeg kPos kBitNot kNot kDeref kAddrOf.
 Value ApplyUnary(EvalContext& ctx, Op op, const Value& v, SourceRange range);

@@ -1,5 +1,6 @@
 #include "src/duel/check.h"
 
+#include <algorithm>
 #include <map>
 #include <optional>
 #include <set>
@@ -138,6 +139,11 @@ class Analyzer {
       }
       if (TypeRef rec = RecordOf(s.subject)) {
         if (const target::Member* m = rec->FindMember(n.text)) {
+          NodeInfo& info = notes_->At(n.id);
+          info.member_record = rec;
+          info.member = m;
+          info.member_depth = static_cast<uint32_t>(scopes_.size() - 1 - i);
+          member_bound_.push_back(n.id);
           Inf r;
           r.type = m->type;
           r.lv = Lv::kYes;
@@ -526,9 +532,27 @@ class Analyzer {
                          Info(n.op).spelling),
                "turn cycle detection on, or bound the walk with '@' / '[[..n]]'");
         }
+        const size_t bound_before = member_bound_.size();
         scopes_.push_back({a.type, a.type != nullptr});
         Inf r = Walk(*n.kids[1]);
         scopes_.pop_back();
+        // The scope holds the root and then every child the body yields. The
+        // body was typed against the root's record: that holds for the
+        // children only when they open the same record.
+        TypeRef rec = a.type != nullptr ? RecordOf(a.type) : nullptr;
+        const bool same_record =
+            rec != nullptr && r.type != nullptr && RecordOf(r.type) == rec;
+        if (!same_record) {
+          for (size_t i = bound_before; i < member_bound_.size(); ++i) {
+            notes_->At(member_bound_[i]).member_record = nullptr;
+          }
+          member_bound_.resize(bound_before);
+          if (a.type == nullptr || r.type == nullptr || !target::TypeEquals(a.type, r.type)) {
+            r.type = nullptr;  // the root and the children differ
+          }
+        } else if (a.type->kind() == TypeKind::kPointer) {
+          notes_->At(n.id).walk = CompileWalk(*n.kids[1], rec);
+        }
         r.many = true;
         return r;
       }
@@ -823,6 +847,42 @@ class Analyzer {
     return r;
   }
 
+  // The compiled form of a walk body over `rec` (sema.h WalkPlan), or null
+  // when the body is not member-bound child pointers.
+  const WalkPlan* CompileWalk(const Node& body, TypeRef rec) {
+    std::vector<WalkPlan::Child> children;
+    if (rec->size() == 0 || !ChildList(body, rec, children)) {
+      return nullptr;
+    }
+    Arena& store = notes_->store();
+    auto* plan = store.New<WalkPlan>();
+    plan->record = rec;
+    auto* copy = static_cast<WalkPlan::Child*>(
+        store.Allocate(children.size() * sizeof(WalkPlan::Child), alignof(WalkPlan::Child)));
+    std::copy(children.begin(), children.end(), copy);
+    plan->children = {copy, children.size()};
+    return plan;
+  }
+
+  // Whether `b` is member-bound pointers back to `rec`, in the walk's own
+  // scope, joined by `,`; appends them to `children` left to right.
+  bool ChildList(const Node& b, TypeRef rec, std::vector<WalkPlan::Child>& children) {
+    if (b.op == Op::kAlternate) {
+      return ChildList(*b.kids[0], rec, children) && ChildList(*b.kids[1], rec, children);
+    }
+    if (b.op != Op::kName) {
+      return false;
+    }
+    const NodeInfo& info = notes_->At(b.id);
+    const target::Member* m = info.member;
+    if (info.member_record != rec || info.member_depth != 0 || m->is_bitfield ||
+        m->type->kind() != TypeKind::kPointer || m->type->target() != rec) {
+      return false;
+    }
+    children.push_back({m->offset, m->type, b.text});
+    return true;
+  }
+
   // A node that yields either operand's values (`,` and `||`): the type and
   // value category both share, if they agree.
   static Inf Either(const Inf& a, const Inf& b) {
@@ -841,6 +901,7 @@ class Analyzer {
   std::set<std::string> noted_;
   std::map<int, std::optional<Value>> memo_;
   std::vector<ScopeInfo> scopes_;
+  std::vector<int> member_bound_;  // ids of the member-bound names, in walk order
   bool conditional_ = false;  // inside a conditionally-evaluated subtree
 };
 

@@ -111,13 +111,11 @@ bool EvalEngine::SetUpScan(FilterScan& scan, Op cmp, const Value& base, const Va
   }
   Scalar c = ctx.Load(rhs);
   Typing compare = ComparisonType(ctx.types(), cmp, elem, c.type);
-  if (!compare) {
-    return false;  // the element path raises the type error
+  if (!compare || !scan.compare.Set(cmp, elem, compare.type(), c)) {
+    return false;  // the element path raises the type error, or compares
   }
   scan.base = base;
   scan.elem = elem;
-  scan.compare_type = compare.type();
-  scan.rhs = c;
   scan.read_bytes += elem->size();
   return true;
 }
@@ -147,7 +145,7 @@ std::optional<Value> EvalEngine::ScanFilter(const Node& n, NodeState& st) {
     st.extra = std::make_unique<Extra>();
   }
   if (st.extra->scan == nullptr) {
-    st.extra->scan = std::make_unique<FilterScan>();
+    st.extra->scan = std::make_unique_for_overwrite<FilterScan>();
   }
   FilterScan& scan = *st.extra->scan;
   if (scan.element_path) {
@@ -161,6 +159,7 @@ std::optional<Value> EvalEngine::ScanFilter(const Node& n, NodeState& st) {
     }
   }
   const size_t esize = scan.elem->size();
+  int64_t* fold = FoldOf(n);
   for (;;) {
     if (rs.i > rs.hi) {
       return std::nullopt;  // the range's end
@@ -177,31 +176,33 @@ std::optional<Value> EvalEngine::ScanFilter(const Node& n, NodeState& st) {
         return std::nullopt;  // unreadable: the element path reports it
       }
     }
-    // Compare up to the first element that passes. Each element is read as
-    // a whole word and masked to its size (the run has a word of slack).
+    // The elements from rs.i to the run's end or the range's, whichever is
+    // first: a run read for an earlier range of the same base may reach past
+    // this one's end.
     const size_t at = static_cast<size_t>(rs.i - scan.run_lo);
-    const uint64_t mask = esize == 8 ? ~uint64_t{0} : (uint64_t{1} << (esize * 8)) - 1;
-    size_t k = at;
-    bool pass = false;
-    for (; k < scan.run_n; ++k) {
-      Scalar a{scan.elem, 0};
-      std::memcpy(&a.bits, scan.run + k * esize, sizeof(a.bits));
-      a.bits &= mask;
-      if (CompareScalars(cmp, scan.compare_type, a, scan.rhs)) {
-        pass = true;
-        break;
+    const size_t end = static_cast<size_t>(
+        std::min<uint64_t>(scan.run_n, static_cast<uint64_t>(rs.hi - scan.run_lo) + 1));
+    if (fold != nullptr) {
+      // Counted, not yielded: a pass also charges the 2 steps of the call
+      // that would resume the filter after yielding it (its own, and its
+      // constant's exhaustion).
+      const uint64_t taken = end - at;
+      const uint64_t passes = scan.compare.CountPasses(scan.run, at, end);
+      if (!Bulk(n, 5 * taken + passes, taken * scan.read_bytes)) {
+        scan.element_path = true;
+        return std::nullopt;
       }
+      ctx.counters().applies += 2 * taken;
+      rs.i += static_cast<int64_t>(taken);
+      *fold += static_cast<int64_t>(passes);
+      continue;
     }
+    // Compare up to the first element that passes.
+    const size_t k = scan.compare.FirstPass(scan.run, at, end);
+    const bool pass = k < end;
     const uint64_t fails = k - at;
     const uint64_t taken = fails + (pass ? 1 : 0);
-    bool bulk;
-    try {
-      bulk = ctx.StepBulk(5 * fails + (pass ? 4 : 0), taken * scan.read_bytes);
-    } catch (DuelError& e) {
-      e.set_range(n.range);
-      throw;
-    }
-    if (!bulk) {
+    if (!Bulk(n, 5 * fails + (pass ? 4 : 0), taken * scan.read_bytes)) {
       // A budget trips inside these elements: the element path takes them,
       // and every element after them, charging single steps up to the trip.
       scan.element_path = true;
@@ -218,6 +219,197 @@ std::optional<Value> EvalEngine::ScanFilter(const Node& n, NodeState& st) {
       return st.value;
     }
   }
+}
+
+bool EvalEngine::Bulk(const Node& n, uint64_t steps, uint64_t read_bytes) {
+  try {
+    return ctx_->StepBulk(steps, read_bytes);
+  } catch (DuelError& e) {
+    e.set_range(n.range);
+    throw;
+  }
+}
+
+// --- compiled walks -------------------------------------------------------------
+//
+// `e --> body` whose body the analyze stage compiled (sema.h WalkPlan): child
+// pointers of the record each node opens, named by member-bound names. In a
+// plan that writes no target memory and a session whose data cache is on,
+// with no profiler attached, a walk from a pointer root to that record reads
+// each node's bytes from the block cache once and takes its children from
+// them: no scope push, no name resolution, no values in flight. It charges
+// exactly what the generic path would, in the same order: the pop, then the
+// body's steps as the plan lists them, the read bytes of every pointer load
+// (the node's own pointer when it is an lvalue, once for the readability
+// check and once per child looked up, and each child pointer at admission),
+// and each admission against max_expand_nodes. So budgets trip at the same
+// step with the same error. An unreadable node ends its path silently.
+
+const WalkPlan* EvalEngine::CompiledWalkOf(const Node& n) {
+  EvalContext& ctx = *ctx_;
+  const NodeInfo* info = NodeInfoFor(ctx, n);
+  if (info == nullptr || info->walk == nullptr || !ctx.access().enabled() ||
+      ctx.profiler() != nullptr || ctx.annotations()->mutates_target ||
+      info->walk->record->size() > CompiledWalk::kRunBytes) {
+    return nullptr;
+  }
+  return info->walk;
+}
+
+// The kName and kAlternate cases of Eval, as the body replays them: the call
+// charges `b`; a name yields its value once and is exhausted by the next
+// call; `,` drives its left operand dry and then its right.
+bool EvalEngine::ReplayBodyCall(const Node& b, std::vector<uint8_t>& phase,
+                                std::vector<CompiledWalk::Step>& steps, int& yielded) {
+  uint8_t& ph = phase[static_cast<size_t>(b.id)];
+  steps.push_back({&b, -1});
+  if (b.op == Op::kName) {
+    if (ph == 0) {
+      ph = 1;
+      steps.back().child = yielded++;
+      return true;
+    }
+    ph = 0;
+    return false;
+  }
+  if (ph == 0) {
+    if (ReplayBodyCall(*b.kids[0], phase, steps, yielded)) {
+      return true;
+    }
+    ph = 1;
+  }
+  if (ReplayBodyCall(*b.kids[1], phase, steps, yielded)) {
+    return true;
+  }
+  ph = 0;
+  return false;
+}
+
+void EvalEngine::StartWalk(CompiledWalk& w, const Value& u) {
+  EvalContext& ctx = *ctx_;
+  w.nodes.clear();
+  w.head = 0;
+  w.seen.Clear();
+  w.expanded = 0;
+  w.run_n = 0;
+  // ExpandAdmit, keeping the root's pointer.
+  CountExpansion(ctx, w.expanded);
+  const Addr p = ctx.ToPtr(u);
+  if (AdmitNode(ctx, w.seen, p)) {
+    w.root = u;
+    w.nodes.push_back({0, p, Sym(), -1});
+  }
+}
+
+std::optional<Value> EvalEngine::NextOfWalk(const Node& n, CompiledWalk& w) {
+  EvalContext& ctx = *ctx_;
+  int64_t* fold = FoldOf(n);
+  const bool compose = fold == nullptr && ctx.sym_on();
+  while (w.head < w.nodes.size()) {
+    Charge(ctx, n);
+    CompiledWalk::Pending e;
+    if (n.op == Op::kBfs) {
+      e = w.nodes[w.head++];
+      if (w.head >= 1024 && 2 * w.head >= w.nodes.size()) {
+        w.nodes.erase(w.nodes.begin(), w.nodes.begin() + static_cast<ptrdiff_t>(w.head));
+        w.head = 0;  // the queue's taken half, dropped at most once per its length
+      }
+    } else {
+      e = w.nodes.back();
+      w.nodes.pop_back();
+    }
+    if (!ExpandNode(n, w, e, compose)) {
+      continue;  // invalid pointer terminates this path silently
+    }
+    if (fold == nullptr) {
+      return e.child < 0 ? w.root : Value::LV(w.plan->children[e.child].type, e.field, e.sym);
+    }
+    ++*fold;
+    Charge(ctx, n);  // the call that would resume the walk after yielding it
+  }
+  return std::nullopt;
+}
+
+bool EvalEngine::ExpandNode(const Node& n, CompiledWalk& w, const CompiledWalk::Pending& e,
+                            bool compose) {
+  EvalContext& ctx = *ctx_;
+  const WalkPlan& plan = *w.plan;
+  ExecGovernor* reads = ctx.access().governor();
+  const bool root = e.child < 0;
+  // What loading the node's own pointer charges: its size, if it is stored.
+  const uint64_t self_read =
+      root ? (w.root.is_lvalue() ? w.root.type()->size() : 0) : plan.children[e.child].type->size();
+  if (reads != nullptr && self_read != 0) {
+    reads->ChargeReadBytes(self_read);
+  }
+  const uint8_t* bytes = NodeBytes(w, e.node, plan.record->size());
+  if (bytes == nullptr) {
+    return false;
+  }
+  const Sym& sym = root ? w.root.sym() : e.sym;
+  w.kids.clear();
+  for (const CompiledWalk::Step& step : w.steps) {
+    Charge(ctx, *step.node);
+    if (step.child < 0) {
+      continue;
+    }
+    const WalkPlan::Child& c = plan.children[step.child];
+    if (reads != nullptr && self_read != 0) {
+      reads->ChargeReadBytes(self_read);  // the member lookup loads the node's pointer
+    }
+    CountExpansion(ctx, w.expanded);
+    if (reads != nullptr) {
+      reads->ChargeReadBytes(c.type->size());  // admission loads the child pointer
+    }
+    uint64_t p = 0;
+    std::memcpy(&p, bytes + c.offset, c.type->size());
+    if (!AdmitNode(ctx, w.seen, p)) {
+      continue;
+    }
+    w.kids.push_back(
+        {e.node + c.offset, p,
+         compose ? ComposeWithSym(ctx, sym, true, Sym::Plain(ctx.arena(), c.name)) : Sym(),
+         step.child});
+  }
+  if (n.op == Op::kBfs) {
+    w.nodes.insert(w.nodes.end(), w.kids.begin(), w.kids.end());
+  } else {
+    w.nodes.insert(w.nodes.end(), w.kids.rbegin(), w.kids.rend());
+  }
+  return true;
+}
+
+const uint8_t* EvalEngine::NodeBytes(CompiledWalk& w, Addr addr, size_t size) {
+  const Addr last = addr + size - 1;
+  if (last < addr) {
+    return nullptr;
+  }
+  if (addr >= w.run_addr && last < w.run_addr + w.run_n) {
+    return w.run + (addr - w.run_addr);
+  }
+  // Read the aligned run the node lies in: the nodes of a list or tree laid
+  // out near each other are mostly in it, and the block cache fetches its
+  // missing blocks in one request. A node across the run's end is read on
+  // its own.
+  dbg::MemoryAccess& access = ctx_->access();
+  const Addr window = addr & ~Addr{CompiledWalk::kRunBytes - 1};
+  const bool aligned = last - window < CompiledWalk::kRunBytes;
+  w.run_addr = aligned ? window : addr;
+  w.run_n = access.ReadRun(w.run_addr, w.run, aligned ? CompiledWalk::kRunBytes : size);
+  if (addr - w.run_addr + size <= w.run_n) {
+    return w.run + (addr - w.run_addr);
+  }
+  // The cache reads valid prefixes of blocks; the generic path asks the
+  // backend (ValidBytes), which can also vouch for bytes past an invalid
+  // start of their block.
+  w.run_n = 0;
+  if (!access.ValidBytes(addr, size)) {
+    return nullptr;
+  }
+  access.backend().GetTargetBytes(addr, w.run, size);
+  w.run_addr = addr;
+  w.run_n = size;
+  return w.run;
 }
 
 std::optional<Value> EvalEngine::Eval(const Node& n) {
@@ -629,11 +821,36 @@ std::optional<Value> EvalEngine::Eval(const Node& n) {
             st.extra.reset();
             return std::nullopt;
           }
-          st.extra = std::make_unique<Extra>();
-          if (ExpandAdmit(ctx, st.extra->expand, *u)) {
-            st.extra->expand.pending.push_back(*u);
+          const WalkPlan* plan = CompiledWalkOf(n);
+          if (plan != nullptr && u->type() != nullptr &&
+              u->type()->kind() == TypeKind::kPointer && u->type()->target() == plan->record) {
+            if (st.extra == nullptr) {
+              st.extra = std::make_unique<Extra>();
+            }
+            if (st.extra->walk == nullptr) {
+              st.extra->walk = std::make_unique_for_overwrite<CompiledWalk>();
+              CompiledWalk& w = *st.extra->walk;
+              w.plan = plan;
+              std::vector<uint8_t> phase(states_.size(), 0);
+              int yielded = 0;
+              while (ReplayBodyCall(*n.kids[1], phase, w.steps, yielded)) {
+              }
+            }
+            StartWalk(*st.extra->walk, *u);
+          } else {
+            st.extra = std::make_unique<Extra>();
+            if (ExpandAdmit(ctx, st.extra->expand, *u)) {
+              st.extra->expand.pending.push_back(*u);
+            }
           }
           st.phase = 1;
+        }
+        if (CompiledWalk* w = st.extra->walk.get()) {
+          if (auto x = NextOfWalk(n, *w)) {
+            return x;
+          }
+          st.phase = 0;
+          continue;
         }
         ExpandState& ex = st.extra->expand;
         while (!ex.pending.empty()) {
@@ -754,8 +971,11 @@ std::optional<Value> EvalEngine::Eval(const Node& n) {
     case Op::kCount: {
       if (st.phase == 0) {
         int64_t count = 0;
-        while (Eval(*n.kids[0]).has_value()) {
-          ++count;
+        {
+          FoldInto fold(*this, *n.kids[0], count);
+          while (Eval(*n.kids[0]).has_value()) {
+            ++count;
+          }
         }
         st.phase = 1;
         return ValueAsSym(ctx, Value::Int(ctx.types().Int(), count, Sym::None()));

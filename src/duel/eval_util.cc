@@ -1,5 +1,6 @@
 #include "src/duel/eval_util.h"
 
+#include <algorithm>
 #include <cctype>
 #include <limits>
 
@@ -62,9 +63,15 @@ Value StringValue(EvalContext& ctx, const Node& n) {
 }
 
 Value NameValue(EvalContext& ctx, const Node& n) {
-  if (const NodeInfo* info = NodeInfoFor(ctx, n); info != nullptr && info->prebound) {
-    ctx.counters().name_lookups++;  // counted, but resolved without a search
-    return Value::LV(info->bound_type, info->bound_addr, ctx.MakeSym(n.text));
+  if (const NodeInfo* info = NodeInfoFor(ctx, n); info != nullptr) {
+    if (info->prebound) {
+      ctx.counters().name_lookups++;  // counted, but resolved without a search
+      return Value::LV(info->bound_type, info->bound_addr, ctx.MakeSym(n.text));
+    }
+    if (info->member_record != nullptr) {
+      return ctx.MemberOf(ctx.scopes().At(info->member_depth).subject, info->member_record,
+                          *info->member, n.text);
+    }
   }
   if (auto v = ctx.LookupName(n.text)) {
     return *v;
@@ -154,24 +161,25 @@ bool IsSimpleIdentifier(std::string_view s) {
 
 Value ComposeWithResult(EvalContext& ctx, const Value& subject, bool arrow, const Value& inner) {
   Value out = inner;
-  if (!ctx.sym_on()) {
-    return out;
+  if (ctx.sym_on()) {
+    out.set_sym(ComposeWithSym(ctx, subject.sym(), arrow, inner.sym()));
   }
+  return out;
+}
+
+Sym ComposeWithSym(EvalContext& ctx, const Sym& subject, bool arrow, const Sym& inner) {
   ctx.counters().symbolic_builds++;
   thread_local std::string inner_scratch;
   thread_local std::string subject_scratch;
-  std::string_view inner_text = inner.sym().View(inner_scratch);
+  std::string_view inner_text = inner.View(inner_scratch);
   // `_` passthrough: the inner value IS the subject; keep its original sym.
-  if (inner.sym().size() == subject.sym().size() &&
-      inner_text == subject.sym().View(subject_scratch)) {
-    return out;
+  if (inner.size() == subject.size() && inner_text == subject.View(subject_scratch)) {
+    return inner;
   }
   if (IsSimpleIdentifier(inner_text)) {
-    out.set_sym(subject.sym().WithMember(ctx.arena(), inner_text, arrow));
-    return out;
+    return subject.WithMember(ctx.arena(), inner_text, arrow);
   }
-  out.set_sym(ComposeWith(ctx.arena(), subject.sym(), arrow, inner_text));
-  return out;
+  return ComposeWith(ctx.arena(), subject, arrow, inner_text);
 }
 
 Value CallTarget(EvalContext& ctx, const std::string& name, const std::vector<Value>& args,
@@ -230,29 +238,76 @@ bool UntilEquals(EvalContext& ctx, const Value& u, const Node& pred) {
   return ApplyComparison(ctx, Op::kEq, u, lit, pred.range);
 }
 
-bool ExpandAdmit(EvalContext& ctx, ExpandState& st, const Value& v) {
-  if (++st.expanded > ctx.opts().max_expand_nodes) {
+bool KeySet::Insert(uint64_t key) {
+  if (key == 0) {
+    const bool fresh = !has_zero_;
+    has_zero_ = true;
+    return fresh;
+  }
+  if ((size_ + 1) * 2 > slots_.size()) {
+    Grow();
+  }
+  const size_t mask = slots_.size() - 1;
+  for (size_t i = Slot(key);; i = (i + 1) & mask) {
+    if (slots_[i] == key) {
+      return false;
+    }
+    if (slots_[i] == 0) {
+      slots_[i] = key;
+      ++size_;
+      return true;
+    }
+  }
+}
+
+void KeySet::Clear() {
+  if (size_ * 4 < slots_.size()) {
+    slots_ = {};  // grown by an earlier, longer walk
+  } else {
+    std::fill(slots_.begin(), slots_.end(), uint64_t{0});
+  }
+  size_ = 0;
+  has_zero_ = false;
+}
+
+void KeySet::Grow() {
+  std::vector<uint64_t> old(slots_.empty() ? 16 : slots_.size() * 2);  // most walks are short
+  old.swap(slots_);
+  const size_t mask = slots_.size() - 1;
+  for (uint64_t key : old) {
+    if (key != 0) {
+      size_t i = Slot(key);
+      while (slots_[i] != 0) {
+        i = (i + 1) & mask;
+      }
+      slots_[i] = key;
+    }
+  }
+}
+
+void CountExpansion(EvalContext& ctx, uint64_t& expanded) {
+  if (++expanded > ctx.opts().max_expand_nodes) {
     throw DuelError(ErrorKind::kLimit, "graph expansion exceeded the node limit");
   }
-  uint64_t key = 0;
-  bool has_key = false;
+}
+
+bool ExpandAdmit(EvalContext& ctx, ExpandState& st, const Value& v) {
+  CountExpansion(ctx, st.expanded);
   if (v.type() != nullptr && v.type()->kind() == TypeKind::kPointer) {
-    Addr p = ctx.ToPtr(v);
-    if (p == 0) {
-      return false;  // "until a NULL pointer ... terminates the sequence"
-    }
-    key = p;
-    has_key = true;
-  } else if (v.is_lvalue()) {
-    key = v.addr();
-    has_key = true;
+    return AdmitNode(ctx, st.seen, ctx.ToPtr(v));
   }
-  if (ctx.opts().cycle_detect && has_key) {
-    if (!st.seen.insert(key).second) {
-      return false;  // cycle (extension: the original did not handle cycles)
-    }
+  if (v.is_lvalue() && ctx.opts().cycle_detect) {
+    return st.seen.Insert(v.addr());
   }
   return true;
+}
+
+bool AdmitNode(EvalContext& ctx, KeySet& seen, Addr p) {
+  if (p == 0) {
+    return false;  // "until a NULL pointer ... terminates the sequence"
+  }
+  // A cycle (extension: the original did not handle cycles).
+  return !ctx.opts().cycle_detect || seen.Insert(p);
 }
 
 bool ExpandReadable(EvalContext& ctx, const Value& v) {

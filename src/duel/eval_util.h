@@ -5,7 +5,6 @@
 #define DUEL_DUEL_EVAL_UTIL_H_
 
 #include <deque>
-#include <set>
 #include <vector>
 
 #include "src/duel/apply.h"
@@ -60,6 +59,8 @@ Value ApplyBinaryClass(EvalContext& ctx, const Node& n, const Value& u, const Va
 // and expansion operators): passes `_` through, extends ->member chains,
 // parenthesizes complex inner expressions.
 Value ComposeWithResult(EvalContext& ctx, const Value& subject, bool arrow, const Value& inner);
+// The symbolic half of ComposeWithResult, with symbolics on.
+Sym ComposeWithSym(EvalContext& ctx, const Sym& subject, bool arrow, const Sym& inner);
 
 // Target function call with already-evaluated arguments.
 Value CallTarget(EvalContext& ctx, const std::string& name, const std::vector<Value>& args,
@@ -72,16 +73,44 @@ bool UntilEquals(EvalContext& ctx, const Value& u, const Node& pred);
 
 // --- graph expansion (--> / -->>) -------------------------------------------
 
+// A set of 64-bit keys: open addressing with linear probing, doubling at
+// half full. Its table is its own, freed with it.
+class KeySet {
+ public:
+  // Adds `key`; false when it was already present.
+  bool Insert(uint64_t key);
+  // Empties the set for another walk. The table is kept when the last walk
+  // filled a quarter of it or more, so a clear costs what that walk cost.
+  void Clear();
+
+ private:
+  size_t Slot(uint64_t key) const {
+    return static_cast<size_t>((key * 0x9E3779B97F4A7C15ull) >> 32) & (slots_.size() - 1);
+  }
+  void Grow();
+
+  std::vector<uint64_t> slots_;  // 0 marks an empty slot; a power of two long
+  size_t size_ = 0;              // nonzero keys held
+  bool has_zero_ = false;
+};
+
 struct ExpandState {
   std::deque<Value> pending;     // stack (dfs) or queue (bfs)
-  std::set<uint64_t> seen;       // cycle-detection keys
+  KeySet seen;                   // cycle-detection keys
   uint64_t expanded = 0;
   std::vector<Value> children;   // the node being expanded; reused across nodes
 };
 
+// Counts one admission against the expansion bound (max_expand_nodes).
+void CountExpansion(EvalContext& ctx, uint64_t& expanded);
+
 // Admission filter at push time: rejects null pointers, detected cycles, and
 // enforces the expansion bound.
 bool ExpandAdmit(EvalContext& ctx, ExpandState& st, const Value& v);
+
+// The pointer half of ExpandAdmit, for a pointer `p` already read: rejects
+// null and, with cycle detection on, a node `seen` holds.
+bool AdmitNode(EvalContext& ctx, KeySet& seen, Addr p);
 
 // Validity filter at pop time: an unreadable (invalid) pointer terminates
 // its path silently, per the paper.

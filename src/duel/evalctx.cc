@@ -9,7 +9,7 @@ namespace duel {
 
 using target::TypeKind;
 
-void EvalContext::Step(int node_id) {
+void EvalContext::StepObserved(int node_id) {
   if (profiler_ != nullptr) {
     profiler_->OnStep(node_id);
   }
@@ -17,10 +17,14 @@ void EvalContext::Step(int node_id) {
     governor_->ChargeStep();
   }
   if (++counters_.eval_steps - query_steps_base_ > opts_.max_steps) {
-    throw DuelError(ErrorKind::kLimit,
-                    StrPrintf("evaluation exceeded %llu steps (unbounded generator?)",
-                              static_cast<unsigned long long>(opts_.max_steps)));
+    ThrowStepLimit();
   }
+}
+
+void EvalContext::ThrowStepLimit() const {
+  throw DuelError(ErrorKind::kLimit,
+                  StrPrintf("evaluation exceeded %llu steps (unbounded generator?)",
+                            static_cast<unsigned long long>(opts_.max_steps)));
 }
 
 void EvalContext::LoadBytes(const Value& v, void* out, size_t n) {
@@ -204,46 +208,46 @@ std::optional<Value> EvalContext::LookupInScope(const WithScope& scope, const st
   if (t == nullptr) {
     return std::nullopt;
   }
-  if (t->kind() == TypeKind::kPointer && t->target()->IsRecord()) {
-    TypeRef rec = t->target();
-    const target::Member* m = rec->FindMember(name);
-    if (m == nullptr) {
-      return std::nullopt;
-    }
+  TypeRef rec = t->kind() == TypeKind::kPointer ? t->target() : t;
+  if (!rec->IsRecord()) {
+    return std::nullopt;
+  }
+  const target::Member* m = rec->FindMember(name);
+  if (m == nullptr) {
+    return std::nullopt;
+  }
+  return MemberOf(s, rec, *m, name);
+}
+
+Value EvalContext::MemberOf(const Value& s, TypeRef rec, const target::Member& m,
+                            std::string_view name) {
+  if (s.type()->kind() == TypeKind::kPointer) {
     Addr base = ToPtr(s);  // loads the pointer; faults surface at *use* below
     if (base == 0) {
       throw MemoryFault(0, rec->size(), "null pointer dereference");
     }
-    Addr maddr = base + m->offset;
-    if (m->is_bitfield) {
-      return Value::BitfieldLV(m->type, maddr, m->bit_offset, m->bit_width, MakeSym(name));
+    Addr maddr = base + m.offset;
+    if (m.is_bitfield) {
+      return Value::BitfieldLV(m.type, maddr, m.bit_offset, m.bit_width, MakeSym(name));
     }
-    return Value::LV(m->type, maddr, MakeSym(name));
+    return Value::LV(m.type, maddr, MakeSym(name));
   }
-  if (t->IsRecord()) {
-    const target::Member* m = t->FindMember(name);
-    if (m == nullptr) {
-      return std::nullopt;
+  if (s.is_lvalue()) {
+    Addr maddr = s.addr() + m.offset;
+    if (m.is_bitfield) {
+      return Value::BitfieldLV(m.type, maddr, m.bit_offset, m.bit_width, MakeSym(name));
     }
-    if (s.is_lvalue()) {
-      Addr maddr = s.addr() + m->offset;
-      if (m->is_bitfield) {
-        return Value::BitfieldLV(m->type, maddr, m->bit_offset, m->bit_width, MakeSym(name));
-      }
-      return Value::LV(m->type, maddr, MakeSym(name));
-    }
-    // Record rvalue: slice the member out of the byte image.
-    if (m->is_bitfield) {
-      uint64_t unit = 0;
-      std::memcpy(&unit, s.bytes().data() + m->offset,
-                  std::min<size_t>(m->type->size(), 8));
-      uint64_t raw = (unit >> m->bit_offset) &
-                     ((m->bit_width >= 64) ? ~0ull : ((1ull << m->bit_width) - 1));
-      return Value::Int(m->type, static_cast<int64_t>(raw), MakeSym(name));
-    }
-    return Value::RV(m->type, s.bytes().data() + m->offset, m->type->size(), MakeSym(name));
+    return Value::LV(m.type, maddr, MakeSym(name));
   }
-  return std::nullopt;
+  // Record rvalue: slice the member out of the byte image.
+  if (m.is_bitfield) {
+    uint64_t unit = 0;
+    std::memcpy(&unit, s.bytes().data() + m.offset, std::min<size_t>(m.type->size(), 8));
+    uint64_t raw =
+        (unit >> m.bit_offset) & ((m.bit_width >= 64) ? ~0ull : ((1ull << m.bit_width) - 1));
+    return Value::Int(m.type, static_cast<int64_t>(raw), MakeSym(name));
+  }
+  return Value::RV(m.type, s.bytes().data() + m.offset, m.type->size(), MakeSym(name));
 }
 
 std::optional<Value> EvalContext::LookupName(const std::string& name) {

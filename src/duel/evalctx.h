@@ -144,7 +144,13 @@ class EvalContext {
   // unattributed). Throws DuelError(kLimit) once the steps taken since the
   // last BeginQuery/BeginQueryData exceed max_steps; counters().eval_steps
   // itself stays cumulative.
-  void Step(int node_id = -1);
+  void Step(int node_id = -1) {
+    if (profiler_ != nullptr || (governor_ != nullptr && governor_->armed())) {
+      StepObserved(node_id);
+    } else if (++counters_.eval_steps - query_steps_base_ > opts_.max_steps) {
+      ThrowStepLimit();
+    }
+  }
 
   // `steps` Steps plus `read_bytes` bytes of governed target reads, charged
   // at once, when that is indistinguishable from charging them one by one:
@@ -223,6 +229,13 @@ class EvalContext {
   // member. Used by LookupName and by -> member access.
   std::optional<Value> LookupInScope(const WithScope& scope, const std::string& name);
 
+  // Member `m` of `record`, reached through `subject`: the record itself (an
+  // lvalue's member lvalue, or an rvalue's slice) or a pointer to it, which
+  // is loaded (a null one faults). LookupInScope once it found the member;
+  // the engine calls it directly for a member-bound name (sema.h).
+  Value MemberOf(const Value& subject, TypeRef record, const target::Member& m,
+                 std::string_view name);
+
   // Member access for e1.name / e1->name when e1 is a record or pointer to
   // record. Throws DuelError(kType) on non-records, MemoryFault on bad
   // pointers. `deref` selects the -> form.
@@ -241,6 +254,10 @@ class EvalContext {
   Addr InternString(const std::string& body);
 
  private:
+  // Step with a profiler or an armed governor to tell.
+  void StepObserved(int node_id);
+  [[noreturn]] void ThrowStepLimit() const;
+
   // Value bytes read from target memory, with the operand's symbolic
   // attached to any fault.
   void LoadBytes(const Value& v, void* out, size_t n);

@@ -9,6 +9,8 @@
 //       - compile-time name bindings (kName → target variable), made only
 //         where nothing can rebind the name dynamically: no with-scope is
 //         open, the query does not define it, and no alias holds it;
+//       - member bindings (kName → a member of the record an enclosing
+//         with-scope opens), and the compiled walks they allow for `-->`;
 //       - constant-folded pure subtrees: a composite of arithmetic/bitwise/
 //         comparison operators over literals collapses to one precomputed
 //         Value (evaluation then yields it like a literal leaf — exactly one
@@ -29,7 +31,9 @@
 #ifndef DUEL_DUEL_SEMA_H_
 #define DUEL_DUEL_SEMA_H_
 
+#include <span>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -40,11 +44,37 @@
 
 namespace duel {
 
+// A `-->` or `-->>` whose body names child pointers of the record its scope
+// opens: a member-bound name, or a comma list of them, each a pointer back
+// to that record (`next`, `(left,right)`). The engine reads the children
+// straight from each node's bytes (eval_sm.cc, "Compiled walks").
+struct WalkPlan {
+  struct Child {
+    uint64_t offset = 0;              // of the pointer within the record
+    target::TypeRef type = nullptr;   // the member's pointer type
+    std::string_view name;            // its spelling in the query
+  };
+  target::TypeRef record = nullptr;
+  std::span<const Child> children;    // in the order the body yields them
+};
+
 struct NodeInfo {
   // kName resolved to a target variable at analysis time.
   bool prebound = false;
   target::TypeRef bound_type = nullptr;
   uint64_t bound_addr = 0;
+
+  // kName resolved at analysis time to `member` of `member_record`, the
+  // record opened by the with-scope `member_depth` levels out from the
+  // innermost. Made only where every subject that scope can hold at run
+  // time opens that record, so the engine evaluates the name as subject +
+  // offset with no scope search. A complete record's members never change.
+  target::TypeRef member_record = nullptr;
+  const target::Member* member = nullptr;
+  uint32_t member_depth = 0;
+
+  // kDfs / kBfs: the compiled walk, when the body allows one.
+  const WalkPlan* walk = nullptr;
 
   // A node whose one value is known at compile time: a literal leaf
   // (materialized once instead of per evaluation) or the root of a maximal

@@ -1,6 +1,7 @@
 #include "src/duel/session.h"
 
 #include <array>
+#include <cassert>
 
 #include "src/duel/check.h"
 #include "src/duel/lexer.h"
@@ -244,7 +245,7 @@ CompiledQuery* Session::AcquirePlan(const std::string& expr,
 }
 
 uint64_t Session::DriveCore(const std::string& expr, QueryResult* result,
-                           const ValueHook& on_value) {
+                           const ValueHook& on_value, CompiledQuery* prepared) {
   const bool collect = opts_.collect_stats || opts_.profile;
   obs::BackendInstr& instr = backend_->instr();
   instr.set_tracer(&tracer_);
@@ -253,8 +254,11 @@ uint64_t Session::DriveCore(const std::string& expr, QueryResult* result,
   // Fresh symbol/type/frame view for the front half (parse probes typedefs,
   // the analyze stage resolves names). Purely a client-side cache drop — the
   // full data-path epoch (ctx_.BeginQuery) starts only after the check gate
-  // passes, so rejected queries never touch target data.
-  backend_->BeginQueryEpoch();
+  // passes, so rejected queries never touch target data. A prepared plan
+  // runs in the epoch its Prepare opened.
+  if (prepared == nullptr) {
+    backend_->BeginQueryEpoch();
+  }
 
   obs::QueryStats stats;
   std::array<uint64_t, obs::kNumNarrowCalls> calls_before{};
@@ -278,7 +282,16 @@ uint64_t Session::DriveCore(const std::string& expr, QueryResult* result,
   // --- plan: reuse a cached CompiledQuery, or build one --------------------
   const bool cache_on = opts_.plan_cache && plan_cache_.capacity() > 0;
   std::unique_ptr<CompiledQuery> uncached;  // owns the plan when cache is off
-  CompiledQuery* plan = AcquirePlan(expr, uncached, &stats);
+  CompiledQuery* plan = prepared;
+  if (plan == nullptr) {
+    plan = AcquirePlan(expr, uncached, &stats);
+  } else if (prepared_hit_) {
+    stats.plan_hit = true;
+  } else {
+    stats.lex_ns = plan->lex_ns;
+    stats.parse_ns = plan->parse_ns;
+    stats.analyze_ns = plan->analyze_ns;
+  }
 
   // --- check gate: reject doomed queries before touching the target --------
   const CheckResult& check = plan->notes.check;
@@ -319,6 +332,12 @@ uint64_t Session::DriveCore(const std::string& expr, QueryResult* result,
     obs::Span span(&tracer_, "eval");
     engine.Start(root, plan->parsed.num_nodes);
     while (auto v = engine.Next()) {
+      if (result != nullptr && result->spans.size() >= opts_.max_output_values) {
+        // A value past the limit exists: the result is cut short.
+        result->truncated = true;
+        result->lines.push_back("...");
+        break;
+      }
       ++count;
       ctx_.counters().values_produced++;
       if (on_value) {
@@ -340,11 +359,6 @@ uint64_t Session::DriveCore(const std::string& expr, QueryResult* result,
           line.append(" = ").append(value);
         }
         result->lines.push_back(std::move(line));
-        if (result->spans.size() >= opts_.max_output_values) {
-          result->truncated = true;
-          result->lines.push_back("...");
-          break;
-        }
       }
     }
   }
@@ -394,11 +408,21 @@ uint64_t Session::DriveCore(const std::string& expr, QueryResult* result,
 }
 
 QueryResult Session::Query(const std::string& expr, const ValueHook& on_value) {
+  return Run(expr, on_value, nullptr);
+}
+
+QueryResult Session::Query(const CompiledQuery& prepared, const ValueHook& on_value) {
+  assert(&prepared == prepared_plan_);
+  return Run(prepared.text, on_value, prepared_plan_);
+}
+
+QueryResult Session::Run(const std::string& expr, const ValueHook& on_value,
+                         CompiledQuery* prepared) {
   QueryResult result;
   Remember(expr);
   ctx_.opts() = opts_.eval;  // pick up option changes between queries
   try {
-    DriveCore(expr, &result, on_value);
+    DriveCore(expr, &result, on_value, prepared);
   } catch (const DuelError& e) {
     Fail(result, e);
     // Static and runtime errors alike point back into the query text: the
@@ -435,10 +459,13 @@ const CompiledQuery* Session::Prepare(const std::string& expr) {
   backend_->BeginQueryEpoch();  // fresh symbol view, no data-path epoch
   try {
     std::unique_ptr<CompiledQuery> uncached;
+    const uint64_t hits = plan_cache_.counters().hits;
     CompiledQuery* plan = AcquirePlan(expr, uncached, nullptr);
     if (uncached != nullptr) {
       prepared_ = std::move(uncached);  // cache off: keep the plan alive
     }
+    prepared_plan_ = plan;
+    prepared_hit_ = plan_cache_.counters().hits != hits;
     return plan;
   } catch (const DuelError&) {
     return nullptr;  // lex/parse failure; Query on the same text reproduces it

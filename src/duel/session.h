@@ -78,7 +78,7 @@ struct QueryResult {
   // whole line when the value printed once ("5", not "5 = 5").
   std::vector<uint32_t> spans;
   std::string error;       // rendered error when !ok
-  bool truncated = false;  // hit max_output_values; lines end in "..."
+  bool truncated = false;  // values went on past max_output_values; lines end in "..."
 
   uint64_t value_count() const { return spans.size(); }
   // Views into value line i: its symbolic ("" when none) and its value.
@@ -136,6 +136,11 @@ class Session {
   // pointer stays valid until the next Prepare/Query/Check on this session.
   const CompiledQuery* Prepare(const std::string& expr);
 
+  // Evaluates the plan the last Prepare returned, in the symbol epoch that
+  // Prepare opened: one plan lookup and one epoch for the pair. The serve
+  // layer prepares a query to pick its lock, then runs it under that lock.
+  QueryResult Query(const CompiledQuery& prepared, const ValueHook& on_value = {});
+
   // Drives a query and discards output lines; returns the number of values
   // (used by benchmarks to avoid measuring string formatting).
   uint64_t Drive(const std::string& expr);
@@ -174,8 +179,13 @@ class Session {
   // non-null `result` it is also formatted into it (the `duel expr`
   // command), otherwise discarded (benchmarks). Collects stats/profile per
   // opts_.
+  // `prepared`, when set, is the plan Prepare returned: no lookup and no
+  // new symbol epoch.
   uint64_t DriveCore(const std::string& expr, QueryResult* result,
-                     const ValueHook& on_value = {});
+                     const ValueHook& on_value = {}, CompiledQuery* prepared = nullptr);
+
+  // Query and Query(prepared): DriveCore into a result, errors caught.
+  QueryResult Run(const std::string& expr, const ValueHook& on_value, CompiledQuery* prepared);
 
   // Builds a CompiledQuery for `expr` (the text-dependent half of the work).
   std::unique_ptr<CompiledQuery> BuildPlan(const std::string& expr, uint64_t fingerprint);
@@ -195,6 +205,8 @@ class Session {
   PlanCache plan_cache_;
   ExecGovernor governor_;
   std::unique_ptr<CompiledQuery> prepared_;  // keeps Prepare's plan alive, cache off
+  CompiledQuery* prepared_plan_ = nullptr;   // what the last Prepare returned
+  bool prepared_hit_ = false;                // whether it came from the cache
   std::vector<std::string> history_;
   obs::Tracer tracer_;
   obs::NodeProfiler profiler_;

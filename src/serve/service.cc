@@ -261,14 +261,19 @@ QueryResult QueryService::RunOne(Client& c, const std::string& expr, bool* was_m
   // names and types against shared tables. A plan that fails to lex/parse is
   // read-only — Query reproduces the error without touching target data.
   const CompiledQuery* plan = c.session->Prepare(expr);
-  bool mutating = plan != nullptr && plan->notes.mutates_target;
-  *was_mutating = mutating;
-  if (!mutating) {
+  if (plan == nullptr) {
+    *was_mutating = false;
     return c.session->Query(expr);
+  }
+  // The prepared plan runs as it is, under the lock it picked: no second
+  // lookup and no second symbol epoch.
+  *was_mutating = plan->notes.mutates_target;
+  if (!plan->notes.mutates_target) {
+    return c.session->Query(*plan);
   }
   read_lock.unlock();
   std::unique_lock<std::shared_mutex> write_lock(target_mu_);
-  return c.session->Query(expr);
+  return c.session->Query(*plan);
 }
 
 void QueryService::WorkerLoop() {

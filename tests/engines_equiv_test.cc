@@ -12,10 +12,31 @@
 #include <utility>
 
 #include "src/support/strings.h"
+#include "src/target/builder.h"
 #include "tests/duel_test_util.h"
 
 namespace duel {
 namespace {
+
+// `struct bits { unsigned flag : 3; int value; struct bits *next; } *B`,
+// a list whose flags are 5, 2, 7.
+void BuildBitfieldList(target::TargetImage& image) {
+  target::ImageBuilder b(image);
+  TypeRef rec = b.Struct("bits")
+                    .Bitfield("flag", b.UInt(), 3)
+                    .Field("value", b.Int())
+                    .Field("next", b.Ptr(b.StructRef("bits")))
+                    .Build();
+  target::Addr next = 0;
+  for (int32_t flag : {7, 2, 5}) {
+    target::Addr node = b.Alloc(rec);
+    b.PokeI32(b.FieldAddr(node, rec, "flag"), flag);
+    b.PokeI32(b.FieldAddr(node, rec, "value"), flag * 10);
+    b.PokePtr(b.FieldAddr(node, rec, "next"), next);
+    next = node;
+  }
+  b.PokePtr(b.Global("B", b.Ptr(rec)), next);
+}
 
 void BuildRichImage(target::TargetImage& image) {
   scenarios::BuildIntArray(image, "x", {3, -1, 4, 1, -5, 9, 2, 6, -5, 3});
@@ -23,6 +44,9 @@ void BuildRichImage(target::TargetImage& image) {
   scenarios::BuildTree(image, "root", "(9 (3 (4) (5)) (12))");
   scenarios::BuildSymtab(image, {{0, {{"a", 4}, {"b", 3}}}, {2, {{"c", 9}}}});
   scenarios::BuildArgv(image, {"prog", "-x"});
+  scenarios::BuildCyclicList(image, "C", {1, 2, 3, 4}, 1);
+  scenarios::BuildDanglingList(image, "D", {7, 8}, 0xdead0000);
+  BuildBitfieldList(image);
 }
 
 // One cold run per session, plus a warm re-run of the same expression in the
@@ -55,9 +79,14 @@ BothRuns RunBoth(const std::string& expr) {
 // calls and allocations on the backend (the cache writes through). Backend
 // read counters legitimately differ — the data cache exists to change them.
 // So may symbolic builds, in one direction and only for a query with a
-// filter (`>?`, `<=?`, `==?`, ...): with the cache on, a filter scan
-// (eval_sm.cc) builds the symbolic of only the elements it yields.
-bool HasFilter(const std::string& expr) {
+// filter (`>?`, `<=?`, `==?`, ...) or a walk (`-->`, `-->>`): with the cache
+// on, a filter scan (eval_sm.cc) builds the symbolic of only the elements it
+// yields, and a compiled walk composes each child's symbolic without first
+// building its member name's, and none under `#/`.
+bool MayScan(const std::string& expr) {
+  if (expr.find("-->") != std::string::npos) {
+    return true;
+  }
   for (size_t pos = expr.find('?'); pos != std::string::npos; pos = expr.find('?', pos + 1)) {
     if (pos > 0 && std::string("<>=").find(expr[pos - 1]) != std::string::npos) {
       return true;
@@ -77,7 +106,7 @@ void ExpectSameWork(const QueryResult& dflt, const QueryResult& ref, const std::
   EXPECT_EQ(a.values_produced, b.values_produced) << expr;
   EXPECT_EQ(a.applies, b.applies) << expr;
   EXPECT_EQ(a.name_lookups, b.name_lookups) << expr;
-  if (HasFilter(expr)) {
+  if (MayScan(expr)) {
     EXPECT_LE(a.symbolic_builds, b.symbolic_builds) << expr;
   } else {
     EXPECT_EQ(a.symbolic_builds, b.symbolic_builds) << expr;
@@ -281,6 +310,57 @@ const char* kCorpus[] = {
     "x[..10] >? x[0]",
     "x[..10] >? (0,5)",
     "x[..10] >? 0 => x[0] = 7",
+    // A later range of the same base ends inside the run an earlier one read.
+    "x[(0,0)..(5,1)] >? 0",
+    "#/(x[(0,0)..(5,1)] >? 0)",
+    // Folded counts: `#/` counts a scan's passes a block run at a time.
+    "#/(x[..10] >? 0)",
+    "#/(x[..10] <? 0)",
+    "#/(x[..10] >=? 3)",
+    "#/(x[..10] <=? 3)",
+    "#/(x[..10] ==? 3)",
+    "#/(x[..10] !=? 3)",
+    "#/(x[..100000] >? 0)",
+    "#/(hash[..1024] !=? 0)",
+    "#/(x[..10] >? 0) + #/(x[..10] <? 0)",
+    "#/((x[..10] >? 0), (x[..3] <? 0))",
+    // Compiled walks: member-bound child pointers read from each node.
+    "L-->next",
+    "#/(L-->next)",
+    "L-->next->value",
+    "root-->(left,right)",
+    "root-->>(left,right)",
+    "#/(root-->>(left,right))",
+    "root-->(right,left)->key",
+    "C-->next->value",
+    "#/(C-->next)",
+    "D-->next->value",
+    "#/(D-->next)",
+    "(L-->next)[[2]]",
+    "L-->next[[1,3]]->value",
+    "#/(L-->next) => L-->next->value",
+    "L-->next => root-->(left,right)->key",
+    "(L, L->next->next)-->next->value",
+    "L->next-->next",
+    "hash[..3]-->next->name",
+    "#/(((struct node *)root)-->(left,right))",
+    "(root+0)-->>(left,right)->key",
+    "(*L)-->next->value",
+    "L->(next-->next)",
+    "L->(next-->next->value)",
+    // ... and walks that stay generic: a body that is not member names, a
+    // base that alternates two record types.
+    "L-->(next,_)->value",
+    "root-->(if (key > 4) left else right)->key",
+    "(L, root)-->next",
+    "#/((L, hash[0])-->next)",
+    // Member bindings: names resolved to record members at analysis time.
+    "next := 0; L-->next->value",
+    "B-->next->flag",
+    "B-->next->(flag ==? 2 => value)",
+    "(*L).value",
+    "*L-->next",
+    "L-->next->(next ? next->value : -1)",
 };
 
 INSTANTIATE_TEST_SUITE_P(Corpus, CorpusTest, ::testing::ValuesIn(kCorpus));
@@ -317,6 +397,25 @@ const char* kStepParityCorpus[] = {
     "#/(x[..10] !=? 0)",
     "hash[..1024] !=? 0",
     "argv[0][..4] >? 'a'",
+    "#/(x[..10] >? 0)",
+    "#/(x[..10] <? 0)",
+    "#/(x[..10] >=? 3)",
+    "#/(x[..10] <=? 3)",
+    "#/(x[..10] ==? 3)",
+    "#/(x[2..8] >? 1+1)",
+    "#/(x[(0,0)..(5,1)] >? 0)",
+    "L-->next",
+    "#/(L-->next)",
+    "L-->next->value",
+    "root-->(left,right)->key",
+    "root-->>(left,right)->key",
+    "#/(root-->>(left,right))",
+    "#/(C-->next)",
+    "D-->next->value",
+    "(L-->next)[[2]]",
+    "#/(L-->next) => L-->next->value",
+    "(hash[..1024] !=? 0)-->next->(scope >? 1 => name)",
+    "B-->next->flag",
 };
 
 INSTANTIATE_TEST_SUITE_P(Generators, StepParityTest, ::testing::ValuesIn(kStepParityCorpus));
@@ -353,6 +452,8 @@ const char* kScanQueries[] = {
     "#/(big[..5000] >? 90)",
     "p[100..4999] <=? -50",
     "big[..6000] ==? 3",
+    "#/(p[100..4999] <=? -50)",
+    "#/(big[..6000] !=? 3)",
 };
 
 TEST(FilterScanTest, StepBudgetTripsWhereTheElementPathDoes) {
@@ -433,6 +534,160 @@ TEST(FilterScanTest, ReadsBlockRunsNotElements) {
   ASSERT_TRUE(r.dflt.ok && r.dflt.stats.has_value()) << r.dflt.error;
   EXPECT_LE(r.dflt.stats->cache.hits * 16, kScanN);
   EXPECT_LT(r.dflt.stats->eval.symbolic_builds, r.ref.stats->eval.symbolic_builds);
+}
+
+// --- compiled walks under budgets, limits and the profiler ---------------------
+//
+// A compiled walk charges each step and read where the generic walk would,
+// and a folded count charges in bulk or hands back to the element path, so
+// governed, limited and profiled runs match the reference exactly.
+
+constexpr size_t kWalkN = 3000;
+
+ScanPair RunWalkPair(const std::string& expr, SessionOptions opts) {
+  ScanPair out;
+  for (bool reference : {false, true}) {
+    opts.eval.data_cache = !reference;
+    opts.plan_cache = !reference;
+    DuelFixture fx(opts);
+    std::vector<int32_t> values(kWalkN);
+    for (size_t i = 0; i < kWalkN; ++i) {
+      values[i] = static_cast<int32_t>(i % 97) - 40;
+    }
+    scenarios::BuildList(fx.image(), "W", values);
+    std::string tree = "(1)";
+    for (int d = 0; d < 9; ++d) {
+      tree = "(" + std::to_string(d) + " " + tree + " " + tree + ")";
+    }
+    scenarios::BuildTree(fx.image(), "T", tree);
+    (reference ? out.ref : out.dflt) = fx.session().Query(expr);
+  }
+  return out;
+}
+
+const char* kWalkQueries[] = {
+    "#/(W-->next)",
+    "W-->next->value",
+    "#/(T-->(left,right))",
+    "T-->>(left,right)->key",
+    "#/((T+0)-->(left,right))",
+};
+
+TEST(CompiledWalkTest, StepBudgetTripsWhereTheGenericWalkDoes) {
+  for (const char* q : kWalkQueries) {
+    for (uint64_t limit : {7, 1000, 4097, 8191}) {
+      SessionOptions opts;
+      opts.governor_limits.max_steps = limit;
+      ScanPair r = RunWalkPair(q, opts);
+      std::string what = std::string(q) + " max_steps=" + std::to_string(limit);
+      EXPECT_FALSE(r.dflt.ok) << what;
+      ExpectSameResult(r.dflt, r.ref, what);
+    }
+  }
+}
+
+TEST(CompiledWalkTest, ReadBudgetTripsWhereTheGenericWalkDoes) {
+  for (const char* q : kWalkQueries) {
+    for (uint64_t limit : {3, 1001, 4099, 9998}) {
+      SessionOptions opts;
+      opts.governor_limits.max_read_bytes = limit;
+      ScanPair r = RunWalkPair(q, opts);
+      std::string what = std::string(q) + " max_read_bytes=" + std::to_string(limit);
+      EXPECT_FALSE(r.dflt.ok) << what;
+      ExpectSameResult(r.dflt, r.ref, what);
+    }
+  }
+}
+
+TEST(CompiledWalkTest, LimitsTripWhereTheGenericWalkDoes) {
+  for (const char* q : kWalkQueries) {
+    for (uint64_t limit : {5, 2222, 8001}) {
+      SessionOptions opts;
+      opts.eval.max_steps = limit;
+      ScanPair r = RunWalkPair(q, opts);
+      std::string what = std::string(q) + " eval.max_steps=" + std::to_string(limit);
+      EXPECT_FALSE(r.dflt.ok) << what;
+      ExpectSameResult(r.dflt, r.ref, what);
+    }
+    for (uint64_t limit : {1, 100, 999}) {
+      SessionOptions opts;
+      opts.eval.max_expand_nodes = limit;
+      ScanPair r = RunWalkPair(q, opts);
+      std::string what = std::string(q) + " eval.max_expand_nodes=" + std::to_string(limit);
+      EXPECT_FALSE(r.dflt.ok) << what;
+      ExpectSameResult(r.dflt, r.ref, what);
+    }
+  }
+}
+
+TEST(CompiledWalkTest, GenerousBudgetsChangeNothing) {
+  for (const char* q : kWalkQueries) {
+    SessionOptions opts;
+    opts.collect_stats = true;
+    opts.governor_limits.max_steps = 1'000'000;
+    opts.governor_limits.max_read_bytes = 1'000'000;
+    ScanPair r = RunWalkPair(q, opts);
+    ExpectSameResult(r.dflt, r.ref, q);
+    ExpectSameWork(r.dflt, r.ref, q);
+  }
+}
+
+TEST(CompiledWalkTest, ProfileMatchesTheGenericWalk) {
+  for (const char* q : kWalkQueries) {
+    SessionOptions opts;
+    opts.collect_stats = true;
+    opts.profile = true;
+    ScanPair r = RunWalkPair(q, opts);
+    ExpectSameResult(r.dflt, r.ref, q);
+    ExpectSameWork(r.dflt, r.ref, q);
+    ASSERT_TRUE(r.dflt.stats.has_value() && r.ref.stats.has_value()) << q;
+    ASSERT_EQ(r.dflt.stats->nodes.size(), r.ref.stats->nodes.size()) << q;
+    for (size_t i = 0; i < r.dflt.stats->nodes.size(); ++i) {
+      EXPECT_EQ(r.dflt.stats->nodes[i].steps, r.ref.stats->nodes[i].steps)
+          << q << " node " << r.dflt.stats->nodes[i].op;
+    }
+  }
+}
+
+// The compiled walk engaged: under `#/` it composes no symbolic, and it
+// reads a block run per cache hit, not a field per node.
+TEST(CompiledWalkTest, CountsNodesFromBlockRuns) {
+  for (const char* q : {"#/(W-->next)", "#/(T-->(left,right))", "#/(T-->>(left,right))"}) {
+    SessionOptions opts;
+    opts.collect_stats = true;
+    ScanPair r = RunWalkPair(q, opts);
+    ASSERT_TRUE(r.dflt.ok && r.dflt.stats.has_value()) << q << ": " << r.dflt.error;
+    ExpectSameResult(r.dflt, r.ref, q);
+    ExpectSameWork(r.dflt, r.ref, q);
+    EXPECT_LE(r.dflt.stats->eval.symbolic_builds, 2u) << q;
+    EXPECT_LE(r.dflt.stats->cache.hits * 4, kWalkN) << q;
+  }
+}
+
+// A query that walks many times holds no more memory than one walk: each
+// root's walk state, its cycle set included, is reused or freed, not left in
+// the query arena.
+TEST(CompiledWalkTest, RepeatedWalksDoNotGrowTheQueryArena) {
+  for (const char* q : {"(1..200) => #/(W-->next)", "(1..200) => #/(W-->(next,_))"}) {
+    SessionOptions opts;
+    opts.collect_stats = true;
+    DuelFixture fx(opts);
+    std::vector<int32_t> values(kWalkN, 1);
+    scenarios::BuildList(fx.image(), "W", values);
+    size_t first = 0;
+    size_t last = 0;
+    size_t count = 0;
+    QueryResult r = fx.session().Query(q, [&](const Value&) {
+      last = fx.session().context().arena().used();
+      if (count++ == 0) {
+        first = last;
+      }
+    });
+    ASSERT_TRUE(r.ok) << q << ": " << r.error;
+    ASSERT_EQ(count, 200u) << q;
+    EXPECT_EQ(r.lines.back(), "3000") << q;
+    EXPECT_LE(last - first, 16u * 1024) << q << ": " << last - first << " bytes";
+  }
 }
 
 // --- seeded random expression generation -------------------------------------
@@ -518,6 +773,7 @@ TEST_P(RandomExprTest, EnginesAgreeOnGeneratedExpressions) {
     ASSERT_EQ(r.dflt.lines, r.ref.lines) << expr;
     ASSERT_EQ(r.dflt.error, r.ref.error) << expr;
     ASSERT_EQ(r.dflt_warm.lines, r.ref_warm.lines) << expr << " (warm)";
+    ExpectSameWork(r.dflt, r.ref, expr);
   }
 }
 
@@ -528,7 +784,7 @@ TEST_P(RandomExprTest, SymbolicsReparse) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, RandomExprTest, ::testing::Range(1u, 17u));
+INSTANTIATE_TEST_SUITE_P(Seeds, RandomExprTest, ::testing::Range(1u, 25u));
 
 class ClassifySeedTest : public ::testing::TestWithParam<uint32_t> {};
 

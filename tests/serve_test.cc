@@ -10,6 +10,9 @@
 #include <thread>
 #include <vector>
 
+#include "src/rsp/remote_backend.h"
+#include "src/rsp/server.h"
+#include "src/rsp/transport.h"
 #include "src/serve/endpoint.h"
 #include "src/serve/latency_backend.h"
 #include "src/serve/service.h"
@@ -491,6 +494,46 @@ TEST(ServeTest, MutationInOneSessionVisibleToOthers) {
   EXPECT_EQ(s.mutating, 1u);
   EXPECT_EQ(s.read_only, 2u);
   EXPECT_EQ(s.mutation_epoch, 1u);
+}
+
+// The service classifies a query by preparing it, then runs that plan: one
+// plan lookup and one symbol epoch per query, so the wire carries exactly
+// the round trips of a bare Session::Query.
+TEST(ServeTest, EvalRunsThePreparedPlan) {
+  target::TargetImage image;
+  BuildSharedDebuggee(image);
+  dbg::SimBackend sim(image);
+  rsp::RspServer server(sim);
+  std::vector<std::unique_ptr<rsp::FramedTransport>> wires;
+  auto remote = [&] {
+    wires.push_back(std::make_unique<rsp::FramedTransport>(server));
+    return std::make_unique<rsp::RemoteBackend>(*wires.back());
+  };
+  QueryService service([&] { return remote(); });
+  const uint64_t id = service.OpenSession();
+  const rsp::FramedTransport& service_wire = *wires.back();
+  std::unique_ptr<rsp::RemoteBackend> bare_backend = remote();
+  const rsp::FramedTransport& bare_wire = *wires.back();
+  Session bare(*bare_backend);
+
+  for (const char* q : {"arr[2..8] >? 0", "#/(L-->next->value >? 10)", "arr[1] = 5"}) {
+    for (int run = 0; run < 2; ++run) {  // cold, then a warm plan
+      const PlanCacheCounters before = service.session(id)->plan_cache().counters();
+      const uint64_t service_trips = service_wire.round_trips();
+      QueryService::Outcome out = service.Eval(id, q);
+      ASSERT_TRUE(out.result.ok) << q << ": " << out.result.error;
+      const PlanCacheCounters after = service.session(id)->plan_cache().counters();
+      EXPECT_EQ(after.lookups - before.lookups, 1u) << q << " run " << run;
+      EXPECT_EQ(after.hits - before.hits, run == 0 ? 0u : 1u) << q << " run " << run;
+
+      const uint64_t bare_trips = bare_wire.round_trips();
+      QueryResult r = bare.Query(q);
+      ASSERT_TRUE(r.ok) << q << ": " << r.error;
+      EXPECT_EQ(r.lines, out.result.lines) << q;
+      EXPECT_EQ(service_wire.round_trips() - service_trips, bare_wire.round_trips() - bare_trips)
+          << q << " run " << run;
+    }
+  }
 }
 
 TEST(ServeTest, SessionsKeepPrivateAliases) {

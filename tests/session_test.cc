@@ -40,6 +40,33 @@ TEST_F(SessionTest, OutputTruncationGuard) {
   EXPECT_EQ(r.lines.size(), r.value_count() + 1);
 }
 
+// Truncation means a value past the limit exists: a result of exactly
+// max_output_values values is whole.
+TEST_F(SessionTest, TruncationNeedsAValuePastTheLimit) {
+  scenarios::BuildIntArray(fx_.image(), "x", {1, 2, 3, 4});
+  fx_.session().options().max_output_values = 3;
+  QueryResult exact = fx_.session().Query("x[..3]");
+  EXPECT_TRUE(exact.ok);
+  EXPECT_FALSE(exact.truncated);
+  EXPECT_EQ(exact.value_count(), 3u);
+  EXPECT_EQ(exact.lines.size(), 3u);
+  EXPECT_EQ(exact.lines.back(), "x[2] = 3");
+
+  QueryResult over = fx_.session().Query("x[..4]");
+  EXPECT_TRUE(over.ok);
+  EXPECT_TRUE(over.truncated);
+  EXPECT_EQ(over.value_count(), 3u);
+  EXPECT_EQ(over.lines.back(), "...");
+
+  // A fault while looking for the value past the limit fails the query, as
+  // it would with no limit.
+  QueryResult fault = fx_.session().Query("x[..3], *(int *)0 + 1");
+  EXPECT_FALSE(fault.ok);
+  EXPECT_FALSE(fault.truncated);
+  EXPECT_EQ(fault.value_count(), 3u);
+  EXPECT_EQ(fault.lines.size(), 3u);
+}
+
 TEST_F(SessionTest, DriveSkipsFormatting) {
   scenarios::BuildIntArray(fx_.image(), "x", {1, 2, 3});
   EXPECT_EQ(fx_.session().Drive("x[..3]"), 3u);
