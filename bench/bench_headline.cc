@@ -41,16 +41,21 @@ BENCHMARK(BM_HeadlineParseOnly);
 
 void BM_HeadlineEvalWithOutput(benchmark::State& state) {
   // Includes result formatting (the paper's command prints all values).
-  size_t n = 10000;
-  BenchFixture fx;
+  size_t n = static_cast<size_t>(state.range(0));
+  bool symbolic = state.range(1) != 0;
+  SessionOptions opts;
+  opts.eval.sym_mode = symbolic ? EvalOptions::SymMode::kOn : EvalOptions::SymMode::kOff;
+  BenchFixture fx(opts);
   scenarios::BuildRandomIntArray(fx.image(), "x", n, -100, 100, 42);
+  std::string query = "x[.." + std::to_string(n) + "] >? 0";
   for (auto _ : state) {
-    QueryResult r = fx.session().Query("x[..10000] >? 0");
+    QueryResult r = fx.session().Query(query);
     benchmark::DoNotOptimize(r.lines.size());
   }
   state.SetItemsProcessed(static_cast<int64_t>(n) * state.iterations());
+  state.SetLabel(symbolic ? "sym=on" : "sym=off");
 }
-BENCHMARK(BM_HeadlineEvalWithOutput);
+BENCHMARK(BM_HeadlineEvalWithOutput)->ArgsProduct({{10000, 100000}, {0, 1}});
 
 // Machine-readable metrics: after the timed runs, replay the headline query
 // sweep once with full stats + per-node profiling and write one

@@ -2,8 +2,10 @@
 // "does not handle cycles"; ours does (a per-expansion visited set). We
 // measure --> over lists and trees across sizes, dfs vs the -->> bfs
 // extension, and the cost of the cycle guard, with symbolics off and on
-// (every perfbench workload runs with them on).
+// (every perfbench workload runs with them on). Beside the walks, the filter
+// scan is measured printed: `x[..100000] >? 0` through Session::Query.
 
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
@@ -104,9 +106,38 @@ void BM_SymbolicChainCost(benchmark::State& state) {
 }
 BENCHMARK(BM_SymbolicChainCost)->ArgsProduct({{1000, 10000}, {0, 1}});
 
+void BM_PrintedScan(benchmark::State& state) {
+  // The `duel` command's printed form of the filter scan: every pass becomes
+  // a result line.
+  bool symbolic = state.range(0) != 0;
+  BenchFixture fx(SymOptions(symbolic));
+  scenarios::BuildRandomIntArray(fx.image(), "x", 100000, -100, 100, 42);
+  for (auto _ : state) {
+    QueryResult r = fx.session().Query("x[..100000] >? 0");
+    benchmark::DoNotOptimize(r.lines.size());
+  }
+  state.SetItemsProcessed(100000 * state.iterations());
+  state.SetLabel(symbolic ? "sym=on" : "sym=off");
+}
+BENCHMARK(BM_PrintedScan)->Arg(0)->Arg(1);
+
+// FNV-1a of a result's text, as a fixed-width hex string.
+std::string TextHash(const QueryResult& r) {
+  uint64_t h = 0xcbf29ce484222325ull;
+  for (unsigned char c : r.Text()) {
+    h = (h ^ c) * 0x100000001b3ull;
+  }
+  char buf[19];
+  std::snprintf(buf, sizeof(buf), "0x%016llx", static_cast<unsigned long long>(h));
+  return buf;
+}
+
 // Machine-readable metrics: after the timed runs, one run of each counted
 // shape per symbolics arm with full stats, written as one JSON document
 // ({"bench":"traversal","queries":[{"arm":...,"stats":<obs::QueryStats>}]}).
+// The printed scan adds a "print" object to its entries (its line count and
+// text hash), from a default session and from one with the data and plan
+// caches off, which prints value by value.
 // DUEL_BENCH_METRICS overrides the output path; an empty value disables it.
 void WriteMetricsJson() {
   const char* env = std::getenv("DUEL_BENCH_METRICS");
@@ -134,6 +165,21 @@ void WriteMetricsJson() {
       if (fx.session().last_stats().has_value()) {
         out << (first ? "\n" : ",\n") << "{\"arm\":\"" << (symbolic ? "sym=on" : "sym=off")
             << "\",\"stats\":" << fx.session().last_stats()->ToJson() << "}";
+        first = false;
+      }
+    }
+    for (bool cache : {true, false}) {
+      SessionOptions print_opts = opts;
+      print_opts.eval.data_cache = cache;
+      print_opts.plan_cache = cache;
+      BenchFixture pfx(print_opts);
+      scenarios::BuildRandomIntArray(pfx.image(), "x", 100000, -100, 100, 42);
+      QueryResult r = pfx.session().Query("x[..100000] >? 0");
+      if (r.stats.has_value()) {
+        out << (first ? "\n" : ",\n") << "{\"arm\":\"" << (symbolic ? "sym=on" : "sym=off")
+            << "\",\"print\":{\"cache\":" << (cache ? "true" : "false")
+            << ",\"lines\":" << r.lines.size() << ",\"text_fnv1a\":\"" << TextHash(r)
+            << "\"},\"stats\":" << r.stats->ToJson() << "}";
         first = false;
       }
     }

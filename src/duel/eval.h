@@ -14,6 +14,7 @@
 
 #include <memory>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "src/duel/apply.h"
@@ -45,6 +46,22 @@ class EvalEngine {
     return Eval(*root_);
   }
 
+  // Where a printed root scan writes the lines of the values it does not
+  // yield: the `duel` command's result (Session::DriveCore).
+  struct LineSink {
+    std::vector<std::string>* lines = nullptr;
+    std::vector<uint32_t>* spans = nullptr;
+    // Lines are written while fewer than this many values have been; the
+    // value past it is yielded, so the caller can mark the result cut short.
+    size_t max_values = 0;
+    uint64_t written = 0;  // values written here, not yielded
+  };
+  // While `sink` is set, a root `b[range] op? c` that the filter scan takes
+  // writes the lines of its passes into it a block run at a time, and yields
+  // only what it leaves to the element path (INTERNALS "Printed scans").
+  // The caller must print each yielded value itself, by the same rule.
+  void PrintInto(LineSink* sink) { sink_ = sink; }
+
  private:
   // A filter scan's set-up and its current block run (eval_sm.cc).
   struct FilterScan {
@@ -67,6 +84,10 @@ class EvalEngine {
     // Set when a bulk charge did not fit a budget: the rest of the scan is
     // the element path's, up to the trip.
     bool element_path = false;
+    // A printed scan's symbolic text before each element's index (`x[`),
+    // and the line it writes each pass into.
+    std::string prefix;
+    std::string line;
   };
 
   // A compiled walk's state (eval_sm.cc "Compiled walks"), made for the
@@ -139,6 +160,11 @@ class EvalEngine {
   // Fills `scan` for the base `base` and the constant `rhs`; false when the
   // scan does not apply to them.
   bool SetUpScan(FilterScan& scan, Op cmp, const Value& base, const Value& rhs);
+  // Prints the passes among the run's elements [at, end) into `sink`, or as
+  // many as it has room for, and moves the range `rs` past the last element
+  // it took. False, taking none, when their bulk charge does not fit.
+  bool PrintRun(const Node& n, FilterScan& scan, NodeState& rs, size_t at, size_t end,
+                LineSink& sink);
   // EvalContext::StepBulk, attributing a cancel to `n` as Charge does.
   bool Bulk(const Node& n, uint64_t steps, uint64_t read_bytes);
 
@@ -224,6 +250,7 @@ class EvalEngine {
   std::vector<NodeState> states_;
   const Node* fold_node_ = nullptr;  // FoldInto's operand and count
   int64_t* fold_count_ = nullptr;
+  LineSink* sink_ = nullptr;  // PrintInto's
 };
 
 // One-value enum and factory kept only because the benchmark harness

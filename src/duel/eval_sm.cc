@@ -15,7 +15,9 @@
 
 #include <algorithm>
 #include <cassert>
+#include <charconv>
 #include <cstring>
+#include <string_view>
 
 #include "src/duel/eval.h"
 #include "src/duel/eval_util.h"
@@ -151,11 +153,16 @@ std::optional<Value> EvalEngine::ScanFilter(const Node& n, NodeState& st) {
   if (scan.element_path) {
     return std::nullopt;
   }
+  LineSink* print = &n == root_ ? sink_ : nullptr;
   const Op cmp = Info(n.op).base;
   if (scan.elem == nullptr || !SameBase(scan.base, is.value)) {
     scan.elem = nullptr;
     if (!SetUpScan(scan, cmp, is.value, c->value)) {
       return std::nullopt;
+    }
+    scan.prefix.clear();
+    if (print != nullptr && ctx.sym_on()) {
+      AppendIndexOpen(scan.prefix, scan.base.sym());
     }
   }
   const size_t esize = scan.elem->size();
@@ -197,6 +204,13 @@ std::optional<Value> EvalEngine::ScanFilter(const Node& n, NodeState& st) {
       *fold += static_cast<int64_t>(passes);
       continue;
     }
+    if (print != nullptr && print->spans->size() < print->max_values) {
+      if (!PrintRun(n, scan, rs, at, end, *print)) {
+        scan.element_path = true;
+        return std::nullopt;
+      }
+      continue;
+    }
     // Compare up to the first element that passes.
     const size_t k = scan.compare.FirstPass(scan.run, at, end);
     const bool pass = k < end;
@@ -219,6 +233,83 @@ std::optional<Value> EvalEngine::ScanFilter(const Node& n, NodeState& st) {
       return st.value;
     }
   }
+}
+
+// A printed scan (INTERNALS "Printed scans"): at the root of a `duel`
+// command, a pass is written as its line instead of being yielded. It charges
+// what the fold does, 5 steps per element and 1 more per pass (the call that
+// would resume the filter after yielding it), plus the read bytes the drive
+// loop's printing would charge: the element reloaded and, for a char*, its
+// string's window. The line is the drive loop's, built with the same
+// OpenValue and PushLine: the base's symbolic by ComposeIndex's rule, the
+// index, and the value from the scalar printer, with no symbolic built per
+// pass.
+
+bool EvalEngine::PrintRun(const Node& n, FilterScan& scan, NodeState& rs, size_t at, size_t end,
+                          LineSink& sink) {
+  EvalContext& ctx = *ctx_;
+  const size_t esize = scan.elem->size();
+  auto bits_at = [&scan, esize](size_t k) {
+    uint64_t bits = 0;
+    std::memcpy(&bits, scan.run + k * esize, esize);
+    return bits;
+  };
+  // The passes it prints: all of the run's, or the first `room`, cutting the
+  // run after the last of them (the next pass is yielded, past the limit).
+  const size_t room = sink.max_values - sink.spans->size();
+  size_t passes = 0;
+  uint64_t shown_bytes = 0;
+  size_t k = at;
+  while (passes < room && (k = scan.compare.FirstPass(scan.run, k, end)) < end) {
+    shown_bytes += esize + ScalarReadBytes(ctx, scan.elem, bits_at(k));
+    ++passes;
+    ++k;
+  }
+  const size_t cut = passes == room ? k : end;
+  const uint64_t taken = cut - at;
+  if (!Bulk(n, 5 * taken + passes, taken * scan.read_bytes + shown_bytes)) {
+    return false;
+  }
+  ctx.counters().applies += 2 * taken;
+  ctx.counters().values_produced += passes;
+  sink.written += passes;
+  rs.i += static_cast<int64_t>(taken);
+
+  // Room for the lines, when they have none left: as many as the run's pass
+  // rate projects over the rest of the range, an eighth more, and at least
+  // half as many again as they had. Doubling from empty would copy and touch
+  // the lines of a long scan about twice.
+  if (sink.spans->size() + passes > sink.spans->capacity()) {
+    const double rest = static_cast<double>(rs.hi - rs.i + 1);
+    const double rate = static_cast<double>(passes) / static_cast<double>(taken);
+    const double ahead = static_cast<double>(passes) + 1.125 * rate * rest;
+    const size_t want =
+        sink.spans->size() + static_cast<size_t>(std::min(ahead, static_cast<double>(room)));
+    const size_t grown = std::max(want, sink.spans->capacity() * 3 / 2);
+    sink.spans->reserve(grown);
+    sink.lines->reserve(grown);
+  }
+  // Each line is written in scan.line, made long enough for any of them
+  // once per run: the prefix, an index and "]", " = " and the value's text.
+  constexpr size_t kIndexChars = 24;
+  const bool sym = ctx.sym_on();
+  std::string& line = scan.line;
+  line.assign(scan.prefix);
+  line.resize(scan.prefix.size() + kIndexChars + ScalarRoom(ctx, scan.elem));
+  char* const start = line.data();
+  for (k = at; passes > 0; --passes, ++k) {
+    k = scan.compare.FirstPass(scan.run, k, cut);
+    char* p = start + scan.prefix.size();
+    if (sym) {
+      p = std::to_chars(p, p + 20, scan.run_lo + static_cast<int64_t>(k)).ptr;
+      *p++ = ']';
+    }
+    const size_t sym_len = static_cast<size_t>(p - start);
+    p = WriteScalar(ctx, scan.elem, bits_at(k), OpenValue(start, p), /*reads_charged=*/true);
+    PushLine(*sink.lines, *sink.spans, std::string_view(start, static_cast<size_t>(p - start)),
+             sym_len);
+  }
+  return true;
 }
 
 bool EvalEngine::Bulk(const Node& n, uint64_t steps, uint64_t read_bytes) {
@@ -508,7 +599,9 @@ std::optional<Value> EvalEngine::Eval(const Node& n) {
     case Op::kUnderscore:
       if (st.phase == 0) {
         st.phase = 1;
-        return ctx.Underscore(n.range);
+        Value u = ctx.Underscore(n.range);
+        u.set_sym(u.sym().AsSubject());
+        return u;
       }
       st.phase = 0;
       return std::nullopt;

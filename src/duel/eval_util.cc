@@ -169,13 +169,13 @@ Value ComposeWithResult(EvalContext& ctx, const Value& subject, bool arrow, cons
 
 Sym ComposeWithSym(EvalContext& ctx, const Sym& subject, bool arrow, const Sym& inner) {
   ctx.counters().symbolic_builds++;
-  thread_local std::string inner_scratch;
-  thread_local std::string subject_scratch;
-  std::string_view inner_text = inner.View(inner_scratch);
-  // `_` passthrough: the inner value IS the subject; keep its original sym.
-  if (inner.size() == subject.size() && inner_text == subject.View(subject_scratch)) {
-    return inner;
+  // `_` passthrough: the inner value is the subject itself, as the `_` node
+  // marked it; a text that only equals the subject's is composed.
+  if (inner.is_subject()) {
+    return subject;
   }
+  thread_local std::string inner_scratch;
+  std::string_view inner_text = inner.View(inner_scratch);
   if (IsSimpleIdentifier(inner_text)) {
     return subject.WithMember(ctx.arena(), inner_text, arrow);
   }

@@ -326,11 +326,20 @@ uint64_t Session::DriveCore(const std::string& expr, QueryResult* result,
     ctx_.set_profiler(&profiler_);
   }
 
+  // A root filter scan prints its passes itself, unless something must see
+  // each value: a hook, or the profiler (which keeps the scan off anyway).
+  EvalEngine::LineSink sink;
+  if (result != nullptr && !on_value && !opts_.profile) {
+    sink = {&result->lines, &result->spans, opts_.max_output_values};
+    engine.PrintInto(&sink);
+  }
+
   const uint64_t t_eval = obs::NowNs();
   uint64_t count = 0;
   {
     obs::Span span(&tracer_, "eval");
     engine.Start(root, plan->parsed.num_nodes);
+    std::string line;  // reused: each value's line is copied out of it
     while (auto v = engine.Next()) {
       if (result != nullptr && result->spans.size() >= opts_.max_output_values) {
         // A value past the limit exists: the result is cut short.
@@ -344,24 +353,18 @@ uint64_t Session::DriveCore(const std::string& expr, QueryResult* result,
         on_value(*v);
       }
       if (result != nullptr) {
-        // Formatting may fault (it reads an lvalue's bytes): it goes first, so
-        // a fault leaves neither a span nor a line.
-        std::string value = FormatValue(ctx_, *v);
-        std::string line;
-        if (const Sym& sym = v->sym(); !sym.empty()) {
-          line.reserve(sym.size() + 3 + value.size());
-          sym.AppendTo(line);
-        }
-        result->spans.push_back(static_cast<uint32_t>(line.size()));
-        if (line.empty() || line == value) {
-          line = std::move(value);  // a constant prints "5", not "5 = 5"
-        } else {
-          line.append(" = ").append(value);
-        }
-        result->lines.push_back(std::move(line));
+        // Formatting may fault (it reads an lvalue's bytes): the line is
+        // stored only once complete, so a fault leaves neither a span nor a
+        // line.
+        line.clear();
+        v->sym().AppendTo(line);
+        const size_t sym_len = OpenValue(line);
+        AppendValue(ctx_, *v, line);
+        PushLine(result->lines, result->spans, line, sym_len);
       }
     }
   }
+  count += sink.written;
   stats.eval_ns = obs::NowNs() - t_eval;
   stats.total_ns = obs::NowNs() - t_query;
   if (opts_.profile) {

@@ -5,6 +5,7 @@
 #include <string_view>
 
 #include "src/support/error.h"
+#include "src/support/strings.h"
 
 namespace duel {
 
@@ -37,12 +38,6 @@ size_t DecimalWidth(uint64_t v) {
     ++n;
   }
   return n;
-}
-
-void AppendDecimal(std::string& out, uint64_t v) {
-  char buf[20];
-  auto [end, ec] = std::to_chars(buf, buf + sizeof(buf), v);
-  out.append(buf, end);
 }
 
 }  // namespace
@@ -136,7 +131,7 @@ void Sym::AppendTo(std::string& out) const {
     out += "-->";
     c->member.AppendTo(out);
     out += "[[";
-    AppendDecimal(out, n);
+    AppendDecimal(out, static_cast<uint64_t>(n));
     out += "]]";
   } else {
     for (uint32_t i = 0; i < n; ++i) {
@@ -180,6 +175,7 @@ Sym Sym::WithMember(Arena& arena, std::string_view member, bool arrow) const {
   std::string_view sep = arrow ? "->" : ".";
   if (tag_ == kChainTag) {
     Sym s = *this;
+    s.prec_ = kPrecPostfix;  // a new text: not the subject's
     std::string scratch;
     if (arrow && suffix() == nullptr && chain()->member.View(scratch) == member) {
       s.Store(16, count() + 1);
@@ -317,10 +313,14 @@ Sym ComposeUnary(Arena& arena, Op op, const Sym& operand) {
   return Sym::Plain(arena, out, kPrecUnary);
 }
 
-Sym ComposeIndex(Arena& arena, const Sym& base, const Sym& index) {
-  std::string& out = Scratch();
+void AppendIndexOpen(std::string& out, const Sym& base) {
   base.AppendAsOperand(out, kPrecPostfix);
   out += '[';
+}
+
+Sym ComposeIndex(Arena& arena, const Sym& base, const Sym& index) {
+  std::string& out = Scratch();
+  AppendIndexOpen(out, base);
   index.AppendTo(out);
   out += ']';
   return Sym::Plain(arena, out, kPrecPostfix);

@@ -71,7 +71,19 @@ class Sym {
   static Sym DecimalUnsigned(uint64_t v);
 
   bool empty() const { return tag_ == 0; }
-  int prec() const { return tag_ == kChainTag ? static_cast<int>(kPrecPostfix) : prec_; }
+  int prec() const {
+    return tag_ == kChainTag ? static_cast<int>(kPrecPostfix) : prec_ & ~kSubjectBit;
+  }
+
+  // The symbolic the `_` node yields: the with-subject's own, marked so that
+  // the with-scope composing it keeps its subject's text (ComposeWithSym)
+  // rather than comparing texts. Any composition drops the mark.
+  Sym AsSubject() const {
+    Sym s = *this;
+    s.prec_ |= kSubjectBit;
+    return s;
+  }
+  bool is_subject() const { return (prec_ & kSubjectBit) != 0; }
   // Length of the rendered text.
   size_t size() const;
 
@@ -107,6 +119,7 @@ class Sym {
 
   static constexpr uint8_t kTextTag = 0xFE;   // raw_ holds a const Piece*
   static constexpr uint8_t kChainTag = 0xFF;  // raw_ holds {const Chain*, const Piece*, count}
+  static constexpr uint8_t kSubjectBit = 0x80;  // in prec_: AsSubject's mark
 
   static const Piece* NewPiece(Arena& arena, const Piece* prev, std::string_view a,
                                std::string_view b = {});
@@ -145,6 +158,10 @@ Sym ComposeBinary(Arena& arena, const Sym& lhs, Op op, const Sym& rhs);
 // precedence).
 Sym ComposeUnary(Arena& arena, Op op, const Sym& operand);
 Sym ComposeIndex(Arena& arena, const Sym& base, const Sym& index);
+// The text ComposeIndex starts with: `base` as a postfix operand, then '['.
+// A caller that writes the index and ']' itself (a printed scan) shares the
+// rule through it.
+void AppendIndexOpen(std::string& out, const Sym& base);
 Sym ComposeCast(Arena& arena, const std::string& type_name, const Sym& operand);
 // subject.(inner) or subject->(inner): a with-scope whose inner expression
 // is not a plain member name.

@@ -1,5 +1,6 @@
 #include "src/support/strings.h"
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -39,37 +40,60 @@ std::string Join(const std::vector<std::string>& parts, std::string_view sep) {
 }
 
 std::string EscapeChar(char c) {
+  char buf[4];
+  return std::string(buf, WriteEscapedChar(buf, c));
+}
+
+char* WriteEscapedChar(char* out, char c) {
+  char esc = 0;
   switch (c) {
     case '\n':
-      return "\\n";
+      esc = 'n';
+      break;
     case '\t':
-      return "\\t";
+      esc = 't';
+      break;
     case '\r':
-      return "\\r";
+      esc = 'r';
+      break;
     case '\0':
-      return "\\0";
+      esc = '0';
+      break;
     case '\a':
-      return "\\a";
+      esc = 'a';
+      break;
     case '\b':
-      return "\\b";
+      esc = 'b';
+      break;
     case '\f':
-      return "\\f";
+      esc = 'f';
+      break;
     case '\v':
-      return "\\v";
+      esc = 'v';
+      break;
     case '\\':
-      return "\\\\";
     case '\'':
-      return "\\'";
     case '"':
-      return "\\\"";
+      esc = c;
+      break;
     default:
       break;
   }
+  if (esc != 0) {
+    out[0] = '\\';
+    out[1] = esc;
+    return out + 2;
+  }
   unsigned char uc = static_cast<unsigned char>(c);
   if (uc < 0x20 || uc >= 0x7f) {
-    return StrPrintf("\\%03o", uc);
+    out[0] = '\\';
+    out[1] = static_cast<char>('0' + (uc >> 6));
+    out[2] = static_cast<char>('0' + ((uc >> 3) & 7));
+    out[3] = static_cast<char>('0' + (uc & 7));
+    return out + 4;
   }
-  return std::string(1, c);
+  out[0] = c;
+  return out + 1;
 }
 
 std::string EscapeString(std::string_view s) {
@@ -79,28 +103,48 @@ std::string EscapeString(std::string_view s) {
     if (c == '\'') {
       out.push_back('\'');  // ' needs no escape inside a string literal
     } else {
-      out += EscapeChar(c);
+      char buf[4];
+      out.append(buf, WriteEscapedChar(buf, c));
     }
   }
   return out;
 }
 
 std::string FormatDouble(double d) {
+  char buf[32];
+  return std::string(buf, WriteDouble(buf, d));
+}
+
+char* WriteDouble(char* out, double d) {
   if (std::isnan(d)) {
-    return "nan";
+    std::memcpy(out, "nan", 3);
+    return out + 3;
   }
   if (std::isinf(d)) {
-    return d < 0 ? "-inf" : "inf";
+    const char* text = d < 0 ? "-inf" : "inf";
+    const size_t n = std::strlen(text);
+    std::memcpy(out, text, n);
+    return out + n;
   }
   // Try increasing precision until the value round-trips.
+  int n = 0;
   for (int prec = 6; prec <= 17; ++prec) {
-    std::string s = StrPrintf("%.*g", prec, d);
-    double back = strtod(s.c_str(), nullptr);
-    if (back == d) {
-      return s;
+    n = std::snprintf(out, 32, "%.*g", prec, d);
+    if (strtod(out, nullptr) == d) {
+      break;
     }
   }
-  return StrPrintf("%.17g", d);
+  return out + n;
+}
+
+void AppendDecimal(std::string& out, int64_t v) {
+  char buf[24];
+  out.append(buf, std::to_chars(buf, buf + sizeof(buf), v).ptr);
+}
+
+void AppendDecimal(std::string& out, uint64_t v) {
+  char buf[24];
+  out.append(buf, std::to_chars(buf, buf + sizeof(buf), v).ptr);
 }
 
 bool StartsWith(std::string_view s, std::string_view prefix) {

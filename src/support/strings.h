@@ -21,10 +21,18 @@ std::string Join(const std::vector<std::string>& parts, std::string_view sep);
 // C-style escaping for a character / string literal body (no surrounding quotes).
 std::string EscapeChar(char c);
 std::string EscapeString(std::string_view s);
+// EscapeChar's text written at `out` (room for 4 characters); returns its end.
+char* WriteEscapedChar(char* out, char c);
 
 // Formats a double the way the result printer does: shortest form that still
 // round-trips for typical debugger use ("2.5", "1e+20", "3").
 std::string FormatDouble(double d);
+// FormatDouble's text written at `out` (room for 32 characters); returns its end.
+char* WriteDouble(char* out, double d);
+
+// Decimal text, appended to `out`.
+void AppendDecimal(std::string& out, int64_t v);
+void AppendDecimal(std::string& out, uint64_t v);
 
 bool StartsWith(std::string_view s, std::string_view prefix);
 

@@ -9,6 +9,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <iterator>
 #include <utility>
 
 #include "src/support/strings.h"
@@ -690,6 +692,316 @@ TEST(CompiledWalkTest, RepeatedWalksDoNotGrowTheQueryArena) {
   }
 }
 
+// --- printed scans ------------------------------------------------------------
+//
+// At the root of a `duel` command a filter scan writes its passes' lines
+// itself, a block run at a time. Sessions that take the element path instead
+// (the data cache off, the profiler on, or a value hook) must print the same
+// lines, spans and truncation, fail with the same error, and do the same
+// work, for every element type the printer formats.
+
+constexpr size_t kPrintN = 300;
+
+// `xi` int, `xu` unsigned, `xc` char, `xsc` signed char, `xuc` unsigned char,
+// `xh` short, `xll` long long, `xb` bool, `xe` enum color, `xf` float, `xd`
+// double, `xp` int*, each kPrintN long; `xstr` twelve char*; `p` an int*
+// to xi. Memory past the last of them is unmapped.
+void BuildPrinterWorld(target::TargetImage& image) {
+  target::ImageBuilder b(image);
+  target::TypeTable& types = b.types();
+  auto fill = [&b](const char* name, TypeRef type, auto value) {
+    const target::Addr at = b.Global(name, b.Arr(type, kPrintN));
+    for (size_t i = 0; i < kPrintN; ++i) {
+      const int64_t v = value(static_cast<int64_t>(i));
+      b.PokeScalar(at + i * type->size(), type, v);
+    }
+    return at;
+  };
+  const target::Addr xi = fill("xi", b.Int(), [](int64_t i) { return (i * 7919) % 201 - 100; });
+  fill("xu", b.UInt(), [](int64_t i) { return i * 2654435761u; });
+  fill("xc", b.Char(), [](int64_t i) { return i * 37 % 256; });
+  fill("xsc", types.SChar(), [](int64_t i) { return i * 53 % 256; });
+  fill("xuc", types.UChar(), [](int64_t i) { return i * 91 % 256; });
+  fill("xh", types.Short(), [](int64_t i) { return i * 611 % 65536 - 32768; });
+  fill("xll", types.LongLong(), [](int64_t i) { return (i % 2 ? 1 : -1) * i * 1234567890123; });
+  fill("xb", types.Bool(), [](int64_t i) { return i % 3; });
+  TypeRef color = types.DefineEnum("color", {{"RED", 0}, {"GREEN", 1}, {"BLUE", 5}});
+  fill("xe", color, [](int64_t i) { return i % 7; });
+  const target::Addr xf = b.Global("xf", b.Arr(b.Float(), kPrintN));
+  const target::Addr xd = b.Global("xd", b.Arr(b.Double(), kPrintN));
+  const double specials[] = {0.1, 1e20, -0.0, std::nan(""), -INFINITY, 2.5, 1.0 / 3};
+  for (size_t i = 0; i < kPrintN; ++i) {
+    b.PokeFloat(xf + i * 4, static_cast<float>(static_cast<int64_t>(i % 13) - 6) * 0.37f);
+    b.PokeDouble(xd + i * 8, i % 10 < 7 ? specials[i % 10] * static_cast<double>(i)
+                                        : static_cast<double>(i % 5));
+  }
+  fill("xp", b.Ptr(b.Int()), [xi](int64_t i) {
+    return i % 4 == 0 ? target::Addr{0} : xi + static_cast<target::Addr>(i) * 4;
+  });
+  const std::string exactly(80, 'e');
+  const target::Addr strings[] = {
+      b.String("a"),
+      b.String("tab\there"),
+      b.String("quote\"'\\"),
+      b.String(std::string(100, 'x')),
+      b.String(exactly),
+      b.String(exactly + "f"),
+      0,
+      0xdead0000,
+      b.String("\x01\xff\x7f"),
+      b.String(""),
+      b.String("mid") + 1,
+      b.String("ok"),
+  };
+  const target::Addr xstr = b.Global("xstr", b.Arr(b.Ptr(b.Char()), std::size(strings)));
+  for (size_t i = 0; i < std::size(strings); ++i) {
+    b.PokePtr(xstr + i * 8, strings[i]);
+  }
+  b.PokePtr(b.Global("p", b.Ptr(b.Int())), xi);
+}
+
+const char* kPrintedScans[] = {
+    "xi[..300] >? 0",
+    "xi[..300] <=? 0",
+    "xu[..300] >? 7",
+    "xc[..300] !=? 0",
+    "xsc[..300] <? 0",
+    "xuc[..300] >? 127",
+    "xh[..300] <? -5",
+    "xll[..300] >? 0",
+    "xb[..300] !=? 0",
+    "xe[..300] !=? 1",
+    "xf[..300] >? 0.5",
+    "xd[..300] !=? 0",
+    "xd[..300] >? 0",
+    "xp[..300] !=? 0",
+    "xstr[..12] !=? 0",
+    "xstr[..12] ==? 0",
+    // Pointer, parenthesized and two-range bases; a range into unmapped
+    // memory; a negative start.
+    "p[..300] >? 0",
+    "p[10..290] <=? -50",
+    "(xi+1)[..4] >? 0",
+    "xi[(0,0)..(5,1)] >? 0",
+    "xi[..100000] >? 0",
+    "xstr[..100000] !=? 0",
+    "(xi+5)[-3..3] >? -200",
+    // Not printed by the scan: a chained filter, whose root's left operand
+    // is a filter, and a root that is not a filter.
+    "xi[..300] >? 0 <? 50",
+    "xi[..300] >? 0 => xi[0]",
+};
+
+enum class PrintPath { kPrinted, kReference, kProfiled, kHooked };
+
+using World = void (*)(target::TargetImage&);
+
+QueryResult RunPrintPath(const std::string& expr, SessionOptions opts, PrintPath path,
+                         World world = BuildPrinterWorld) {
+  opts.collect_stats = true;
+  if (path == PrintPath::kReference) {
+    opts.eval.data_cache = false;
+    opts.plan_cache = false;
+  }
+  opts.profile = path == PrintPath::kProfiled;
+  DuelFixture fx(opts);
+  world(fx.image());
+  ValueHook hook;
+  if (path == PrintPath::kHooked) {
+    hook = [](const Value&) {};
+  }
+  return fx.session().Query(expr, hook);
+}
+
+void ExpectSamePrint(const QueryResult& a, const QueryResult& b, const std::string& what) {
+  ExpectSameResult(a, b, what);
+  EXPECT_EQ(a.spans, b.spans) << what;
+  EXPECT_EQ(a.truncated, b.truncated) << what;
+  EXPECT_EQ(a.Text(), b.Text()) << what;
+}
+
+// The printed run against each element-path run; returns the printed one.
+QueryResult ExpectPrintsLikeTheElementPath(const std::string& expr, const SessionOptions& opts,
+                                           const std::string& what,
+                                           World world = BuildPrinterWorld) {
+  QueryResult printed = RunPrintPath(expr, opts, PrintPath::kPrinted, world);
+  for (auto [path, name] : {std::pair{PrintPath::kReference, " (cache off)"},
+                            std::pair{PrintPath::kProfiled, " (profiled)"},
+                            std::pair{PrintPath::kHooked, " (hooked)"}}) {
+    QueryResult other = RunPrintPath(expr, opts, path, world);
+    ExpectSamePrint(printed, other, what + name);
+    ExpectSameWork(printed, other, what + name);
+  }
+  return printed;
+}
+
+TEST(PrintedScanTest, ElementTypesPrintLikeTheElementPath) {
+  for (const char* q : kPrintedScans) {
+    for (EvalOptions::SymMode mode : {EvalOptions::SymMode::kOn, EvalOptions::SymMode::kOff}) {
+      SessionOptions opts;
+      opts.eval.sym_mode = mode;
+      ExpectPrintsLikeTheElementPath(
+          q, opts, std::string(q) + (mode == EvalOptions::SymMode::kOn ? "" : " sym=off"));
+    }
+  }
+}
+
+// Texts longer than any number's: an enumerator's name, strings whose every
+// character prints as a 4-character escape, under the default display cap
+// and a larger one, and a base whose symbolic is longer than the line's
+// other parts together. A printed scan sizes its line buffer for them.
+const char kLongEnumerator[] = "LEVEL_WITH_A_NAME_LONGER_THAN_ANY_NUMBER_PRINTS";
+const std::string kLongBase = "levels_" + std::string(130, 'z');
+
+void BuildLongTextWorld(target::TargetImage& image) {
+  target::ImageBuilder b(image);
+  TypeRef level = b.types().DefineEnum("level", {{kLongEnumerator, 1}, {"LOW", 2}});
+  for (const std::string& name : {std::string("le"), kLongBase}) {
+    const target::Addr at = b.Global(name, b.Arr(level, 8));
+    for (size_t i = 0; i < 8; ++i) {
+      b.PokeScalar(at + i * level->size(), level, static_cast<int64_t>(i % 3));
+    }
+  }
+  const target::Addr strings[] = {b.String(std::string(300, '\x01')),
+                                  b.String(std::string(299, '\xff')),
+                                  b.String(std::string(500, 'y'))};
+  const target::Addr ls = b.Global("ls", b.Arr(b.Ptr(b.Char()), std::size(strings)));
+  for (size_t i = 0; i < std::size(strings); ++i) {
+    b.PokePtr(ls + i * 8, strings[i]);
+  }
+}
+
+TEST(PrintedScanTest, LongTextsPrintLikeTheElementPath) {
+  for (const std::string& q : {std::string("le[..8] !=? 0"), std::string("ls[..3] !=? 0"),
+                               kLongBase + "[..8] !=? 2"}) {
+    for (size_t cap : {size_t{80}, size_t{300}}) {
+      for (EvalOptions::SymMode mode : {EvalOptions::SymMode::kOn, EvalOptions::SymMode::kOff}) {
+        SessionOptions opts;
+        opts.eval.sym_mode = mode;
+        opts.eval.max_string_display = cap;
+        const std::string what = q + " max_string_display=" + std::to_string(cap) +
+                                 (mode == EvalOptions::SymMode::kOn ? "" : " sym=off");
+        const QueryResult printed =
+            ExpectPrintsLikeTheElementPath(q, opts, what, BuildLongTextWorld);
+        ASSERT_TRUE(printed.ok && printed.stats.has_value()) << what << ": " << printed.error;
+        EXPECT_GT(printed.value_count(), 1u) << what;
+        EXPECT_LE(printed.stats->eval.symbolic_builds, 2u) << what;  // the scan printed
+      }
+    }
+  }
+  const QueryResult names = RunPrintPath("le[..8] !=? 0", {}, PrintPath::kPrinted,
+                                         BuildLongTextWorld);
+  EXPECT_NE(names.Text().find(kLongEnumerator), std::string::npos) << names.Text();
+}
+
+// A limit that falls exactly on the last pass prints no "...": the result is
+// cut short only when a pass past the limit exists.
+TEST(PrintedScanTest, OutputLimitCutsWhereTheElementPathDoes) {
+  for (const char* q : {"xi[..300] >? 0", "xstr[..12] !=? 0", "xi[(0,0)..(5,1)] >? 0"}) {
+    const QueryResult all = RunPrintPath(q, {}, PrintPath::kReference);
+    ASSERT_TRUE(all.ok) << q << ": " << all.error;
+    const size_t passes = all.value_count();
+    ASSERT_GT(passes, 3u) << q;
+    for (size_t limit : {size_t{1}, size_t{3}, passes - 1, passes, passes + 1}) {
+      SessionOptions opts;
+      opts.max_output_values = limit;
+      const std::string what = std::string(q) + " max_output_values=" + std::to_string(limit);
+      QueryResult printed = ExpectPrintsLikeTheElementPath(q, opts, what);
+      EXPECT_EQ(printed.truncated, limit < passes) << what;
+      EXPECT_EQ(printed.value_count(), std::min(limit, passes)) << what;
+    }
+  }
+}
+
+TEST(PrintedScanTest, BudgetsTripWhereTheElementPathDoes) {
+  for (const char* q : {"xi[..300] >? 0", "xstr[..12] !=? 0", "p[10..290] <=? -50",
+                        "xd[..300] !=? 0"}) {
+    for (uint64_t limit : {7, 100, 333, 1001}) {
+      SessionOptions steps;
+      steps.eval.max_steps = limit;
+      ExpectPrintsLikeTheElementPath(q, steps,
+                                     std::string(q) + " max_steps=" + std::to_string(limit));
+      SessionOptions governed;
+      governed.governor_limits.max_steps = limit;
+      ExpectPrintsLikeTheElementPath(
+          q, governed, std::string(q) + " governor max_steps=" + std::to_string(limit));
+      SessionOptions reads;
+      reads.governor_limits.max_read_bytes = limit;
+      ExpectPrintsLikeTheElementPath(
+          q, reads, std::string(q) + " max_read_bytes=" + std::to_string(limit));
+    }
+  }
+}
+
+// The printed text is the text the element-path printer wrote before scans
+// printed: FNV-1a hashes of Text(), with symbolics on and off, recorded from
+// a cache-off session of that printer.
+uint64_t Fnv1a(std::string_view s) {
+  uint64_t h = 0xcbf29ce484222325ull;
+  for (unsigned char c : s) {
+    h = (h ^ c) * 0x100000001b3ull;
+  }
+  return h;
+}
+
+TEST(PrintedScanTest, TextMatchesTheRecordedPrinter) {
+  const struct {
+    const char* query;
+    uint64_t sym_on, sym_off;
+  } kRecorded[] = {
+      {"xi[..300] >? 0", 0xa622d95c1d66acd3ull, 0x7d6ab268196a20f4ull},
+      {"xi[..300] <=? 0", 0x909b3c43fa13a621ull, 0x165480bd37604fe6ull},
+      {"xu[..300] >? 7", 0xe87b74e788640a96ull, 0x72fca446e3cf356eull},
+      {"xc[..300] !=? 0", 0xfdb8e20ecfce3f19ull, 0xa0e0ed3a610e927aull},
+      {"xsc[..300] <? 0", 0x825b3e7f71d5b8a7ull, 0x2053e80071869b69ull},
+      {"xuc[..300] >? 127", 0x8f68b3756d32af0full, 0xd5727f474f82ef61ull},
+      {"xh[..300] <? -5", 0x15c1fb38689bc61bull, 0x3bfe9c31aa30a690ull},
+      {"xll[..300] >? 0", 0x57933af2d2509862ull, 0xca7de32e13b74635ull},
+      {"xb[..300] !=? 0", 0x7b1769a423c26312ull, 0x1ad0aa0ce250e2e5ull},
+      {"xe[..300] !=? 1", 0x3b1191e28c168dc0ull, 0xc5dfbf06ae5b6d59ull},
+      {"xf[..300] >? 0.5", 0x9b0315ab8435b505ull, 0x88f0802f6f7957f4ull},
+      {"xd[..300] !=? 0", 0xfe771901e39aa911ull, 0x2dfd11fe0fcf5ea1ull},
+      {"xd[..300] >? 0", 0x9467ed78a60450d7ull, 0x95c13252e2bb336bull},
+      {"xp[..300] !=? 0", 0x2419d1d30c65dde5ull, 0x2e0b7b157027298dull},
+      {"xstr[..12] !=? 0", 0x1a01171f3ddc2172ull, 0x9a744c36c7ed5ee6ull},
+      {"xstr[..12] ==? 0", 0xd74b31eb74686cc9ull, 0xa82c43fafee0372full},
+      {"p[..300] >? 0", 0x2cd298a8f7df0d96ull, 0x7d6ab268196a20f4ull},
+      {"p[10..290] <=? -50", 0x86d8f43a1bd3f758ull, 0xc3b70a0c611788feull},
+      {"(xi+1)[..4] >? 0", 0x5957367bbad38fd3ull, 0xe36596093c485195ull},
+      {"xi[(0,0)..(5,1)] >? 0", 0xb47371b74afdca93ull, 0x41020f5bce2e61d5ull},
+      {"xi[..100000] >? 0", 0x7a69440078595560ull, 0x2bd8902c3deccb4cull},
+      {"xstr[..100000] !=? 0", 0x31bee13adb13f183ull, 0x7d8bae6c59d790a8ull},
+      {"(xi+5)[-3..3] >? -200", 0x70e27229d63293efull, 0x00c934385c074b47ull},
+      {"xi[..300] >? 0 <? 50", 0xde84b74497442d9full, 0x7a1eb184ff37ea22ull},
+      {"xi[..300] >? 0 => xi[0]", 0x86656f54d118fbb7ull, 0x7827f38fac2971d3ull},
+  };
+  ASSERT_EQ(std::size(kRecorded), std::size(kPrintedScans));
+  for (const auto& want : kRecorded) {
+    for (EvalOptions::SymMode mode : {EvalOptions::SymMode::kOn, EvalOptions::SymMode::kOff}) {
+      SessionOptions opts;
+      opts.eval.sym_mode = mode;
+      const QueryResult r = RunPrintPath(want.query, opts, PrintPath::kPrinted);
+      EXPECT_EQ(Fnv1a(r.Text()), mode == EvalOptions::SymMode::kOn ? want.sym_on : want.sym_off)
+          << want.query << (mode == EvalOptions::SymMode::kOn ? "" : " sym=off") << "\n"
+          << r.Text();
+    }
+  }
+}
+
+// The scan printed: no symbolic is built per value, where the element path
+// builds one per element it indexes.
+TEST(PrintedScanTest, PrintsWithoutPerValueSymbolics) {
+  for (const char* q : {"xi[..300] >? 0", "p[..300] >? 0", "xstr[..12] !=? 0"}) {
+    QueryResult printed = RunPrintPath(q, {}, PrintPath::kPrinted);
+    QueryResult hooked = RunPrintPath(q, {}, PrintPath::kHooked);
+    ASSERT_TRUE(printed.ok && printed.stats.has_value()) << q << ": " << printed.error;
+    ASSERT_TRUE(hooked.stats.has_value()) << q;
+    EXPECT_LE(printed.stats->eval.symbolic_builds, 2u) << q;
+    EXPECT_GE(hooked.stats->eval.symbolic_builds, printed.value_count()) << q;
+    EXPECT_EQ(printed.stats->values, printed.value_count()) << q;
+  }
+}
+
 // --- seeded random expression generation -------------------------------------
 
 class RandomExprGen {
@@ -867,6 +1179,38 @@ TEST(SymbolicRoundTripTest, FusedOperatorsReevaluate) {
       EXPECT_EQ(again.ValueText(0), r.ValueText(i)) << q << " printed `" << sym << "`";
       EXPECT_EQ(again.SymText(0), sym) << q;
       EXPECT_EQ(GlobalBytes(fx.image()), before) << "`" << sym << "` wrote target memory";
+    }
+  }
+}
+
+// `_` passes its with-subject's symbolic through; a symbolic whose text only
+// equals the subject's is composed like any other. So each node a walk
+// inside a with reaches names itself, and re-running its symbolic yields its
+// value, in both session configurations (compiled and generic walks).
+TEST(SymbolicRoundTripTest, WalksInsideWithNameEachNode) {
+  const std::pair<const char*, std::vector<std::string>> kWant[] = {
+      {"L->(next-->next)",
+       {"L->next", "L->(next->next)", "L->(next->next->next)", "L->(next->next->next->next)"}},
+      {"L->(next-->next->value)",
+       {"L->(next->value)", "L->(next->next->value)", "L->(next->next->next->value)",
+        "L->(next->next->next->next->value)"}},
+      {"L->(_)", {"L"}},
+      {"L-->(next,_)", {"L", "L->next", "L->next->next", "L->next->next->next", "L-->next[[4]]"}},
+  };
+  for (SessionConfig config : {SessionConfig::kDefault, SessionConfig::kReference}) {
+    DuelFixture fx(ConfigOptions(config));
+    BuildRichImage(fx.image());
+    for (const auto& [q, want] : kWant) {
+      QueryResult r = fx.session().Query(q);
+      ASSERT_TRUE(r.ok) << q << ": " << r.error;
+      ASSERT_EQ(r.value_count(), want.size()) << q;
+      for (size_t i = 0; i < want.size(); ++i) {
+        EXPECT_EQ(r.SymText(i), want[i]) << q;
+        QueryResult again = fx.session().Query(want[i]);
+        ASSERT_TRUE(again.ok) << want[i] << ": " << again.error;
+        ASSERT_EQ(again.value_count(), 1u) << want[i];
+        EXPECT_EQ(again.ValueText(0), r.ValueText(i)) << q << " printed `" << want[i] << "`";
+      }
     }
   }
 }
